@@ -10,7 +10,15 @@ fallback).  Ships census helpers for twin pairs, prime quadruplets, and
 Cunningham chains.
 """
 
-from .apsieve import EarlyAbort, SievePlan, SieveSegment, make_plan, sieve_segment, survivors
+from .apsieve import (
+    EarlyAbort,
+    SievePlan,
+    SieveSegment,
+    make_plan,
+    sieve_segment,
+    start_table,
+    survivors,
+)
 from .apps import (
     QUAD_PATTERN,
     TWIN_PATTERN,

@@ -3,9 +3,13 @@ f_i(r + j*W), clearing candidates hit by any sieve prime.
 
 One segment covers a single wheel residue r: byte j of the segment
 stands for the candidate x(j) = r + j*W, and stays 1 only if no sieve
-prime divides any form value there.  Segment length is about n/W, which
-the planner keeps near the sieve bound B so a segment sits comfortably
-in cache.
+prime divides any form value there.  Segment length is about n/W.  The
+planner's default wheel budget is n // B, so W <= n/B and a segment
+holds at least about B bytes; it is not capped near B.
+
+Where each prime's strikes start depends on r only through one product,
+so the inverses behind it are computed once per run (`start_table`) and
+every segment reuses them.
 """
 
 import math
@@ -19,6 +23,7 @@ __all__ = [
     "make_plan",
     "EarlyAbort",
     "SieveSegment",
+    "start_table",
     "sieve_segment",
     "survivors",
     "primes_upto",
@@ -108,7 +113,7 @@ class SieveSegment:
     applied: int = 0      # sieve primes actually applied
 
     def live_count(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
 
 def segment_length(pattern, r: int, W: int, n: int) -> int:
@@ -125,14 +130,34 @@ def segment_length(pattern, r: int, W: int, n: int) -> int:
     return max(0, j_max + 1)
 
 
-def sieve_segment(pattern, r: int, W: int, n: int, sieve_primes,
+def start_table(pattern, W: int, sieve_primes) -> tuple:
+    """Per-prime start data for sieving the progressions r + j*W.
+
+    One flat row per prime, in the order given:
+    (p, W^-1 mod p, s_1, s_2, ...), with s_i = W^-1 * (-b * a^-1) mod p
+    for each form a*x + b whose multiplier p does not divide.  The row
+    depends on the pattern, W and p but not on the residue r, so one
+    table serves every segment of a run.  Raises NotInvertibleError
+    when p divides W.
+    """
+    table = []
+    for p in sieve_primes:
+        winv = modinv(W % p, p)
+        table.append((p, winv, *(winv * (-b * modinv(a % p, p)) % p
+                                  for a, b in pattern.forms if a % p)))
+    return tuple(table)
+
+
+def sieve_segment(pattern, r: int, W: int, n: int, table,
                   early_abort: EarlyAbort | None = None,
                   full_bound: int | None = None) -> SieveSegment:
-    """Sieve the candidates x(j) = r + j*W, j = 0..j_max, by sieve_primes.
+    """Sieve the candidates x(j) = r + j*W, j = 0..j_max, by a start table.
 
-    For each prime p and each form with p not dividing the multiplier,
-    the stricken progression starts at j0 = W^-1 * (-b*a^-1 - r) mod p
-    and steps by p.  Forms whose multiplier p divides are skipped: their
+    table is `start_table(pattern, W, primes)`, primes ascending.  Form
+    i is divisible by p at x(j) exactly when j = s_i - r*W^-1 (mod p), so
+    each row costs one multiply for the segment, then per form one
+    subtract-mod for the first index j0 and strides of p from there.
+    Forms whose multiplier p divides have no entry in the row: their
     values are never 0 mod p.
 
     full_bound is the trial-division depth a completed sieve certifies
@@ -144,25 +169,24 @@ def sieve_segment(pattern, r: int, W: int, n: int, sieve_primes,
     if length == 0:
         return SieveSegment(r, W, -1, bits, sieved_to=full_bound or 0)
     if full_bound is None:
-        full_bound = max(sieve_primes) if sieve_primes else 2
+        full_bound = max(row[0] for row in table) if table else 2
     j_max = length - 1
     abort = early_abort if early_abort is not None else EarlyAbort(enabled=False)
     min_live = length // abort.min_live_per if abort.enabled else -1
 
     applied = 0
-    for p in sieve_primes:
-        winv = modinv(W % p, p)
-        for a, b in pattern.forms:
-            if a % p == 0:
-                continue
-            j0 = winv * ((-b * modinv(a % p, p) - r) % p) % p
+    for row in table:
+        p = row[0]
+        t = r * row[1]
+        for s in row[2:]:
+            j0 = (s - t) % p
             if j0 <= j_max:
                 bits[j0::p] = b"\x00" * ((j_max - j0) // p + 1)
         applied += 1
-        if abort.enabled and applied % abort.check_every == 0 and applied < len(sieve_primes):
-            if sum(bits) <= min_live:
+        if abort.enabled and applied % abort.check_every == 0 and applied < len(table):
+            if bits.count(1) <= min_live:
                 # certified depth: everything below the next unapplied prime
-                depth = sieve_primes[applied] - 1
+                depth = table[applied][0] - 1
                 return SieveSegment(r, W, j_max, bits, sieved_to=depth,
                                     aborted=True, applied=applied)
     return SieveSegment(r, W, j_max, bits, sieved_to=full_bound, applied=applied)

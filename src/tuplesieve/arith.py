@@ -5,6 +5,8 @@ declared width cap.  Every value stored or returned by this package is
 kept under WIDE_MAX; intermediate products may exceed it freely.
 """
 
+import math
+
 WIDE_MAX = 2**127 - 1
 
 
@@ -30,26 +32,17 @@ def mulmod(a: int, b: int, m: int) -> int:
 
 
 def powmod(a: int, e: int, m: int) -> int:
-    """a**e mod m by square-and-multiply on top of mulmod."""
+    """a**e mod m for operands within the width cap."""
     if m == 0:
         raise ZeroDivisionError("modulus is zero")
     check_wide(a, "a")
     check_wide(e, "e")
     check_wide(m, "m")
-    if m == 1:
-        return 0
-    result = 1
-    base = a % m
-    while e:
-        if e & 1:
-            result = result * base % m
-        base = base * base % m
-        e >>= 1
-    return result
+    return pow(a, e, m)
 
 
 def modinv(a: int, m: int) -> int:
-    """Inverse of a mod m via extended Euclid.
+    """Inverse of a mod m, in [0, m).
 
     Raises NotInvertibleError when gcd(a, m) != 1; callers that sieve
     by a prime dividing a form's multiplier must handle that case.
@@ -58,14 +51,7 @@ def modinv(a: int, m: int) -> int:
         raise ValueError(f"modulus m={m} must be >= 2")
     check_wide(a, "a")
     check_wide(m, "m")
-    a %= m
-    # invariants: old_r = old_s*a (mod m), r = s*a (mod m)
-    old_r, r = a, m
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotInvertibleError(f"gcd({a}, {m}) = {old_r}, not invertible")
-    return old_s % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(f"gcd({a}, {m}) = {math.gcd(a, m)}, not invertible") from None

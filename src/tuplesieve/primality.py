@@ -10,8 +10,10 @@ sets with verified thresholds takes over; every answer is unconditional
 or an explicit capacity error, never a guess.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .apsieve import primes_upto
 from .arith import check_wide, powmod
@@ -101,6 +103,11 @@ class PseudosquareTable:
 
     def max_level(self) -> int:
         return self.entries[-1][0] if self.entries else 0
+
+    @cached_property
+    def odd_primes(self) -> tuple:
+        """The odd primes up to max_level(): every base some level uses."""
+        return tuple(primes_upto(self.max_level())[1:])
 
     def level_for(self, N: int, trial_bound: int) -> int:
         """Index of the least entry with L_p * trial_bound > N."""
@@ -258,11 +265,12 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
         return False
     saw_minus_one = e2 == N - 1
 
-    bases = iter(_odd_primes_unbounded())
-    q = next(bases)
+    bases = table.odd_primes
+    checked = 0  # bases[:checked] passed at a lower level
     while True:
         p_level = table.entries[level][0]
-        while q <= p_level:
+        upto = bisect.bisect_right(bases, p_level)
+        for q in bases[checked:upto]:
             e = powmod(q % N, half, N)
             if e == 0:
                 return q == N  # q divides N
@@ -270,7 +278,7 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
                 return False
             if e == N - 1:
                 saw_minus_one = True
-            q = next(bases)
+        checked = upto
         if N % 8 != 1:
             return True
         if saw_minus_one:
@@ -281,13 +289,6 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
                 f"N={N} is 1 mod 8 with no -1 witness up to base {p_level}; "
                 f"table exhausted"
             )
-
-
-def _odd_primes_unbounded():
-    p = 3
-    while True:
-        yield p
-        p = _next_odd_prime(p)
 
 
 def _is_prime_small(N: int) -> bool:

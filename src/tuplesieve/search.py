@@ -15,7 +15,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .apsieve import EarlyAbort, make_plan, sieve_segment, survivors
+from .apsieve import EarlyAbort, make_plan, sieve_segment, start_table, survivors
 from .kahan import KahanAccumulator, KahanBuckets
 from .pattern import Pattern, admissible, chain_pattern, format_pattern
 from .primality import EMBEDDED_TABLE, is_prime, sprp_base2
@@ -212,7 +212,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
 
     plan = _resolve_plan(cfg)
     base_wheel = build_wheel(cfg.pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
-    sieve_primes = plan.sieve_primes(base_wheel.moduli)
+    sieve_table = start_table(cfg.pattern, base_wheel.W, plan.sieve_primes(base_wheel.moduli))
     cut = max(plan.B, max(base_wheel.moduli))
     digest = _config_digest(cfg, plan)
 
@@ -281,7 +281,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                 st.done = True
                 continue
             _advance(st.wheel, cfg.nu - 1)
-            seg = sieve_segment(pattern, r, W, n, sieve_primes,
+            seg = sieve_segment(pattern, r, W, n, sieve_table,
                                 early_abort=cfg.early_abort, full_bound=plan.B)
             depth = seg.sieved_to
             certified = (depth + 1) * (depth + 1)

@@ -12,7 +12,7 @@ import time
 import sympy
 
 from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN, quads, twins
-from tuplesieve.apsieve import sieve_segment, survivors
+from tuplesieve.apsieve import sieve_segment, start_table, survivors
 from tuplesieve.cli import main
 from tuplesieve.pattern import chain_pattern, make_pattern
 from tuplesieve.primality import (
@@ -43,7 +43,8 @@ def test_criterion_1_worked_example_fidelity(capsys):
     assert xs == [5, 11, 101, 191, 821]
     assert lines[-1] == "count=5"
 
-    seg = sieve_segment(QUAD_PATTERN, 11, 210, 5050, [11, 13, 17, 19])
+    table = start_table(QUAD_PATTERN, 210, [11, 13, 17, 19])
+    seg = sieve_segment(QUAD_PATTERN, 11, 210, 5050, table)
     assert survivors(seg) == [851, 1481, 3161]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

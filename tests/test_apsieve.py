@@ -9,9 +9,11 @@ from tuplesieve.apsieve import (
     primes_upto,
     segment_length,
     sieve_segment,
+    start_table,
     survivors,
 )
-from tuplesieve.pattern import make_pattern
+from tuplesieve.arith import NotInvertibleError
+from tuplesieve.pattern import chain_pattern, make_pattern
 
 from conftest import CORPUS, naive_pattern_xs
 
@@ -58,7 +60,7 @@ def test_sieve_primes_keeps_excluded_wheel_prime():
 
 
 def test_worked_example_segment():
-    seg = sieve_segment(QUAD, 11, 210, 5050, [11, 13, 17, 19])
+    seg = sieve_segment(QUAD, 11, 210, 5050, start_table(QUAD, 210, [11, 13, 17, 19]))
     assert seg.j_max == 23
     assert survivors(seg) == [851, 1481, 3161]
     assert seg.sieved_to == 19
@@ -66,23 +68,23 @@ def test_worked_example_segment():
 
 
 def test_worked_example_first_prime_only():
-    seg = sieve_segment(QUAD, 11, 210, 5050, [11])
+    seg = sieve_segment(QUAD, 11, 210, 5050, start_table(QUAD, 210, [11]))
     cleared = sorted(set(11 + 210 * j for j in range(24)) - set(survivors(seg)))
     assert cleared == [11, 641, 1061, 1901, 2321, 2951, 3371, 4211, 4631]
 
 
 def test_empty_sieve_set_keeps_all():
-    seg = sieve_segment(QUAD, 11, 210, 5050, [])
+    seg = sieve_segment(QUAD, 11, 210, 5050, start_table(QUAD, 210, []))
     assert survivors(seg) == [11 + 210 * j for j in range(24)]
 
 
 def test_unsieved_short_segment():
-    seg = sieve_segment(QUAD, 11, 210, 11 + 2 * 210 + 8, [])
+    seg = sieve_segment(QUAD, 11, 210, 11 + 2 * 210 + 8, start_table(QUAD, 210, []))
     assert survivors(seg) == [11, 221, 431]
 
 
 def test_out_of_range_residue_is_empty():
-    seg = sieve_segment(QUAD, 191, 210, 150, [11])
+    seg = sieve_segment(QUAD, 191, 210, 150, start_table(QUAD, 210, [11]))
     assert survivors(seg) == []
 
 
@@ -102,7 +104,7 @@ def test_soundness_no_survivor_divisible(table_1e5):
     primes = [p for p in primes_upto(100) if p > 7]
     for name, forms in CORPUS.items():
         pattern = make_pattern(forms)
-        seg = sieve_segment(pattern, 11, 210, 50_000, primes)
+        seg = sieve_segment(pattern, 11, 210, 50_000, start_table(pattern, 210, primes))
         for x in survivors(seg):
             for p in primes:
                 for a, b in pattern.forms:
@@ -113,10 +115,11 @@ def test_soundness_no_survivor_divisible(table_1e5):
 def test_completeness_no_tuple_cleared(table_1e6):
     n = 10**5
     primes = [p for p in primes_upto(300) if p > 7]
+    table = start_table(QUAD, 210, primes)
     expected = set(naive_pattern_xs(QUAD.forms, n, table_1e6))
     seg_xs = set()
     for r in (11, 101, 191):
-        seg_xs.update(survivors(sieve_segment(QUAD, r, 210, n, primes)))
+        seg_xs.update(survivors(sieve_segment(QUAD, r, 210, n, table)))
     # every true tuple away from the small primes survives
     for x in expected:
         if x % 210 in (11, 101, 191) and QUAD.min_value(x) > 300:
@@ -128,10 +131,10 @@ def test_sqrt_sieve_leaves_exactly_primes(table_1e6):
     # below B is itself a wheel or sieve prime, so its x never survives
     n = 40_000
     B = math.isqrt(n)
-    primes = [p for p in primes_upto(B) if p > 7]
+    table = start_table(QUAD, 210, [p for p in primes_upto(B) if p > 7])
     got = set()
     for r in (11, 101, 191):
-        got.update(survivors(sieve_segment(QUAD, r, 210, n, primes)))
+        got.update(survivors(sieve_segment(QUAD, r, 210, n, table)))
     expect = {
         x
         for x in naive_pattern_xs(QUAD.forms, n, table_1e6)
@@ -142,19 +145,76 @@ def test_sqrt_sieve_leaves_exactly_primes(table_1e6):
 
 def test_early_abort_fires_and_stays_sound():
     primes = [p for p in primes_upto(1000) if p > 7]
+    table = start_table(QUAD, 210, primes)
     eager = EarlyAbort(enabled=True, min_live_per=1, check_every=1)
-    seg = sieve_segment(QUAD, 11, 210, 10**6, primes, early_abort=eager)
+    seg = sieve_segment(QUAD, 11, 210, 10**6, table, early_abort=eager)
     assert seg.aborted
     assert seg.applied == 1
     assert seg.sieved_to == primes[1] - 1
-    full = sieve_segment(QUAD, 11, 210, 10**6, primes)
+    full = sieve_segment(QUAD, 11, 210, 10**6, table)
     assert set(survivors(seg)) >= set(survivors(full))
     assert full.sieved_to == max(primes)
 
 
 def test_abort_never_loses_candidates():
-    primes = [p for p in primes_upto(500) if p > 7]
+    table = start_table(QUAD, 210, [p for p in primes_upto(500) if p > 7])
     modest = EarlyAbort(enabled=True, min_live_per=64, check_every=8)
-    full = sieve_segment(QUAD, 11, 210, 2 * 10**5, primes)
-    part = sieve_segment(QUAD, 11, 210, 2 * 10**5, primes, early_abort=modest)
+    full = sieve_segment(QUAD, 11, 210, 2 * 10**5, table)
+    part = sieve_segment(QUAD, 11, 210, 2 * 10**5, table, early_abort=modest)
     assert set(survivors(part)) >= set(survivors(full))
+
+
+def _struck_by(pattern, r, W, length, primes):
+    """Brute force: the j < length where some p in primes with p not
+    dividing a divides a*(r + j*W) + b."""
+    return {
+        j
+        for j in range(length)
+        for p in primes
+        for a, b in pattern.forms
+        if a % p and (a * (r + j * W) + b) % p == 0
+    }
+
+
+CHERNICK = make_pattern(CORPUS["chernick"])
+SECOND_5 = chain_pattern("second", 5)
+EAGER = EarlyAbort(enabled=True, min_live_per=8, check_every=4)
+
+
+@pytest.mark.parametrize("pattern, r, W, n, primes, abort", [
+    # 2 and 3 divide every multiplier: their rows strike nothing
+    (CHERNICK, 4, 5 * 7 * 11, 10**5, [2, 3, 13, 17, 19, 23, 29], None),
+    (CHERNICK, 0, 5 * 7 * 11, 10**5, [3, 13, 17, 19], None),
+    (SECOND_5, 7, 30, 10**5, [7, 11, 13, 17, 19, 23, 29, 31], None),
+    (SECOND_5, 0, 30, 10**5, [7, 11, 13, 17], None),
+    (QUAD, 0, 210, 10**5, [11, 13, 17, 19, 23], None),
+    # 24 candidates: every prime from 29 on is longer than the segment
+    (QUAD, 11, 210, 5050, primes_upto(100)[4:], None),
+    (QUAD, 11, 210, 10**6, primes_upto(400)[4:], EAGER),
+    (SECOND_5, 1, 30, 10**6, primes_upto(400)[3:], EAGER),
+])
+def test_strike_set_matches_brute_force(pattern, r, W, n, primes, abort):
+    seg = sieve_segment(pattern, r, W, n, start_table(pattern, W, primes), early_abort=abort)
+    length = segment_length(pattern, r, W, n)
+    applied = primes[: seg.applied]
+    struck = _struck_by(pattern, r, W, length, applied)
+    assert [j for j in range(length) if not seg.bits[j]] == sorted(struck)
+    if abort is None:
+        assert not seg.aborted and applied == primes
+        assert seg.sieved_to == max(primes)
+    else:
+        assert seg.aborted and 0 < seg.applied < len(primes)
+        assert seg.sieved_to == primes[seg.applied] - 1
+        assert seg.live_count() <= length // abort.min_live_per
+
+
+def test_start_table_rows():
+    # 2 and 3 divide every multiplier, so their rows carry no starts
+    rows = start_table(CHERNICK, 385, [2, 3, 13])
+    assert rows[0] == (2, 1) and rows[1] == (3, 1)
+    p, winv, *starts = rows[2]
+    assert (p, winv * 385 % p) == (13, 1)
+    for s, (a, b) in zip(starts, CHERNICK.forms):
+        assert (a * (s * 385) + b) % p == 0
+    with pytest.raises(NotInvertibleError):
+        start_table(QUAD, 210, [11, 7])  # 7 divides W

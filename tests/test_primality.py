@@ -4,7 +4,9 @@ import random
 import pytest
 import sympy
 
+from tuplesieve import primality
 from tuplesieve.primality import (
+    _MR_LADDER,
     EMBEDDED_TABLE,
     PseudosquareTable,
     TableCapacityError,
@@ -126,6 +128,18 @@ def test_pseudosquares_capacity_error():
         pseudosquares_test(sympy.nextprime(10**13) | 1, 1, PseudosquareTable(((3, 73),)))
 
 
+def test_pseudosquares_bases_reach_a_level_past_1021(monkeypatch):
+    # 1021 is the last prime the trial-division list holds; a table may go higher
+    table = PseudosquareTable(((1031, 10**30),))
+    odd = tuple(sympy.primerange(3, 1032))
+    assert table.odd_primes == odd
+    seen = []
+    powmod = primality.powmod
+    monkeypatch.setattr(primality, "powmod", lambda a, e, m: seen.append(a) or powmod(a, e, m))
+    assert pseudosquares_test(1_000_003, 1, table)
+    assert seen == [2, *odd]
+
+
 @pytest.mark.parametrize("trial_bound", [19, 100, 1000])
 def test_pseudosquares_matches_oracle(trial_bound, table_1e5):
     small = [p for p in range(2, trial_bound + 1) if table_1e5[p]]
@@ -199,6 +213,23 @@ def test_is_prime_mr_fallback_handles_wide_inputs():
     p = int(sympy.nextprime(10**18))
     assert is_prime(p)
     assert not is_prime(p + 2) or sympy.isprime(p + 2)
+
+
+# each ladder bound is the least strong pseudoprime to its base set
+LADDER_TOP = _MR_LADDER[-1][0]
+
+
+@pytest.mark.parametrize("N", sorted(
+    bound + d for bound, _ in _MR_LADDER for d in (-4, -2, 0, 2, 4) if bound + d < LADDER_TOP
+))
+def test_is_prime_at_mr_ladder_bounds(N):
+    assert is_prime(N) == sympy.isprime(N)
+
+
+def test_is_prime_refuses_the_top_ladder_bound():
+    assert sprp_base2(LADDER_TOP) and not sympy.isprime(LADDER_TOP)
+    with pytest.raises(TableCapacityError):
+        is_prime(LADDER_TOP)
 
 
 def test_perfect_power():
