@@ -27,8 +27,8 @@ from .apps import (
     quads,
     twins,
 )
-from .arith import WIDE_MAX, NotInvertibleError, modinv, mulmod, powmod
-from .kahan import KahanAccumulator, KahanBuckets, kahan_add, kahan_merge
+from .arith import WIDE_MAX, NotInvertibleError, modinv, powmod
+from .kahan import KahanBuckets
 from .pattern import (
     Pattern,
     PatternError,

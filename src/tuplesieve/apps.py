@@ -8,7 +8,7 @@ count tuples whose largest member is below X.
 
 from dataclasses import dataclass
 
-from .kahan import KahanAccumulator, KahanBuckets, kahan_add, kahan_merge
+from .kahan import KahanBuckets
 from .pattern import chain_pattern, make_pattern
 from .primality import EMBEDDED_TABLE
 from .search import SearchConfig, run_striped, smallest_chain
@@ -19,10 +19,7 @@ __all__ = [
     "quads",
     "chain_search",
     "smallest_chain",
-    "KahanAccumulator",
     "KahanBuckets",
-    "kahan_add",
-    "kahan_merge",
     "TWIN_PATTERN",
     "QUAD_PATTERN",
 ]

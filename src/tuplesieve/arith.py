@@ -21,16 +21,6 @@ def check_wide(value: int, what: str = "value") -> int:
     return value
 
 
-def mulmod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m, exact for any modulus below 2^127."""
-    if m == 0:
-        raise ZeroDivisionError("modulus is zero")
-    check_wide(a, "a")
-    check_wide(b, "b")
-    check_wide(m, "m")
-    return a * b % m
-
-
 def powmod(a: int, e: int, m: int) -> int:
     """a**e mod m for operands within the width cap."""
     if m == 0:

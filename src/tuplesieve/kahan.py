@@ -1,78 +1,42 @@
-"""Compensated (Kahan) summation with fixed bucket arrays.
+"""Exact reciprocal sums held as one integer per accumulator.
 
-Workers accumulate reciprocal sums into a fixed number of buckets and
-the buckets are folded in a fixed order at the end, so a given
-configuration reproduces the same float bit for bit, run after run.
+Every term is the double 1.0/v for an integer 1 <= v <= WIDE_MAX, so
+its exponent is at least -127 and its last significand bit is worth at
+least 2^-179: each term is a whole multiple of 2^-UNIT_EXP.  An
+accumulator keeps its sum as an integer count of those units, so
+partial sums add exactly in any order, and value() rounds once (int
+true division is correctly rounded), giving the same double as
+math.fsum of the terms whatever the stripe count, merge order or
+resume point.
+
+The module and class keep their compensated-summation names because
+callers and the benchmark's tracer look the methods up by them.
 """
 
-from dataclasses import dataclass, field
+from .arith import WIDE_MAX
 
-__all__ = ["KahanAccumulator", "KahanBuckets", "kahan_add", "kahan_merge"]
+__all__ = ["KahanBuckets", "UNIT_EXP"]
 
-
-@dataclass
-class KahanAccumulator:
-    total: float = 0.0
-    comp: float = 0.0
-
-    def add(self, v: float):
-        # classic compensated step; zero adds are skipped so they are
-        # exact identities and never fold the compensation early
-        if v == 0.0:
-            return
-        y = v - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-    def merge_from(self, other: "KahanAccumulator"):
-        self.add(other.total)
-        self.add(-other.comp)
-
-    @property
-    def value(self) -> float:
-        return self.total
+UNIT_EXP = WIDE_MAX.bit_length() + 53
+# 2^UNIT_EXP / v rounds exactly as 1.0 / v does, scaled by a power of two
+_SCALE = float(1 << UNIT_EXP)
 
 
-def kahan_add(acc: KahanAccumulator, v: float) -> KahanAccumulator:
-    acc.add(v)
-    return acc
-
-
-@dataclass
 class KahanBuckets:
-    """Per-worker bucket array; bucket choice rotates with the item count."""
+    """An exact sum of reciprocals, in units of 2^-UNIT_EXP."""
 
-    count: int = 10000
-    buckets: list = field(default_factory=list)
-    items: int = 0
+    def __init__(self, units: int = 0):
+        self.units = units
 
-    def __post_init__(self):
-        if not self.buckets:
-            self.buckets = [KahanAccumulator() for _ in range(self.count)]
+    def add_group(self, vals):
+        """Add 1.0/v for each of one tuple's integer values."""
+        units = self.units
+        for v in vals:
+            units += int(_SCALE / v)
+        self.units = units
 
-    def add_group(self, values):
-        """Add one tuple's terms into a single bucket, then rotate."""
-        b = self.buckets[self.items % self.count]
-        for v in values:
-            b.add(v)
-        self.items += 1
-
-    def fold_into(self, acc: KahanAccumulator):
-        for b in self.buckets:
-            acc.merge_from(b)
+    def fold_into(self, acc: "KahanBuckets"):
+        acc.units += self.units
 
     def value(self) -> float:
-        acc = KahanAccumulator()
-        self.fold_into(acc)
-        return acc.value
-
-
-def kahan_merge(a: KahanBuckets, b: KahanBuckets) -> KahanBuckets:
-    """Merge b into a, bucket by bucket in index order."""
-    if a.count != b.count:
-        raise ValueError("bucket arrays differ in size")
-    for i in range(a.count):
-        a.buckets[i].merge_from(b.buckets[i])
-    a.items += b.items
-    return a
+        return self.units / (1 << UNIT_EXP)

@@ -6,7 +6,10 @@ sieve path (the wheel excludes their residue or a sieve prime clears
 them), so a direct boundary scan finds those first.  The residue stream
 is striped across nu logical workers by enumeration position; workers
 run in lockstep rounds inside one process, which keeps checkpoints
-consistent and the merged output deterministic.
+consistent and the merged output deterministic.  Each stripe keeps its
+reciprocal sum as one exact integer (see kahan.py), so the reported
+sum is the correctly rounded total whatever the worker count or resume
+point, and a checkpoint stores that integer as it is.
 """
 
 import hashlib
@@ -16,10 +19,10 @@ import time
 from dataclasses import dataclass, field
 
 from .apsieve import EarlyAbort, make_plan, sieve_segment, start_table, survivors
-from .kahan import KahanAccumulator, KahanBuckets
+from .kahan import KahanBuckets
 from .pattern import Pattern, admissible, chain_pattern, format_pattern
 from .primality import EMBEDDED_TABLE, is_prime, sprp_base2
-from .wheel import build_wheel
+from .wheel import WheelError, build_wheel
 
 __all__ = [
     "SearchConfig",
@@ -31,7 +34,7 @@ __all__ = [
     "smallest_chain",
 ]
 
-CHECKPOINT_MAGIC = "TSCKPT v1"
+CHECKPOINT_MAGIC = "TSCKPT v2"
 
 
 class CheckpointError(RuntimeError):
@@ -49,14 +52,13 @@ class SearchConfig:
     excluded_wheel_primes: frozenset = frozenset()
     early_abort: EarlyAbort = field(default_factory=EarlyAbort)
     checkpoint_interval: float = 900.0
-    bucket_count: int = 10000
 
 
 @dataclass
 class SearchResult:
     xs: list                 # x values found this run, sorted
     count: int               # total tuples, including any restored progress
-    recip_sum: float         # sum of 1/f_i over all counted tuples
+    recip_sum: float         # sum of 1/f_i over all counted tuples, correctly rounded
     stripe_counts: list
     boundary_count: int
     completed: bool
@@ -97,7 +99,7 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int, table=EMBEDDED_TABLE) ->
 class _Stripe:
     idx: int
     wheel: object
-    buckets: KahanBuckets
+    recip: KahanBuckets
     count: int = 0
     done: bool = False
 
@@ -111,32 +113,25 @@ def _advance(wheel, steps):
 def _config_digest(cfg: SearchConfig, plan) -> str:
     blob = "|".join(
         [
-            "tsckpt1",
+            "tsckpt2",
             format_pattern(cfg.pattern),
             f"n={cfg.n}",
             f"B={plan.B}",
             f"wl={plan.wheel_limit}",
             "excl=" + ",".join(map(str, sorted(cfg.excluded_wheel_primes))),
             f"nu={cfg.nu}",
-            f"buckets={cfg.bucket_count}",
         ]
     )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _write_checkpoint(path, digest, cfg, stripes):
-    lines = [CHECKPOINT_MAGIC, f"digest {digest}", f"nu {cfg.nu}",
-             f"buckets {cfg.bucket_count}"]
+    lines = [CHECKPOINT_MAGIC, f"digest {digest}", f"nu {cfg.nu}"]
     for st in stripes:
         parts = [f"stripe: idx={st.idx}", f"done={int(st.done)}", f"count={st.count}"]
         if not st.done:
             parts.append("cursor=" + ",".join(map(str, st.wheel.cursor())))
-        cells = []
-        for i, acc in enumerate(st.buckets.buckets):
-            if acc.total != 0.0 or acc.comp != 0.0:
-                # repr round-trips doubles exactly, keeping restores bit-identical
-                cells.append(f"{i}:{acc.total!r}:{acc.comp!r}")
-        parts.append("sums=" + ";".join(cells))
+        parts.append(f"sum={st.recip.units}")
         lines.append(" ".join(parts))
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
@@ -160,11 +155,10 @@ def _read_checkpoint(path, digest, cfg):
                 "configuration; refusing to restore"
             )
         nu = int(lines[2].split()[1])
-        buckets = int(lines[3].split()[1])
-        if nu != cfg.nu or buckets != cfg.bucket_count:
+        if nu != cfg.nu:
             raise CheckpointError("checkpoint stripe layout differs from config")
         records = []
-        for ln in lines[4:]:
+        for ln in lines[3:]:
             if not ln.strip():
                 continue
             if not ln.startswith("stripe:"):
@@ -174,15 +168,10 @@ def _read_checkpoint(path, digest, cfg):
                 "idx": int(fields["idx"]),
                 "done": bool(int(fields["done"])),
                 "count": int(fields["count"]),
-                "cursor": None,
-                "sums": [],
+                "sum": int(fields["sum"]),
             }
-            if "cursor" in fields:
+            if not rec["done"]:
                 rec["cursor"] = [int(c) for c in fields["cursor"].split(",")]
-            if fields.get("sums"):
-                for cell in fields["sums"].split(";"):
-                    i, tot, comp = cell.split(":")
-                    rec["sums"].append((int(i), float(tot), float(comp)))
             records.append(rec)
         if sorted(r["idx"] for r in records) != list(range(nu)):
             raise CheckpointError("checkpoint does not cover every stripe")
@@ -218,11 +207,11 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
 
     # tuples containing a prime <= cut are found by direct scan
     boundary = boundary_tuples(cfg.pattern, cut, cfg.n, table)
-    boundary_buckets = KahanBuckets(count=cfg.bucket_count)
+    total = KahanBuckets()
     found = []
     for x in boundary:
         vals = cfg.pattern.evaluate(x)
-        boundary_buckets.add_group(1.0 / v for v in vals)
+        total.add_group(vals)
         found.append(x)
         if on_tuple:
             on_tuple(x, vals)
@@ -238,26 +227,25 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                 if rec["done"]:
                     w.exhausted = True
                 else:
-                    w.seek(rec["cursor"])
+                    try:
+                        w.seek(rec["cursor"])
+                    except WheelError as e:
+                        raise CheckpointError(
+                            f"corrupt checkpoint file: stripe {rec['idx']}: {e}"
+                        ) from None
                     if w.position % cfg.nu != rec["idx"]:
                         raise CheckpointError(
                             f"stripe {rec['idx']} cursor lands on position "
                             f"{w.position}, wrong stripe"
                         )
-                kb = KahanBuckets(count=cfg.bucket_count)
-                for i, tot, comp in rec["sums"]:
-                    kb.buckets[i].total = tot
-                    kb.buckets[i].comp = comp
-                kb.items = rec["count"]
-                stripes.append(
-                    _Stripe(rec["idx"], w, kb, count=rec["count"], done=rec["done"])
-                )
+                stripes.append(_Stripe(rec["idx"], w, KahanBuckets(rec["sum"]),
+                                       count=rec["count"], done=rec["done"]))
     if not stripes:
         for idx in range(cfg.nu):
             w = base_wheel.copy()
             w.reset()
             _advance(w, idx)
-            stripes.append(_Stripe(idx, w, KahanBuckets(count=cfg.bucket_count)))
+            stripes.append(_Stripe(idx, w, KahanBuckets()))
 
     pattern, n, W = cfg.pattern, cfg.n, base_wheel.W
     # residues handled so far, derived from the live cursors on resume
@@ -296,7 +284,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                     if not all(is_prime(v, depth, table) for v in vals):
                         continue
                 st.count += 1
-                st.buckets.add_group(1.0 / v for v in vals)
+                st.recip.add_group(vals)
                 found.append(x)
                 if on_tuple:
                     on_tuple(x, vals)
@@ -325,14 +313,12 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     if completed and checkpoint_path is not None:
         _write_checkpoint(checkpoint_path, digest, cfg, stripes)
 
-    total = KahanAccumulator()
-    boundary_buckets.fold_into(total)
     for st in stripes:
-        st.buckets.fold_into(total)
+        st.recip.fold_into(total)
     return SearchResult(
         xs=sorted(found),
         count=len(boundary) + sum(st.count for st in stripes),
-        recip_sum=total.value,
+        recip_sum=total.value(),
         stripe_counts=[st.count for st in stripes],
         boundary_count=len(boundary),
         completed=completed,

@@ -2,82 +2,80 @@ import math
 
 import pytest
 
-from tuplesieve.apps import (
-    KahanAccumulator,
-    KahanBuckets,
-    chain_search,
-    kahan_add,
-    kahan_merge,
-    quads,
-    twins,
-)
+from tuplesieve.apps import QUAD_PATTERN, KahanBuckets, chain_search, quads, twins
+from tuplesieve.arith import WIDE_MAX
+from tuplesieve.search import SearchConfig, run_striped
 
 from conftest import sieve_table
 
-
-def test_kahan_add_zero_is_identity():
-    acc = KahanAccumulator()
-    kahan_add(acc, 0.125)
-    before = acc.value
-    kahan_add(acc, 0.0)
-    assert acc.value == before
+# terms where float(v) rounds (2**53 + 1), 1/v sits at the width cap, or
+# 1/v has a full significand down to the smallest unit (3 * 2**125)
+EDGE_VALUES = [2, 3, 2**53 + 1, 3 * 2**125, WIDE_MAX // 3, WIDE_MAX] + [
+    3 + 2 * i for i in range(5000)
+]
 
 
-def test_kahan_small_terms_analytic():
-    acc = KahanAccumulator()
-    for _ in range(10**7):
-        acc.add(1e-7)
-    assert abs(acc.value - 1.0) <= 1e-13
+def test_add_group_matches_fsum_in_any_order():
+    want = math.fsum(1.0 / v for v in EDGE_VALUES)
+    for order in (EDGE_VALUES, EDGE_VALUES[::-1]):
+        acc = KahanBuckets()
+        for i in range(0, len(order), 4):
+            acc.add_group(order[i : i + 4])
+        assert acc.value().hex() == want.hex()
+    # a single term is rounded exactly once, to itself
+    for v in EDGE_VALUES[:6]:
+        one = KahanBuckets()
+        one.add_group([v])
+        assert one.value().hex() == (1.0 / v).hex()
 
 
-def test_kahan_beats_naive():
-    naive = 0.0
-    acc = KahanAccumulator()
-    for _ in range(10**6):
-        naive += 1e-6
-        acc.add(1e-6)
-    assert abs(acc.value - 1.0) < abs(naive - 1.0)
+def test_fold_into_equals_one_sum():
+    whole = KahanBuckets()
+    whole.add_group(EDGE_VALUES)
+    parts = [KahanBuckets() for _ in range(7)]
+    for i, v in enumerate(EDGE_VALUES):
+        parts[i % 7].add_group([v])
+    total = KahanBuckets()
+    for part in reversed(parts):
+        part.fold_into(total)
+    KahanBuckets().fold_into(total)  # an empty part adds nothing
+    assert total.units == whole.units
+    assert total.value().hex() == whole.value().hex()
 
 
-def test_kahan_matches_fsum():
-    vals = [1.0 / (3 + 2 * i) for i in range(50_000)]
-    acc = KahanAccumulator()
-    for v in vals:
-        acc.add(v)
-    assert abs(acc.value - math.fsum(vals)) <= 1e-13 * math.fsum(vals)
+def test_checkpoint_sum_round_trips(tmp_path):
+    ck = tmp_path / "run.ckpt"
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**6, nu=3)
+    part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
+    stripes = KahanBuckets()
+    for line in ck.read_text().splitlines()[3:]:
+        fields = dict(f.split("=", 1) for f in line.split()[1:])
+        KahanBuckets(int(fields["sum"])).fold_into(stripes)
+    # sieve-path tuples sort after the boundary ones
+    sieve_xs = part.xs[part.boundary_count :]
+    assert sieve_xs
+    want = math.fsum(1.0 / (x + d) for x in sieve_xs for d in (0, 2, 6, 8))
+    assert stripes.value().hex() == want.hex()
+    resumed = run_striped(cfg, checkpoint_path=str(ck))
+    assert resumed.recip_sum.hex() == run_striped(cfg).recip_sum.hex()
 
 
-def test_merge_with_empty_is_identity():
-    a = KahanBuckets(count=16)
-    for i in range(40):
-        a.add_group([1.0 / (i + 3)])
-    snapshot = a.value()
-    merged = kahan_merge(a, KahanBuckets(count=16))
-    assert merged.value() == snapshot
-
-
-def test_merge_mismatched_sizes():
-    with pytest.raises(ValueError):
-        kahan_merge(KahanBuckets(count=4), KahanBuckets(count=8))
-
-
-def test_bucket_value_deterministic():
-    def build():
-        b = KahanBuckets(count=7)
-        for i in range(1000):
-            b.add_group([1.0 / (2 * i + 3), 1.0 / (2 * i + 5)])
-        return b.value()
-
-    assert build().hex() == build().hex()
+def test_twins_sum_is_fsum_for_every_worker_count(table_1e6):
+    X = 10**4
+    terms = [1.0 / q for p in range(2, X) if table_1e6[p] and table_1e6[p + 2]
+             for q in (p, p + 2)]
+    want = math.fsum(terms)
+    for nu in (1, 2, 3, 5):
+        assert twins(X, nu=nu).recip_sum.hex() == want.hex(), nu
 
 
 def test_twins_census_small_oracle(table_1e6):
     X = 10**5
     pairs = [p for p in range(2, X) if table_1e6[p] and table_1e6[p + 2]]
-    want_sum = math.fsum(1.0 / p + 1.0 / (p + 2) for p in pairs)
+    want_sum = math.fsum(1.0 / q for p in pairs for q in (p, p + 2))
     c = twins(X)
     assert c.count == len(pairs)
-    assert abs(c.recip_sum - want_sum) <= 1e-13 * want_sum
+    assert c.recip_sum == want_sum
 
 
 def test_twins_membership_is_strict():
@@ -94,7 +92,7 @@ def test_quads_census_5050(table_1e6):
     xs = [x for x in range(2, 5042) if all(table_1e6[x + d] for d in (0, 2, 6, 8))]
     assert xs == [5, 11, 101, 191, 821, 1481, 1871, 2081, 3251, 3461]
     want = math.fsum(1.0 / (x + d) for x in xs for d in (0, 2, 6, 8))
-    assert abs(c.recip_sum - want) <= 1e-13 * want
+    assert c.recip_sum == want
 
 
 def test_quads_membership_largest_below():

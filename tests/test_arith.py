@@ -2,36 +2,7 @@ import random
 
 import pytest
 
-from tuplesieve.arith import WIDE_MAX, NotInvertibleError, modinv, mulmod, powmod
-
-
-def test_mulmod_zero_and_identity():
-    assert mulmod(0, 5, 7) == 0
-    assert mulmod(1, 5, 7) == 5
-
-
-def test_mulmod_large_modulus_frozen():
-    # cross-checked against big-integer arithmetic
-    assert mulmod(10**18, 10**18, 2**89 + 1) == 552512556430486013752907971
-
-
-def test_mulmod_zero_modulus():
-    with pytest.raises(ZeroDivisionError):
-        mulmod(1, 1, 0)
-
-
-def test_mulmod_rejects_overwide():
-    with pytest.raises(OverflowError):
-        mulmod(2**127, 1, 7)
-    with pytest.raises(OverflowError):
-        mulmod(1, 1, 2**130)
-    with pytest.raises(OverflowError):
-        mulmod(-1, 1, 7)
-
-
-def test_mulmod_at_width_cap():
-    m = WIDE_MAX
-    assert mulmod(m - 1, m - 1, m) == 1  # (-1)^2 mod m
+from tuplesieve.arith import WIDE_MAX, NotInvertibleError, modinv, powmod
 
 
 def test_powmod_trivial():
@@ -60,15 +31,6 @@ def test_modinv_examples():
         modinv(3, 1)
 
 
-def test_mulmod_matches_bigint_oracle():
-    rng = random.Random(12345)
-    for _ in range(100_000):
-        m = rng.randrange(1, WIDE_MAX)
-        a = rng.randrange(m)
-        b = rng.randrange(m)
-        assert mulmod(a, b, m) == a * b % m
-
-
 def test_powmod_matches_builtin_pow():
     rng = random.Random(999)
     for _ in range(2000):
@@ -86,7 +48,7 @@ def test_powmod_exponent_addition_law():
         e1 = rng.randrange(2**40)
         e2 = rng.randrange(2**40)
         combined = powmod(a, e1 + e2, m)
-        split = mulmod(powmod(a, e1, m), powmod(a, e2, m), m)
+        split = powmod(a, e1, m) * powmod(a, e2, m) % m
         assert combined == split
 
 
@@ -104,5 +66,5 @@ def test_modinv_inverts():
             continue
         u = modinv(a, m)
         assert 0 < u < m
-        assert mulmod(a, u, m) == 1
+        assert a * u % m == 1
         done += 1

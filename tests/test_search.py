@@ -97,6 +97,7 @@ def test_stripes_partition_and_agree(nu):
     striped = run_striped(SearchConfig(pattern=QUAD, n=n, nu=nu))
     assert striped.xs == base.xs
     assert striped.count == base.count
+    assert striped.recip_sum.hex() == base.recip_sum.hex()
     assert sum(striped.stripe_counts) + striped.boundary_count == striped.count
     assert len(striped.stripe_counts) == nu
 
@@ -147,6 +148,21 @@ def test_checkpoint_corrupt_file(tmp_path):
     ck.write_text("WRONG HEADER\n")
     with pytest.raises(CheckpointError):
         run_striped(cfg, checkpoint_path=str(ck))
+    ck.write_text(text[0].replace("v2", "v1") + "\n" + "\n".join(text[1:]) + "\n")
+    with pytest.raises(CheckpointError, match="bad checkpoint header"):
+        run_striped(cfg, checkpoint_path=str(ck))
+    # a live stripe whose cursor is missing, too short or off the wheel
+    stripe = text[3]
+    cursor = stripe.split("cursor=")[1].split()[0]
+    digits = cursor.split(",")
+    for bad in (
+        stripe.replace(f" cursor={cursor}", ""),
+        stripe.replace(cursor, ",".join(digits[:-1])),
+        stripe.replace(cursor, ",".join(digits[:-1] + ["99999"])),
+    ):
+        ck.write_text("\n".join(text[:3] + [bad]) + "\n")
+        with pytest.raises(CheckpointError, match="corrupt"):
+            run_striped(cfg, checkpoint_path=str(ck))
 
 
 def test_completed_checkpoint_resume_is_noop(tmp_path):
