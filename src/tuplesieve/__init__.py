@@ -8,58 +8,18 @@ survivors are certified with a base-2 strong test plus the pseudosquares
 prime test (deterministic Miller-Rabin under proven thresholds as the
 fallback).  Ships census helpers for twin pairs, prime quadruplets, and
 Cunningham chains.
+
+The package namespace holds the entry points the README shows and the
+errors the command line maps to exit codes; everything else is
+imported from its own module (`tuplesieve.apps`, `tuplesieve.search`,
+...).
 """
 
-from .apsieve import (
-    EarlyAbort,
-    SievePlan,
-    SieveSegment,
-    make_plan,
-    sieve_segment,
-    start_table,
-    survivors,
-)
-from .apps import (
-    QUAD_PATTERN,
-    TWIN_PATTERN,
-    TupleCensus,
-    chain_search,
-    quads,
-    twins,
-)
-from .arith import WIDE_MAX, NotInvertibleError, modinv, powmod
-from .kahan import KahanBuckets
-from .pattern import (
-    Pattern,
-    PatternError,
-    ResidueMask,
-    acceptable_residues,
-    admissible,
-    chain_pattern,
-    format_pattern,
-    make_pattern,
-    parse_pattern,
-)
-from .primality import (
-    EMBEDDED_TABLE,
-    PseudosquareTable,
-    TableCapacityError,
-    compute_pseudosquares,
-    is_prime,
-    load_table,
-    pseudosquares_test,
-    save_table,
-    sprp_base2,
-)
-from .search import (
-    CheckpointError,
-    SearchConfig,
-    SearchResult,
-    boundary_tuples,
-    find_pattern_primes,
-    run_striped,
-    smallest_chain,
-)
-from .wheel import Wheel, WheelError, build_wheel
+from .apsieve import PlanError
+from .apps import quads, smallest_chain, twins
+from .pattern import PatternError, parse_pattern
+from .primality import TableCapacityError
+from .search import CheckpointError, SearchConfig, find_pattern_primes, run_striped
+from .wheel import WheelError
 
 __version__ = "0.1.0"

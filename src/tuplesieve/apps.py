@@ -1,25 +1,30 @@
-"""Census commands built on the pattern search: twin pairs with their
-reciprocal sum, prime quadruplets, and Cunningham chain hunting.
+"""The front end every command runs through: one `search` entry point,
+the twin and quadruplet censuses, and Cunningham chain listings.
 
-Membership conventions differ by census and are part of each command's
-contract: twin pairs count p < X on the smaller element, quadruplets
-count tuples whose largest member is below X.
+Each census convention lives here and nowhere else: twin pairs count
+p < X on the smaller element, quadruplets count tuples whose largest
+member is below X.  `search`, `twins`, `quads` and `chain_search` take
+the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel_limit,
+excluded_wheel_primes, early_abort, checkpoint_interval) and the run
+options (table, checkpoint_path, on_tuple, progress) as keywords.
+`smallest_chain` takes the same, except checkpoint_path: it runs one
+search per window of the bound.  It is defined in `search.py`, the
+module the chain-hunt benchmark entry names.
 """
 
 from dataclasses import dataclass
 
-from .kahan import KahanBuckets
 from .pattern import chain_pattern, make_pattern
 from .primality import EMBEDDED_TABLE
-from .search import SearchConfig, run_striped, smallest_chain
+from .search import SearchConfig, SearchResult, run_striped, smallest_chain
 
 __all__ = [
     "TupleCensus",
+    "search",
     "twins",
     "quads",
     "chain_search",
     "smallest_chain",
-    "KahanBuckets",
     "TWIN_PATTERN",
     "QUAD_PATTERN",
 ]
@@ -35,43 +40,49 @@ class TupleCensus:
     recip_sum: float
 
 
-def _census(pattern, n, bound, nu=1, table=EMBEDDED_TABLE, **kw) -> TupleCensus:
-    cfg = SearchConfig(pattern=pattern, n=n, nu=nu, **kw)
-    res = run_striped(cfg, table=table)
-    return TupleCensus(bound=bound, count=res.count, recip_sum=res.recip_sum)
+def search(pattern, n: int, *, table=EMBEDDED_TABLE, checkpoint_path=None,
+           on_tuple=None, progress=None, **cfg) -> SearchResult:
+    """Every x with all forms of `pattern` prime and max_i f_i(x) <= n.
+
+    `cfg` holds the `SearchConfig` fields; on_tuple(x, values) fires in
+    discovery order and progress(done) every 10000 residues.
+    """
+    return run_striped(SearchConfig(pattern=pattern, n=n, **cfg), table=table,
+                       checkpoint_path=checkpoint_path, on_tuple=on_tuple,
+                       progress=progress, progress_every=10000)
 
 
-def twins(X: int, nu: int = 1, **kw) -> TupleCensus:
+def twins(X: int, **kw) -> TupleCensus:
     """Count pairs (p, p+2) with p < X and sum their reciprocals.
 
     Membership is on the smaller element, so the bound n handed to the
     search is X+1 (p <= X-1 exactly when p+2 <= X+1).
     """
     if X < 5:
-        raise ValueError("twin census needs X >= 5")
-    return _census(TWIN_PATTERN, X + 1, X, nu=nu, **kw)
+        raise ValueError("twin census needs X >= 5 (--x >= 5)")
+    res = search(TWIN_PATTERN, X + 1, **kw)
+    return TupleCensus(bound=X, count=res.count, recip_sum=res.recip_sum)
 
 
-def quads(X: int, nu: int = 1, **kw) -> TupleCensus:
+def quads(X: int, **kw) -> TupleCensus:
     """Count quadruplets (p, p+2, p+6, p+8) with largest member below X."""
     if X < 2:
-        raise ValueError("quadruplet census needs X >= 2")
+        raise ValueError("quadruplet census needs X >= 2 (--x >= 2)")
     if X <= 13:
         # the smallest quadruplet tops out at 13, so nothing can fit
         return TupleCensus(bound=X, count=0, recip_sum=0.0)
-    return _census(QUAD_PATTERN, X - 1, X, nu=nu, **kw)
+    res = search(QUAD_PATTERN, X - 1, **kw)
+    return TupleCensus(bound=X, count=res.count, recip_sum=res.recip_sum)
 
 
-def chain_search(kind: str, length: int, cap: int, nu: int = 1,
-                 table=EMBEDDED_TABLE, progress=None) -> list:
-    """Starts x <= cap of runs of `length` chained primes, in order.
+def chain_search(kind: str, length: int, cap: int, **kw) -> SearchResult:
+    """Starts x <= cap of runs of `length` chained primes; `.xs` in order.
 
     A start here is any x whose first `length` chain values are all
-    prime; starts of longer runs qualify too.  smallest_chain() is the
-    record-style variant that demands complete, unextendable chains.
+    prime; starts of longer runs qualify too.  Every form has a
+    multiplier >= 1, so max f(x) <= max f(cap) exactly when x <= cap.
+    smallest_chain() is the record-style variant that demands complete,
+    unextendable chains.
     """
     pattern = chain_pattern(kind, length)
-    n = pattern.max_value(cap)
-    cfg = SearchConfig(pattern=pattern, n=n, nu=nu)
-    res = run_striped(cfg, table=table, progress=progress, progress_every=10000)
-    return [x for x in res.xs if x <= cap]
+    return search(pattern, pattern.max_value(cap), **kw)

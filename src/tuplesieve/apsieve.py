@@ -27,6 +27,7 @@ __all__ = [
     "sieve_segment",
     "survivors",
     "primes_upto",
+    "next_prime",
 ]
 
 
@@ -44,6 +45,14 @@ def primes_upto(n: int) -> list:
         if t[p]:
             t[p * p :: p] = b"\x00" * ((n - p * p) // p + 1)
     return [i for i in range(2, n + 1) if t[i]]
+
+
+def next_prime(p: int) -> int:
+    """Least prime > p, by trial division."""
+    c = max(p + 1, 2)
+    while any(c % q == 0 for q in range(2, math.isqrt(c) + 1)):
+        c += 1
+    return c
 
 
 @dataclass(frozen=True)

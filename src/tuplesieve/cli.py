@@ -1,24 +1,29 @@
-"""Command-line front end.
+"""Command-line front end: a thin layer over `apps`.
 
 Subcommands: search (generic pattern search), twins, quads, chains,
-pseudosquares.  Searches print one line per tuple, `x f_1 ... f_k` in
-decimal, then a `count=` summary; censuses add `sum=`.  Exit status is
-0 on success, 2 on configuration errors, 3 on table-capacity errors.
+pseudosquares.  The search subcommands hand every flag to `apps` through
+`_config_kw` and write tuples through the one sink in `_run`: one line
+per tuple, `x f_1 ... f_k` in decimal, sorted by x unless --unsorted,
+to --out or else stdout (censuses list tuples only with --out or
+--unsorted).  Then comes a `count=` summary; censuses add `sum=`.  Exit
+status is 0 on success, 2 on configuration errors (a flag the
+subcommand cannot honour among them), 3 on table-capacity errors.
 """
 
 import argparse
+import contextlib
 import sys
 
 from .apsieve import EarlyAbort, PlanError
-from .apps import chain_search, smallest_chain
-from .pattern import PatternError, chain_pattern, parse_pattern
+from .apps import chain_search, quads, search, smallest_chain, twins
+from .pattern import PatternError, parse_pattern
 from .primality import (
     EMBEDDED_TABLE,
     TableCapacityError,
     compute_pseudosquares,
     save_table,
 )
-from .search import CheckpointError, SearchConfig, run_striped
+from .search import CheckpointError
 from .wheel import WheelError
 
 
@@ -38,7 +43,8 @@ def _add_search_options(p, with_pattern=True):
     p.add_argument("--exclude-wheel-prime", type=int, action="append", default=[],
                    metavar="P", help="keep P out of the wheel (repeatable)")
     p.add_argument("--checkpoint", metavar="FILE", help="write (and resume from) this checkpoint file")
-    p.add_argument("--checkpoint-interval", type=float, default=900.0, metavar="SEC")
+    p.add_argument("--checkpoint-interval", type=float, metavar="SEC",
+                   help="seconds between checkpoint writes (default 900; needs --checkpoint)")
     p.add_argument("--no-early-abort", action="store_true",
                    help="always sieve to the full bound before testing")
     p.add_argument("--unsorted", action="store_true",
@@ -46,112 +52,76 @@ def _add_search_options(p, with_pattern=True):
     p.add_argument("--out", metavar="FILE", help="write tuple lines here instead of stdout")
 
 
-def _config_from(args, pattern, n):
-    return SearchConfig(
-        pattern=pattern,
-        n=n,
+def _config_kw(args):
+    """The SearchConfig fields and checkpoint options every search subcommand forwards."""
+    kw = dict(
         nu=args.workers,
         sieve_bound=args.sieve_bound,
         space_exp=args.space_exp,
         wheel_limit=args.wheel_limit,
         excluded_wheel_primes=frozenset(args.exclude_wheel_prime),
         early_abort=EarlyAbort(enabled=not args.no_early_abort),
-        checkpoint_interval=args.checkpoint_interval,
     )
+    if args.checkpoint is not None:
+        kw["checkpoint_path"] = args.checkpoint
+        if args.checkpoint_interval is not None:
+            kw["checkpoint_interval"] = args.checkpoint_interval
+    elif args.checkpoint_interval is not None:
+        raise ValueError("--checkpoint-interval needs --checkpoint")
+    return kw
 
 
-def _run_search(cfg, args, show_sum=False):
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        emit = None
-        if args.unsorted:
-            def emit(x, vals):
-                out.write(f"{x} {' '.join(map(str, vals))}\n")
-        res = run_striped(cfg, checkpoint_path=args.checkpoint, on_tuple=emit)
-        if not args.unsorted:
-            for x in res.xs:
-                vals = cfg.pattern.evaluate(x)
-                out.write(f"{x} {' '.join(map(str, vals))}\n")
-    finally:
-        if args.out:
-            out.close()
-    print(f"count={res.count}")
-    if show_sum:
-        print(f"sum={res.recip_sum:.17g}")
-    return 0
+def _run(args, fn, *a, listing=True, **kw):
+    """Call fn(*a, **kw) with the config fields and a tuple sink; return its result.
+
+    Lines go to --out if given, else to stdout; a census (listing=False)
+    writes them to stdout only with --unsorted.  They are sorted by x
+    unless --unsorted is given, in which case they stream as found.
+    """
+    kw.update(_config_kw(args))
+    if not (args.out or listing or args.unsorted):
+        return fn(*a, **kw)
+    rows = []
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        def on_tuple(x, vals):
+            line = f"{x} {' '.join(map(str, vals))}\n"
+            if args.unsorted:
+                out.write(line)
+            else:
+                rows.append((x, line))
+
+        res = fn(*a, on_tuple=on_tuple, **kw)
+        out.writelines(line for _, line in sorted(rows))
+    return res
 
 
 def _cmd_search(args):
-    pattern = parse_pattern(args.pattern)
-    cfg = _config_from(args, pattern, args.n)
-    return _run_search(cfg, args)
+    res = _run(args, search, parse_pattern(args.pattern), args.n)
+    print(f"count={res.count}")
+    return 0
 
 
-def _cmd_twins(args):
-    if args.x < 5:
-        raise ValueError("twin census needs --x >= 5")
-    from .apps import TWIN_PATTERN
-
-    cfg = _config_from(args, TWIN_PATTERN, args.x + 1)
-    return _run_census(cfg, args)
-
-
-def _cmd_quads(args):
-    if args.x < 2:
-        raise ValueError("quadruplet census needs --x >= 2")
-    if args.x <= 13:
-        print("count=0")
-        print("sum=0")
-        return 0
-    from .apps import QUAD_PATTERN
-
-    cfg = _config_from(args, QUAD_PATTERN, args.x - 1)
-    return _run_census(cfg, args)
-
-
-def _run_census(cfg, args):
-    out = open(args.out, "w") if args.out else None
-    emit = None
-    if out is not None or args.unsorted:
-        sink = out or sys.stdout
-
-        def emit(x, vals):
-            sink.write(f"{x} {' '.join(map(str, vals))}\n")
-    try:
-        res = run_striped(cfg, checkpoint_path=args.checkpoint, on_tuple=emit)
-    finally:
-        if out is not None:
-            out.close()
+def _cmd_census(args):
+    res = _run(args, args.census, args.x, listing=False)
     print(f"count={res.count}")
     print(f"sum={res.recip_sum:.17g}")
     return 0
 
 
 def _cmd_chains(args):
-    if args.smallest:
-        x = smallest_chain(args.kind, args.length, args.cap)
-        if x is None:
-            print("count=0")
-            return 0
-        vals = chain_pattern(args.kind, args.length).evaluate(x)
-        print(f"{x} {' '.join(map(str, vals))}")
-        print("count=1")
-        return 0
     progress = None
     if args.progress:
         def progress(done):
             print(f"progress: {done} residues", file=sys.stderr)
-    starts = chain_search(args.kind, args.length, args.cap,
-                          nu=args.workers, progress=progress)
-    pattern = chain_pattern(args.kind, args.length)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        for x in starts:
-            out.write(f"{x} {' '.join(map(str, pattern.evaluate(x)))}\n")
-    finally:
-        if args.out:
-            out.close()
-    print(f"count={len(starts)}")
+    if not args.smallest:
+        res = _run(args, chain_search, args.kind, args.length, args.cap, progress=progress)
+        print(f"count={res.count}")
+        return 0
+    if args.checkpoint is not None:
+        raise ValueError("--smallest searches several windows of the bound; "
+                         "one --checkpoint cannot cover them")
+    x = _run(args, smallest_chain, args.kind, args.length, args.cap, progress=progress)
+    print(f"count={int(x is not None)}")
     return 0
 
 
@@ -192,15 +162,14 @@ def build_parser():
     _add_search_options(p)
     p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("twins", help="twin pairs (p, p+2) with p < X, with reciprocal sum")
-    p.add_argument("--x", required=True, type=int, dest="x")
-    _add_search_options(p, with_pattern=False)
-    p.set_defaults(fn=_cmd_twins)
-
-    p = sub.add_parser("quads", help="quadruplets (p,p+2,p+6,p+8) with largest member < X")
-    p.add_argument("--x", required=True, type=int, dest="x")
-    _add_search_options(p, with_pattern=False)
-    p.set_defaults(fn=_cmd_quads)
+    for name, census, text in (
+        ("twins", twins, "twin pairs (p, p+2) with p < X, with reciprocal sum"),
+        ("quads", quads, "quadruplets (p,p+2,p+6,p+8) with largest member < X"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--x", required=True, type=int, dest="x")
+        _add_search_options(p, with_pattern=False)
+        p.set_defaults(fn=_cmd_census, census=census)
 
     p = sub.add_parser("chains", help="Cunningham chain starts up to a cap")
     p.add_argument("--kind", required=True, choices=("first", "second"))

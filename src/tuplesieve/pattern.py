@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 import re
 
+from .apsieve import primes_upto
 from .arith import WIDE_MAX, check_wide, modinv
 
 __all__ = [
@@ -164,20 +165,12 @@ def acceptable_residues(pattern: Pattern, p: int) -> ResidueMask:
     return ResidueMask(p, bits)
 
 
-def _primes_upto(n):
-    ps = []
-    for c in range(2, n + 1):
-        if all(c % q for q in ps):
-            ps.append(c)
-    return ps
-
-
 def admissible(pattern: Pattern) -> bool:
     """True when every prime p <= k leaves at least one acceptable residue.
 
     Primes above k exclude at most k < p residues, so they cannot fail.
     """
-    for p in _primes_upto(pattern.k):
+    for p in primes_upto(pattern.k):
         if acceptable_residues(pattern, p).popcount == 0:
             return False
     return True

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .apsieve import primes_upto
+from .apsieve import next_prime, primes_upto
 from .arith import check_wide, powmod
 
 __all__ = [
@@ -218,7 +218,7 @@ def compute_pseudosquares(limit: int) -> PseudosquareTable:
             i = 0
             while True:
                 if i == len(odd_primes):
-                    odd_primes.append(_next_odd_prime(odd_primes[-1]))
+                    odd_primes.append(next_prime(odd_primes[-1]))
                 q = odd_primes[i]
                 if not _legendre_is_qr(M, q):
                     first_fail = q
@@ -229,13 +229,6 @@ def compute_pseudosquares(limit: int) -> PseudosquareTable:
                 wanted = first_fail
         M += 8
     return PseudosquareTable(tuple(entries))
-
-
-def _next_odd_prime(p):
-    c = p + 2
-    while any(c % q == 0 for q in range(3, math.isqrt(c) + 1, 2)):
-        c += 2
-    return c
 
 
 def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBEDDED_TABLE) -> bool:

@@ -346,24 +346,30 @@ def _chain_complete(kind, length, x, table) -> bool:
     return True
 
 
-def smallest_chain(kind: str, length: int, cap: int, table=EMBEDDED_TABLE):
+def smallest_chain(kind: str, length: int, cap: int, table=EMBEDDED_TABLE, *,
+                   on_tuple=None, progress=None, **cfg):
     """Least x <= cap starting a complete chain of exactly this length.
 
     Complete means unextendable: the next doubled value is composite and
     the would-be predecessor is not prime.  Searches in geometrically
-    growing windows of the bound n, so small answers stay cheap.
+    growing windows of the bound n, so small answers stay cheap.  Every
+    window's search uses the `SearchConfig` fields in `cfg`, and
+    progress(done) counts each window's residues; on_tuple(x, values)
+    fires once, for the answer.  Every form has a multiplier >= 1, so
+    a window bounded by max f(x_hi) holds only x <= x_hi.
     """
     pattern = chain_pattern(kind, length)
     x_hi = 1 << 11
     searched = 0
     while searched < cap:
         x_hi = min(x_hi, cap)
-        n = pattern.max_value(x_hi)
-        cfg = SearchConfig(pattern=pattern, n=n)
-        hits = [x for x in find_pattern_primes(cfg, table)
-                if x <= cap and _chain_complete(kind, length, x, table)]
-        if hits:
-            return hits[0]
+        window = SearchConfig(pattern=pattern, n=pattern.max_value(x_hi), **cfg)
+        res = run_striped(window, table=table, progress=progress, progress_every=10000)
+        x = next((x for x in res.xs if _chain_complete(kind, length, x, table)), None)
+        if x is not None:
+            if on_tuple:
+                on_tuple(x, pattern.evaluate(x))
+            return x
         searched = x_hi
         x_hi *= 8
     return None

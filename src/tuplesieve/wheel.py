@@ -9,6 +9,7 @@ The order is deterministic, which makes striping and checkpoint cursors
 well defined.
 """
 
+from .apsieve import next_prime
 from .arith import check_wide, modinv
 from .pattern import acceptable_residues
 
@@ -170,15 +171,7 @@ def build_wheel(pattern, limit: int, excluded=frozenset()) -> Wheel:
                 break
             moduli_masks.append((p, acceptable_residues(pattern, p)))
             w *= p
-        p = _next_prime(p)
+        p = next_prime(p)
     if not moduli_masks:
         raise WheelError(f"no usable wheel prime under limit {limit}")
     return Wheel(moduli_masks)
-
-
-def _next_prime(p):
-    c = p + 1
-    while True:
-        if all(c % q for q in range(2, int(c**0.5) + 1)):
-            return c
-        c += 1

@@ -1,3 +1,5 @@
+import pytest
+
 from tuplesieve.cli import main
 from tuplesieve.primality import load_table
 
@@ -145,3 +147,83 @@ def test_twins_x_too_small_exit_code(capsys):
     rc, _, err = run_cli(capsys, "twins", "--x", "4")
     assert rc == 2
     assert "--x >= 5" in err
+
+
+# README examples, byte for byte
+GOLDEN = [
+    (["search", "--pattern", "x,x+2,x+6,x+8", "--n", "1000", "--wheel-limit", "210"],
+     "5 5 7 11 13\n11 11 13 17 19\n101 101 103 107 109\n191 191 193 197 199\n"
+     "821 821 823 827 829\ncount=5\n"),
+    (["twins", "--x", "100000"], "count=1224\nsum=1.6727995848277415\n"),
+    (["quads", "--x", "5050"], "count=10\nsum=0.86260190012786719\n"),
+    (["chains", "--kind", "first", "--length", "6", "--cap", "10000", "--smallest"],
+     "89 89 179 359 719 1439 2879\ncount=1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,want", GOLDEN, ids=[g[0][0] for g in GOLDEN])
+def test_readme_examples_exact(capsys, argv, want):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (0, want, "")
+
+
+def test_chains_checkpoint_written_and_resumed(tmp_path, capsys):
+    ck, dest = tmp_path / "run.ckpt", tmp_path / "starts.txt"
+    args = ["chains", "--kind", "second", "--length", "2", "--cap", "100",
+            "--checkpoint", str(ck), "--out", str(dest)]
+    rc, out1, _ = run_cli(capsys, *args)
+    assert rc == 0 and ck.exists()
+    got = [int(ln.split()[0]) for ln in dest.read_text().splitlines()]
+    assert got == [2, 3, 7, 19, 31, 37, 79, 97]
+    rc, out2, _ = run_cli(capsys, *args)  # resume over a completed file
+    assert rc == 0
+    assert out1 == out2 == "count=8\n"
+
+
+def test_chains_rejects_bad_space_exp(capsys):
+    rc, _, err = run_cli(
+        capsys, "chains", "--kind", "second", "--length", "2", "--cap", "100",
+        "--space-exp", "1.5",
+    )
+    assert rc == 2
+    assert "space exponent" in err
+
+
+def test_chains_smallest_rejects_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "run.ckpt"
+    rc, out, err = run_cli(
+        capsys, "chains", "--kind", "first", "--length", "6", "--cap", "10000",
+        "--smallest", "--checkpoint", str(ck),
+    )
+    assert rc == 2
+    assert out == "" and "--checkpoint" in err
+    assert not ck.exists()
+
+
+def test_chains_smallest_honours_out_and_workers(tmp_path, capsys):
+    dest = tmp_path / "chain.txt"
+    argv = ["chains", "--kind", "first", "--length", "6", "--cap", "10000",
+            "--smallest", "--out", str(dest)]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out == "count=1\n"
+    assert dest.read_text() == "89 89 179 359 719 1439 2879\n"
+    rc, _, err = run_cli(capsys, *argv, "--workers", "0")
+    assert rc == 2 and "worker count" in err
+
+
+def test_checkpoint_interval_needs_checkpoint(capsys):
+    rc, out, err = run_cli(
+        capsys, "search", "--pattern", "x,x+2", "--n", "100", "--checkpoint-interval", "5"
+    )
+    assert rc == 2 and out == ""
+    assert "--checkpoint-interval needs --checkpoint" in err
+
+
+def test_census_out_file_sorted(tmp_path, capsys):
+    dest = tmp_path / "twins.txt"
+    rc, out, _ = run_cli(capsys, "twins", "--x", "2000", "--out", str(dest))
+    assert rc == 0
+    assert out.splitlines()[0] == "count=61"
+    xs = [int(ln.split()[0]) for ln in dest.read_text().splitlines()]
+    assert len(xs) == 61
+    assert xs == sorted(xs)
