@@ -14,6 +14,7 @@ every segment reuses them.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .arith import modinv
 
@@ -202,6 +203,10 @@ def sieve_segment(pattern, r: int, W: int, n: int, table,
 
 
 def survivors(seg: SieveSegment) -> list:
-    """Candidate x values still alive, in increasing order."""
+    """Candidate x values still alive, in increasing order.
+
+    Each live byte j picks x(j) = r + j*W out of the segment's
+    progression; `compress` does the walk over the bytes in C.
+    """
     r, W = seg.r, seg.W
-    return [r + j * W for j, alive in enumerate(seg.bits) if alive]
+    return list(compress(range(r, r + len(seg.bits) * W, W), seg.bits))

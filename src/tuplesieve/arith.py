@@ -22,12 +22,14 @@ def check_wide(value: int, what: str = "value") -> int:
 
 
 def powmod(a: int, e: int, m: int) -> int:
-    """a**e mod m for operands within the width cap."""
+    """a**e mod m.
+
+    Precondition, not checked here: a, e and m lie in [0, WIDE_MAX].
+    The prime tests check N at each entry, and every base and exponent
+    they pass is below N.
+    """
     if m == 0:
         raise ZeroDivisionError("modulus is zero")
-    check_wide(a, "a")
-    check_wide(e, "e")
-    check_wide(m, "m")
     return pow(a, e, m)
 
 

@@ -3,7 +3,13 @@ filter -> certified prime tests -> tuple stream.
 
 Tuples containing a prime at or below the sieve bound never reach the
 sieve path (the wheel excludes their residue or a sieve prime clears
-them), so a direct boundary scan finds those first.  The residue stream
+them), so a direct boundary scan finds those first.  On the sieve path
+a segment's survivors come out ascending, so one bisect drops those the
+boundary scan owns.  When the segment's certified depth squared exceeds
+the largest remaining value, sieving alone has proved every survivor a
+tuple, and the count, the found list and the reciprocal sum take the
+whole segment at once; otherwise each survivor goes through the SPRP
+gate and the certified test.  The residue stream
 is striped across nu logical workers by enumeration position; workers
 run in lockstep rounds inside one process, which keeps checkpoints
 consistent and the merged output deterministic.  Each stripe keeps its
@@ -16,9 +22,11 @@ import hashlib
 import math
 import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .apsieve import EarlyAbort, make_plan, sieve_segment, start_table, survivors
+from .arith import WIDE_MAX
 from .kahan import KahanBuckets
 from .pattern import Pattern, admissible, chain_pattern, format_pattern
 from .primality import EMBEDDED_TABLE, is_prime, sprp_base2
@@ -198,6 +206,9 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
         raise ValueError(f"bound n={cfg.n} below the pattern's smallest values")
     if cfg.nu < 1:
         raise ValueError("worker count must be >= 1")
+    # every sieve-path value v has cut < v <= n, so this bounds them all
+    if cfg.n > WIDE_MAX:
+        raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
 
     plan = _resolve_plan(cfg)
     base_wheel = build_wheel(cfg.pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
@@ -248,6 +259,9 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
             stripes.append(_Stripe(idx, w, KahanBuckets()))
 
     pattern, n, W = cfg.pattern, cfg.n, base_wheel.W
+    forms = pattern.forms
+    # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
+    x_cut = max((cut - b) // a for a, b in forms)
     # residues handled so far, derived from the live cursors on resume
     processed = sum(
         (st.wheel.position - st.idx) // cfg.nu
@@ -273,21 +287,30 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                                 early_abort=cfg.early_abort, full_bound=plan.B)
             depth = seg.sieved_to
             certified = (depth + 1) * (depth + 1)
-            for x in survivors(seg):
-                if pattern.min_value(x) <= cut:
-                    continue  # boundary scan owns tuples with small members
-                vals = pattern.evaluate(x)
-                if certified <= max(vals):
-                    # cheap probable-prime gates first, then certified tests
-                    if not all(sprp_base2(v) for v in vals):
-                        continue
-                    if not all(is_prime(v, depth, table) for v in vals):
-                        continue
-                st.count += 1
-                st.recip.add_group(vals)
-                found.append(x)
+            xs = survivors(seg)
+            del xs[: bisect_right(xs, x_cut)]  # the boundary scan owns these
+            if xs and certified > pattern.max_value(xs[-1]):
+                # the sieve alone proved every value prime: account in bulk
+                st.count += len(xs)
+                st.recip.add_group(a * x + b for a, b in forms for x in xs)
+                found.extend(xs)
                 if on_tuple:
-                    on_tuple(x, vals)
+                    for x in xs:
+                        on_tuple(x, pattern.evaluate(x))
+            else:
+                for x in xs:
+                    vals = pattern.evaluate(x)
+                    if certified <= max(vals):
+                        # cheap probable-prime gates first, then certified tests
+                        if not all(sprp_base2(v) for v in vals):
+                            continue
+                        if not all(is_prime(v, depth, table) for v in vals):
+                            continue
+                    st.count += 1
+                    st.recip.add_group(vals)
+                    found.append(x)
+                    if on_tuple:
+                        on_tuple(x, vals)
             processed += 1
             if progress and processed % progress_every == 0:
                 progress(processed)

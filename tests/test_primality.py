@@ -232,6 +232,17 @@ def test_is_prime_refuses_the_top_ladder_bound():
         is_prime(LADDER_TOP)
 
 
+def test_entries_reject_values_past_the_width():
+    # powmod checks no width, so each entry must check N itself
+    N = 2**127 + 1
+    with pytest.raises(OverflowError):
+        sprp_base2(N)
+    with pytest.raises(OverflowError):
+        pseudosquares_test(N, 1)
+    with pytest.raises(OverflowError):
+        is_prime(N)
+
+
 def test_perfect_power():
     assert is_perfect_power(4)
     assert is_perfect_power(27)

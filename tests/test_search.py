@@ -1,9 +1,14 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import tuplesieve.search as search_mod
+from tuplesieve.apps import quads
 from tuplesieve.apsieve import EarlyAbort
-from tuplesieve.pattern import chain_pattern, make_pattern
+from tuplesieve.arith import WIDE_MAX
+from tuplesieve.pattern import admissible, chain_pattern, make_pattern
 from tuplesieve.search import (
     CheckpointError,
     SearchConfig,
@@ -63,6 +68,31 @@ def test_inadmissible_rejected_before_work():
 def test_bound_below_pattern_start_rejected():
     with pytest.raises(ValueError, match="below"):
         run_striped(SearchConfig(pattern=QUAD, n=5))
+
+
+class _Planned(Exception):
+    pass
+
+
+def test_bound_past_width_rejected_before_planning(monkeypatch):
+    def no_plan(cfg):
+        raise _Planned
+
+    monkeypatch.setattr(search_mod, "_resolve_plan", no_plan)
+    seen = []
+
+    def on_tuple(x, vals):
+        seen.append(x)
+
+    with pytest.raises(OverflowError):
+        run_striped(SearchConfig(pattern=TWIN, n=WIDE_MAX + 1), on_tuple=on_tuple)
+    # quads bounds its search by X - 1, so X = 2^127 + 1 is the least past the width
+    with pytest.raises(OverflowError):
+        quads(2**127 + 1, on_tuple=on_tuple)
+    assert seen == []
+    # n = WIDE_MAX itself fits and goes on to planning
+    with pytest.raises(_Planned):
+        run_striped(SearchConfig(pattern=TWIN, n=WIDE_MAX))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -196,6 +226,53 @@ def test_early_abort_output_invariant(table_1e6):
     a = find_pattern_primes(SearchConfig(pattern=pattern, n=n, early_abort=eager))
     b = find_pattern_primes(SearchConfig(pattern=pattern, n=n, early_abort=off))
     assert a == b == naive_pattern_xs(pattern.forms, n, table_1e6)
+
+
+def test_boundary_cut_inside_a_segment(table_1e5):
+    # W = 6 leaves one twin residue, 5, and its segment runs through
+    # cut = B = 101.  Sieving stops after the prime 5, which divides
+    # neither 101 nor 103, so only the cut at x <= 101 keeps the
+    # boundary scan's (101, 103) from being counted a second time.
+    eager = EarlyAbort(min_live_per=1, check_every=1)
+    cfg = SearchConfig(pattern=TWIN, n=10**4, sieve_bound=101, wheel_limit=6,
+                       early_abort=eager)
+    res = run_striped(cfg)
+    assert 101 in res.xs
+    assert res.xs == naive_pattern_xs(CORPUS["twin"], 10**4, table_1e5)
+    assert res.count == len(res.xs)
+
+
+_FORM = st.tuples(st.integers(1, 6), st.integers(-10, 30)).filter(lambda f: math.gcd(*f) == 1)
+_PATTERN = st.lists(_FORM, min_size=1, max_size=4, unique=True).map(make_pattern).filter(admissible)
+_SIEVE = st.one_of(
+    st.just({}),                                    # n^(1/2): every segment in bulk
+    st.builds(lambda b: {"sieve_bound": b}, st.integers(2, 40)),
+    st.just({"space_exp": 2.5}),
+)
+_ABORT = st.sampled_from([
+    EarlyAbort(enabled=False),
+    EarlyAbort(),
+    EarlyAbort(min_live_per=4, check_every=1),      # fires on most segments
+])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(pattern=_PATTERN, n=st.integers(100, 3 * 10**4), sieve=_SIEVE,
+       wheel_limit=st.sampled_from([None, 2, 6, 30, 210]), nu=st.integers(1, 3),
+       early_abort=_ABORT)
+def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_limit,
+                                         nu, early_abort):
+    sieve = sieve or {"sieve_bound": math.isqrt(n)}
+    cfg = SearchConfig(pattern=pattern, n=n, nu=nu, wheel_limit=wheel_limit,
+                       early_abort=early_abort, **sieve)
+    seen = []
+    res = run_striped(cfg, on_tuple=lambda x, vals: seen.append((x, vals)))
+    want = naive_pattern_xs(pattern.forms, n, table_1e5)
+    assert res.xs == want
+    assert res.count == len(want)
+    assert sorted(seen) == [(x, pattern.evaluate(x)) for x in want]
+    assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
 
 
 def test_excluded_wheel_prime_same_output():
