@@ -3,9 +3,14 @@ f_i(r + j*W), clearing candidates hit by any sieve prime.
 
 One segment covers a single wheel residue r: byte j of the segment
 stands for the candidate x(j) = r + j*W, and stays 1 only if no sieve
-prime divides any form value there.  Segment length is about n/W.  The
-planner's default wheel budget is n // B, so W <= n/B and a segment
-holds at least about B bytes; it is not capped near B.
+prime divides any form value there.  Segment length is about x_top/W,
+where x_top = min_i (n - b_i) // a_i is the largest x in range.  The
+planner's default wheel budget is x_top // B, so W <= x_top/B and a
+segment holds at least about B bytes; it is not capped near B.
+
+`live_fraction` predicts the share of a segment's bytes that survive
+the sieve primes; the search planner uses it to choose the sieve depth
+and whether early abort can pay off.
 
 Where each prime's strikes start depends on r only through one product,
 so the inverses behind it are computed once per run (`start_table`) and
@@ -13,6 +18,7 @@ every segment reuses them.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -28,7 +34,9 @@ __all__ = [
     "sieve_segment",
     "survivors",
     "primes_upto",
+    "iter_primes",
     "next_prime",
+    "live_fraction",
 ]
 
 
@@ -45,7 +53,21 @@ def primes_upto(n: int) -> list:
     for p in range(2, math.isqrt(n) + 1):
         if t[p]:
             t[p * p :: p] = b"\x00" * ((n - p * p) // p + 1)
-    return [i for i in range(2, n + 1) if t[i]]
+    return list(compress(range(n + 1), t))
+
+
+def iter_primes(limit: int):
+    """Primes <= limit, ascending, sieved in blocks that grow fourfold.
+
+    A consumer that stops after the first few primes pays only for the
+    block it stopped in, not for a sieve up to limit.
+    """
+    lo, hi = 1, 1024
+    while lo < limit:
+        hi = min(hi, limit)
+        ps = primes_upto(hi)
+        yield from ps[bisect_right(ps, lo):]
+        lo, hi = hi, 4 * hi
 
 
 def next_prime(p: int) -> int:
@@ -77,12 +99,14 @@ class SievePlan:
 
 
 def make_plan(n: int, c: float | None = None, sieve_bound: int | None = None,
-              wheel_limit: int | None = None) -> SievePlan:
+              wheel_limit: int | None = None, x_top: int | None = None) -> SievePlan:
     """Derive the sieve bound and enumerate its primes.
 
     Either pass an explicit sieve_bound, or a space exponent c > 2 which
     sets B to the power of two nearest n^(1/c) from below.  The wheel
-    budget defaults to n // B.
+    budget defaults to x_top // B, x_top being the largest x whose form
+    values all stay <= n (n itself when not given), so that a segment
+    spans at least about B candidates.
     """
     if n < 4:
         raise PlanError(f"search bound n={n} too small to plan")
@@ -97,7 +121,7 @@ def make_plan(n: int, c: float | None = None, sieve_bound: int | None = None,
     if B < 2:
         raise PlanError(f"sieve bound B={B} below 2")
     if wheel_limit is None:
-        wheel_limit = max(2, n // B)
+        wheel_limit = max(2, (n if x_top is None else x_top) // B)
     return SievePlan(n=n, B=B, wheel_limit=wheel_limit, c=c,
                      primes=tuple(primes_upto(B)))
 
@@ -110,6 +134,24 @@ class EarlyAbort:
     enabled: bool = True
     min_live_per: int = 4096
     check_every: int = 64
+
+
+def live_fraction(pattern, primes, stop: float = 0.0) -> float:
+    """Predicted share of candidates no prime in `primes` clears.
+
+    The product of 1 - w(p)/p, where w(p) counts the distinct roots
+    -b * a^-1 mod p over the forms a*x + b with p not dividing a.
+    `primes` may be lazy: the product stops, and returns, as soon as it
+    is <= stop, so a caller asking only whether it falls that low
+    reads no further primes than it needs.
+    """
+    frac = 1.0
+    for p in primes:
+        roots = {-b * pow(a, -1, p) % p for a, b in pattern.forms if a % p}
+        frac *= 1 - len(roots) / p
+        if frac <= stop:
+            break
+    return frac
 
 
 @dataclass

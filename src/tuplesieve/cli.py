@@ -37,7 +37,9 @@ def _add_search_options(p, with_pattern=True):
                        help="explicit sieve bound (use sqrt(n) to avoid prime tests)")
     group.add_argument("--space-exp", type=float, metavar="C",
                        help="space exponent c > 2; sieve bound becomes 2^floor(log2(n)/c)")
-    p.add_argument("--wheel-limit", type=int, help="cap on the wheel modulus product (default n/B)")
+    p.add_argument("--wheel-limit", type=int,
+                   help="cap on the wheel modulus product (default x_top/B, x_top the "
+                        "largest x whose form values all stay within the bound)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
                    help="stripe the residues across NU logical workers")
     p.add_argument("--exclude-wheel-prime", type=int, action="append", default=[],
@@ -46,7 +48,9 @@ def _add_search_options(p, with_pattern=True):
     p.add_argument("--checkpoint-interval", type=float, metavar="SEC",
                    help="seconds between checkpoint writes (default 900; needs --checkpoint)")
     p.add_argument("--no-early-abort", action="store_true",
-                   help="always sieve to the full bound before testing")
+                   help="always sieve to the full bound before testing "
+                        "(by default the planner turns early abort on where the sieve "
+                        "is predicted to leave at most 1 candidate in 4096)")
     p.add_argument("--unsorted", action="store_true",
                    help="stream tuples in discovery order instead of sorting")
     p.add_argument("--out", metavar="FILE", help="write tuple lines here instead of stdout")
@@ -60,7 +64,8 @@ def _config_kw(args):
         space_exp=args.space_exp,
         wheel_limit=args.wheel_limit,
         excluded_wheel_primes=frozenset(args.exclude_wheel_prime),
-        early_abort=EarlyAbort(enabled=not args.no_early_abort),
+        # None leaves early abort to the planner
+        early_abort=EarlyAbort(enabled=False) if args.no_early_abort else None,
     )
     if args.checkpoint is not None:
         kw["checkpoint_path"] = args.checkpoint

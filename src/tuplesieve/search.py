@@ -1,15 +1,24 @@
 """End-to-end pattern search: wheel residues -> AP sieve -> probable-prime
 filter -> certified prime tests -> tuple stream.
 
-Tuples containing a prime at or below the sieve bound never reach the
-sieve path (the wheel excludes their residue or a sieve prime clears
-them), so a direct boundary scan finds those first.  On the sieve path
-a segment's survivors come out ascending, so one bisect drops those the
-boundary scan owns.  When the segment's certified depth squared exceeds
-the largest remaining value, sieving alone has proved every survivor a
-tuple, and the count, the found list and the reciprocal sum take the
-whole segment at once; otherwise each survivor goes through the SPRP
-gate and the certified test.  The residue stream
+The planner (`_resolve_plan`) picks the sieve depth B, the wheel budget
+and early abort from the input: B = sqrt(n), where sieving alone
+decides primality, while the prime table fits its budget and the
+predicted survivor density stays above early abort's threshold;
+otherwise B = n^(1/3) with prime tests.  The wheel budget is x_top // B
+over the x range, and early abort is on only where it is predicted to
+fire.
+
+Tuples containing a prime at or below the cut (B or the largest wheel
+prime) never reach the sieve path (the wheel excludes their residue or
+a sieve prime clears them), so a byte sieve over that boundary window
+of x finds those first.  On the sieve path a segment's survivors come
+out ascending, so one bisect drops those the boundary window owns.
+When the segment's certified depth squared exceeds the largest
+remaining value, sieving alone has proved every survivor a tuple, and
+the count, the found list and the reciprocal sum take the whole
+segment at once; otherwise each survivor goes through the SPRP gate
+and the certified test.  The residue stream
 is striped across nu logical workers by enumeration position; workers
 run in lockstep rounds inside one process, which keeps checkpoints
 consistent and the merged output deterministic.  Each stripe keeps its
@@ -23,14 +32,24 @@ import math
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
-from .apsieve import EarlyAbort, make_plan, sieve_segment, start_table, survivors
+from .apsieve import (
+    EarlyAbort,
+    iter_primes,
+    live_fraction,
+    make_plan,
+    primes_upto,
+    sieve_segment,
+    start_table,
+    survivors,
+)
 from .arith import WIDE_MAX
 from .kahan import KahanBuckets
 from .pattern import Pattern, admissible, chain_pattern, format_pattern
 from .primality import EMBEDDED_TABLE, is_prime, sprp_base2
-from .wheel import WheelError, build_wheel
+from .wheel import WheelError, build_wheel, wheel_primes
 
 __all__ = [
     "SearchConfig",
@@ -58,7 +77,7 @@ class SearchConfig:
     space_exp: float | None = None
     wheel_limit: int | None = None
     excluded_wheel_primes: frozenset = frozenset()
-    early_abort: EarlyAbort = field(default_factory=EarlyAbort)
+    early_abort: EarlyAbort | None = None  # None: the planner decides
     checkpoint_interval: float = 900.0
 
 
@@ -73,34 +92,83 @@ class SearchResult:
     resumed: bool = False
 
 
+# budget for the plan's prime tables: sieving to sqrt(n) lists every
+# prime up to it, so above this the planner falls back to n^(1/3)
+SQRT_BOUND_MAX = 2**24
+
+
 def _resolve_plan(cfg: SearchConfig):
+    """The run's sieve plan and the early abort its segments use.
+
+    Depth: B = isqrt(n), where sieving alone decides every survivor, as
+    long as isqrt(n) <= SQRT_BOUND_MAX and a full sieve is predicted to
+    leave more than 1 live byte per `min_live_per` (so it would not
+    abort); otherwise B = 2^floor(log2(n)/3).  The wheel budget is
+    x_top // B, x_top the largest x in range.  Early abort is on exactly
+    when the prediction at the chosen B is at most that density.  The
+    prediction skips the primes the wheel will take, because segment
+    bytes are already wheel-filtered.  The config's sieve_bound,
+    space_exp, wheel_limit and early_abort each override their part.
+    """
+    pattern, n = cfg.pattern, cfg.n
+    x_top = min((n - b) // a for a, b in pattern.forms)
+    floor = 1 / (cfg.early_abort or EarlyAbort()).min_live_per
+
+    def predicted(primes, wheel_limit):
+        skip = set(wheel_primes(wheel_limit, cfg.excluded_wheel_primes))
+        return live_fraction(pattern, (p for p in primes if p not in skip), stop=floor)
+
+    kw = dict(wheel_limit=cfg.wheel_limit, x_top=x_top)
+    live = None
     if cfg.sieve_bound is not None:
-        return make_plan(cfg.n, sieve_bound=cfg.sieve_bound, wheel_limit=cfg.wheel_limit)
-    if cfg.space_exp is not None:
-        return make_plan(cfg.n, c=cfg.space_exp, wheel_limit=cfg.wheel_limit)
-    # prime tests dominate for short patterns: sieve them to sqrt(n) so
-    # sieving alone decides primality; longer patterns default to c=3
-    if cfg.pattern.k <= 3:
-        return make_plan(cfg.n, sieve_bound=math.isqrt(cfg.n), wheel_limit=cfg.wheel_limit)
-    return make_plan(cfg.n, c=3.0, wheel_limit=cfg.wheel_limit)
+        plan = make_plan(n, sieve_bound=cfg.sieve_bound, **kw)
+    elif cfg.space_exp is not None:
+        plan = make_plan(n, c=cfg.space_exp, **kw)
+    else:
+        root = math.isqrt(n)
+        if root <= SQRT_BOUND_MAX:
+            limit = max(2, x_top // root) if cfg.wheel_limit is None else cfg.wheel_limit
+            live = predicted(iter_primes(root), limit)
+        if live is not None and live > floor:
+            plan = make_plan(n, sieve_bound=root, **kw)
+        else:
+            plan = make_plan(n, c=3.0, **kw)
+            live = None
+    if cfg.early_abort is not None:
+        return plan, cfg.early_abort
+    if live is None:
+        live = predicted(plan.primes, plan.wheel_limit)
+    return plan, EarlyAbort(enabled=live <= floor)
 
 
-def boundary_tuples(pattern: Pattern, cut: int, n: int, table=EMBEDDED_TABLE) -> list:
+def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
     """All x with min_i f_i(x) <= cut, max_i f_i(x) <= n, every value prime.
 
-    Direct scan from the first x where all forms are at least 2; these
-    tuples contain a small prime and are invisible to the sieve path.
+    These tuples contain a prime <= cut and are invisible to the sieve
+    path.  They lie in one window of x, from the first x where every
+    form is at least 2 to the last where the least form is <= cut and
+    the largest <= n.  A byte sieve over that window clears, for every
+    prime q <= sqrt(max f), each form's multiples of q other than q
+    itself.
     """
-    out = []
-    x = pattern.min_x()
+    x0 = pattern.min_x()
     stop = min(cut, n)  # past n even the smallest form is out of range
-    while pattern.min_value(x) <= stop:
-        if pattern.max_value(x) <= n and all(
-            is_prime(v, 1, table) for v in pattern.evaluate(x)
-        ):
-            out.append(x)
-        x += 1
-    return out
+    x1 = min(max((stop - b) // a for a, b in pattern.forms),
+             min((n - b) // a for a, b in pattern.forms))
+    if x1 < x0:
+        return []
+    size = x1 - x0 + 1
+    live = bytearray([1]) * size
+    for q in primes_upto(math.isqrt(pattern.max_value(x1))):
+        for a, b in pattern.forms:
+            if a % q == 0:
+                continue  # gcd(a, b) = 1, so q never divides a*x + b
+            j = (-b * pow(a, -1, q) - x0) % q
+            if a * (x0 + j) + b == q:
+                j += q  # the value is q itself, a prime
+            if j < size:
+                live[j::q] = bytes(len(range(j, size, q)))
+    return list(compress(range(x0, x1 + 1), live))
 
 
 @dataclass
@@ -210,14 +278,14 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     if cfg.n > WIDE_MAX:
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
 
-    plan = _resolve_plan(cfg)
+    plan, early_abort = _resolve_plan(cfg)
     base_wheel = build_wheel(cfg.pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
     sieve_table = start_table(cfg.pattern, base_wheel.W, plan.sieve_primes(base_wheel.moduli))
     cut = max(plan.B, max(base_wheel.moduli))
     digest = _config_digest(cfg, plan)
 
-    # tuples containing a prime <= cut are found by direct scan
-    boundary = boundary_tuples(cfg.pattern, cut, cfg.n, table)
+    # tuples containing a prime <= cut are found by the boundary window
+    boundary = boundary_tuples(cfg.pattern, cut, cfg.n)
     total = KahanBuckets()
     found = []
     for x in boundary:
@@ -284,11 +352,11 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                 continue
             _advance(st.wheel, cfg.nu - 1)
             seg = sieve_segment(pattern, r, W, n, sieve_table,
-                                early_abort=cfg.early_abort, full_bound=plan.B)
+                                early_abort=early_abort, full_bound=plan.B)
             depth = seg.sieved_to
             certified = (depth + 1) * (depth + 1)
             xs = survivors(seg)
-            del xs[: bisect_right(xs, x_cut)]  # the boundary scan owns these
+            del xs[: bisect_right(xs, x_cut)]  # the boundary window owns these
             if xs and certified > pattern.max_value(xs[-1]):
                 # the sieve alone proved every value prime: account in bulk
                 st.count += len(xs)

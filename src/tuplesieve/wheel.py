@@ -13,7 +13,7 @@ from .apsieve import next_prime
 from .arith import check_wide, modinv
 from .pattern import acceptable_residues
 
-__all__ = ["Wheel", "WheelError", "build_wheel"]
+__all__ = ["Wheel", "WheelError", "build_wheel", "wheel_primes"]
 
 
 class WheelError(ValueError):
@@ -151,9 +151,23 @@ class Wheel:
         return w
 
 
+def wheel_primes(limit: int, excluded=frozenset()) -> list:
+    """The greedy wheel's moduli: primes 2, 3, 5, ... in order, skipping
+    `excluded`, taken while their product stays <= limit."""
+    primes = []
+    w = 1
+    p = 2
+    while True:
+        if p not in excluded:
+            if w * p > limit:
+                return primes
+            primes.append(p)
+            w *= p
+        p = next_prime(p)
+
+
 def build_wheel(pattern, limit: int, excluded=frozenset()) -> Wheel:
-    """Greedy wheel for a pattern: primes 2, 3, 5, ... in order, skipping
-    `excluded`, multiplied in while the product stays <= limit.
+    """Greedy wheel for a pattern over `wheel_primes(limit, excluded)`.
 
     Dropping a poorly filtering prime (one that excludes few residues)
     is the caller's call via `excluded`; nothing is dropped implicitly.
@@ -161,17 +175,7 @@ def build_wheel(pattern, limit: int, excluded=frozenset()) -> Wheel:
     check_wide(limit, "wheel limit")
     if limit < 2:
         raise WheelError(f"wheel limit {limit} admits no prime modulus")
-    excluded = set(excluded)
-    moduli_masks = []
-    w = 1
-    p = 2
-    while True:
-        if p not in excluded:
-            if w * p > limit:
-                break
-            moduli_masks.append((p, acceptable_residues(pattern, p)))
-            w *= p
-        p = next_prime(p)
-    if not moduli_masks:
+    moduli = wheel_primes(limit, frozenset(excluded))
+    if not moduli:
         raise WheelError(f"no usable wheel prime under limit {limit}")
-    return Wheel(moduli_masks)
+    return Wheel([(p, acceptable_residues(pattern, p)) for p in moduli])

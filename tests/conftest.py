@@ -1,9 +1,12 @@
 """Shared brute-force oracles: a plain byte sieve and a scan-everything
-pattern search, kept independent of the package internals on purpose."""
+pattern search, kept independent of the package internals on purpose,
+and a boundary-window scan that tests each value with `is_prime`."""
 
 import math
 
 import pytest
+
+from tuplesieve.primality import is_prime
 
 
 def sieve_table(n: int) -> bytearray:
@@ -25,6 +28,19 @@ def naive_pattern_xs(forms, n, table) -> list:
         if max(vals) > n:
             break
         if all(v >= 2 and table[v] for v in vals):
+            out.append(x)
+        x += 1
+    return out
+
+
+def boundary_scan(pattern, cut, n) -> list:
+    """Reference for `search.boundary_tuples`: from the first x where
+    every form is at least 2, while the least form is <= min(cut, n),
+    keep x when the largest form is <= n and every value is prime."""
+    out = []
+    x = pattern.min_x()
+    while pattern.min_value(x) <= min(cut, n):
+        if pattern.max_value(x) <= n and all(is_prime(v, 1) for v in pattern.evaluate(x)):
             out.append(x)
         x += 1
     return out

@@ -6,6 +6,8 @@ import pytest
 from tuplesieve.apsieve import (
     EarlyAbort,
     PlanError,
+    iter_primes,
+    live_fraction,
     make_plan,
     next_prime,
     primes_upto,
@@ -28,6 +30,12 @@ def test_next_prime_agrees_with_primes_upto():
         assert next_prime(m) == ps[bisect.bisect_right(ps, m)]
 
 
+def test_iter_primes_agrees_with_primes_upto():
+    # limits on both sides of the first block boundaries (1024, 4096)
+    for limit in (0, 1, 2, 3, 1023, 1024, 1025, 4096, 4097, 20011):
+        assert list(iter_primes(limit)) == primes_upto(limit)
+
+
 def test_plan_power_of_two_rule():
     plan = make_plan(2**30, c=3)
     assert plan.B == 1024
@@ -46,6 +54,8 @@ def test_plan_sqrt_mode():
     plan = make_plan(n, sieve_bound=math.isqrt(n))
     assert plan.B == 10**4
     assert plan.wheel_limit == 10**4
+    # the wheel budget follows the x range when it is given
+    assert make_plan(n, sieve_bound=math.isqrt(n), x_top=n // 256).wheel_limit == 39
 
 
 def test_plan_errors():
@@ -57,6 +67,26 @@ def test_plan_errors():
         make_plan(100, sieve_bound=1)
     with pytest.raises(PlanError):
         make_plan(100)
+
+
+@pytest.mark.parametrize("pattern,primes", [
+    (QUAD, (7, 11, 13)),
+    # 2 divides every multiplier but the first, and 3 sees two roots
+    (chain_pattern("first", 4), (2, 3, 5, 7)),
+    (make_pattern(CORPUS["chernick"]), (5, 7, 11)),
+])
+def test_live_fraction_counts_surviving_residues(pattern, primes):
+    m = math.prod(primes)
+    live = sum(
+        all((a * x + b) % p for p in primes for a, b in pattern.forms) for x in range(m)
+    )
+    assert live_fraction(pattern, primes) == pytest.approx(live / m, rel=1e-12)
+
+
+def test_live_fraction_stops_at_floor():
+    primes = iter([7, 11, 13])
+    assert live_fraction(QUAD, primes, stop=0.5) == 1 - 4 / 7
+    assert next(primes) == 11  # nothing past the prime that reached the floor was read
 
 
 def test_sieve_primes_keeps_excluded_wheel_prime():

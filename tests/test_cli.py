@@ -1,6 +1,7 @@
 import pytest
 
-from tuplesieve.cli import main
+from tuplesieve.apsieve import EarlyAbort
+from tuplesieve.cli import _config_kw, build_parser, main
 from tuplesieve.primality import load_table
 
 
@@ -141,6 +142,21 @@ def test_workers_flag_same_output(capsys):
         "--workers", "4",
     )
     assert out1 == out4
+
+
+def test_early_abort_left_to_planner():
+    argv = ["search", "--pattern", "x,x+2", "--n", "100"]
+    assert _config_kw(build_parser().parse_args(argv))["early_abort"] is None
+    kw = _config_kw(build_parser().parse_args(argv + ["--no-early-abort"]))
+    assert kw["early_abort"] == EarlyAbort(enabled=False)
+
+
+def test_wheel_limit_help_names_x_range_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default x_top/B, x_top the largest x whose form values" in text
+    assert "n/B" not in text
 
 
 def test_twins_x_too_small_exit_code(capsys):

@@ -9,6 +9,7 @@ from tuplesieve.apps import quads
 from tuplesieve.apsieve import EarlyAbort
 from tuplesieve.arith import WIDE_MAX
 from tuplesieve.pattern import admissible, chain_pattern, make_pattern
+from tuplesieve.wheel import build_wheel
 from tuplesieve.search import (
     CheckpointError,
     SearchConfig,
@@ -18,7 +19,7 @@ from tuplesieve.search import (
     smallest_chain,
 )
 
-from conftest import CORPUS, naive_pattern_xs
+from conftest import CORPUS, boundary_scan, naive_pattern_xs
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
@@ -40,6 +41,20 @@ def test_boundary_below_first_value_empty():
 def test_boundary_respects_n():
     # 11,13,17,19 tops out at 19 > n
     assert boundary_tuples(QUAD, 20, 15) == [5]
+
+
+_FORM = st.tuples(st.integers(1, 6), st.integers(-10, 30)).filter(lambda f: math.gcd(*f) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms=st.lists(_FORM, min_size=1, max_size=4, unique=True),
+       cut=st.integers(0, 3000),
+       extra=st.one_of(st.integers(-5, 40), st.integers(0, 10**5)))
+def test_boundary_window_matches_scan(forms, cut, extra):
+    # n from just below to far above the pattern's values at x = 1
+    pattern = make_pattern(forms)
+    n = pattern.max_value(1) + extra
+    assert boundary_tuples(pattern, cut, n) == boundary_scan(pattern, cut, n)
 
 
 def test_find_quadruplets_1000():
@@ -142,12 +157,27 @@ def test_emission_order_boundary_first():
 
 
 def test_checkpoint_interrupt_resume_bitwise(tmp_path):
-    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3)
+    # c=3 gives QUAD at 10^6 189 residues, so 9 of them interrupt the run
+    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0)
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
     assert not part.completed
     assert ck.exists()
+    resumed = run_striped(cfg, checkpoint_path=str(ck))
+    assert resumed.resumed and resumed.completed
+    assert resumed.count == full.count
+    assert resumed.recip_sum.hex() == full.recip_sum.hex()
+    assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+
+
+def test_checkpoint_interrupt_resume_default_plan(tmp_path):
+    # the default plan sieves QUAD at 10^6 to sqrt(n) over 3 residues
+    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=1)
+    full = run_striped(cfg)
+    ck = tmp_path / "run.ckpt"
+    part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=1)
+    assert not part.completed
     resumed = run_striped(cfg, checkpoint_path=str(ck))
     assert resumed.resumed and resumed.completed
     assert resumed.count == full.count
@@ -242,14 +272,15 @@ def test_boundary_cut_inside_a_segment(table_1e5):
     assert res.count == len(res.xs)
 
 
-_FORM = st.tuples(st.integers(1, 6), st.integers(-10, 30)).filter(lambda f: math.gcd(*f) == 1)
 _PATTERN = st.lists(_FORM, min_size=1, max_size=4, unique=True).map(make_pattern).filter(admissible)
 _SIEVE = st.one_of(
-    st.just({}),                                    # n^(1/2): every segment in bulk
+    st.just({}),                                    # the planner's choice
+    st.just("sqrt"),                                # n^(1/2): every segment in bulk
     st.builds(lambda b: {"sieve_bound": b}, st.integers(2, 40)),
     st.just({"space_exp": 2.5}),
 )
 _ABORT = st.sampled_from([
+    None,                                           # the planner's choice
     EarlyAbort(enabled=False),
     EarlyAbort(),
     EarlyAbort(min_live_per=4, check_every=1),      # fires on most segments
@@ -263,7 +294,8 @@ _ABORT = st.sampled_from([
        early_abort=_ABORT)
 def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_limit,
                                          nu, early_abort):
-    sieve = sieve or {"sieve_bound": math.isqrt(n)}
+    if sieve == "sqrt":
+        sieve = {"sieve_bound": math.isqrt(n)}
     cfg = SearchConfig(pattern=pattern, n=n, nu=nu, wheel_limit=wheel_limit,
                        early_abort=early_abort, **sieve)
     seen = []
@@ -273,6 +305,70 @@ def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_lim
     assert res.count == len(want)
     assert sorted(seen) == [(x, pattern.evaluate(x)) for x in want]
     assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
+
+
+def test_plan_sqrt_for_twins_and_quads_at_1e8():
+    for pattern in (TWIN, QUAD):
+        plan, abort = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=10**8))
+        assert (plan.B, plan.c, abort.enabled) == (10**4, None, False)
+        assert len(plan.primes) == 1229
+
+
+def test_plan_chain_window_c3_with_abort(monkeypatch):
+    plans = []
+    resolve = search_mod._resolve_plan
+
+    def record(cfg):
+        plan, abort = resolve(cfg)
+        plans.append((cfg, plan, abort))
+        return plan, abort
+
+    monkeypatch.setattr(search_mod, "_resolve_plan", record)
+    assert smallest_chain("first", 9, 10**9) == 85864769
+    cfg, plan, abort = plans[-1]  # the largest window
+    x_top = min((cfg.n - b) // a for a, b in cfg.pattern.forms)
+    assert x_top == 2**29
+    assert (plan.c, plan.B, abort.enabled) == (3.0, 2**12, True)
+    assert build_wheel(cfg.pattern, plan.wheel_limit).W <= plan.wheel_limit == x_top // plan.B
+
+
+def test_plan_quads_1e17_within_table_budget(monkeypatch):
+    import tuplesieve.apsieve as apsieve
+
+    asked = []
+    listed = apsieve.primes_upto
+    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
+    plan, _ = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
+    assert (plan.B, plan.c) == (2**18, 3.0)
+    assert max(asked) <= 2**24
+
+
+def test_plan_explicit_overrides_win():
+    plan_of = search_mod._resolve_plan
+    chain = chain_pattern("first", 9)
+    n = chain.max_value(2**20)  # the default plan is c=3 with abort on
+    assert plan_of(SearchConfig(pattern=chain, n=n, sieve_bound=math.isqrt(n)))[0].B == math.isqrt(n)
+    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, space_exp=3.0))[0].B == 2**8
+    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, wheel_limit=30))[0].wheel_limit == 30
+    off = EarlyAbort(enabled=False)
+    assert plan_of(SearchConfig(pattern=chain, n=n, early_abort=off))[1] is off
+    on = EarlyAbort()
+    assert plan_of(SearchConfig(pattern=TWIN, n=10**8, early_abort=on))[1] is on
+
+
+@pytest.mark.parametrize("early_abort,want", [(None, {True}), (EarlyAbort(enabled=False), {False})])
+def test_planned_abort_reaches_every_segment(monkeypatch, early_abort, want):
+    seen = set()
+    sieve = search_mod.sieve_segment
+
+    def record(*args, early_abort, **kw):
+        seen.add(early_abort.enabled)
+        return sieve(*args, early_abort=early_abort, **kw)
+
+    monkeypatch.setattr(search_mod, "sieve_segment", record)
+    chain = chain_pattern("first", 9)
+    run_striped(SearchConfig(pattern=chain, n=chain.max_value(2**20), early_abort=early_abort))
+    assert seen == want
 
 
 def test_excluded_wheel_prime_same_output():

@@ -1,7 +1,7 @@
 import pytest
 
 from tuplesieve.pattern import ResidueMask, chain_pattern, make_pattern
-from tuplesieve.wheel import Wheel, WheelError, build_wheel
+from tuplesieve.wheel import Wheel, WheelError, build_wheel, wheel_primes
 
 from conftest import CORPUS
 
@@ -15,6 +15,16 @@ def test_quadruplet_wheel_210():
     assert w.moduli == [2, 3, 5, 7]
     assert w.residue_count() == 3
     assert set(w) == {11, 101, 191}
+
+
+def test_wheel_primes_are_the_built_moduli():
+    assert wheel_primes(209) == [2, 3, 5]
+    assert wheel_primes(210) == [2, 3, 5, 7]
+    assert wheel_primes(1) == []
+    # an excluded prime is skipped and the greedy walk goes on past it
+    assert wheel_primes(2 * 3 * 7 * 11, excluded={5}) == [2, 3, 7, 11]
+    for limit, excluded in ((30, set()), (10**6, {3}), (2 * 10**16, {31})):
+        assert wheel_primes(limit, excluded) == build_wheel(QUAD, limit, excluded).moduli
 
 
 def test_crt_combines_2_and_3():
