@@ -5,7 +5,7 @@ Each census convention lives here and nowhere else: twin pairs count
 p < X on the smaller element, quadruplets count tuples whose largest
 member is below X.  `search`, `twins`, `quads` and `chain_search` take
 the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel_limit,
-excluded_wheel_primes, early_abort, checkpoint_interval) and the run
+excluded_wheel_primes, checkpoint_interval) and the run
 options (table, checkpoint_path, on_tuple, progress) as keywords.
 `smallest_chain` takes the same, except checkpoint_path: it runs one
 search per window of the bound.  It is defined in `search.py`, the
@@ -45,11 +45,12 @@ def search(pattern, n: int, *, table=EMBEDDED_TABLE, checkpoint_path=None,
     """Every x with all forms of `pattern` prime and max_i f_i(x) <= n.
 
     `cfg` holds the `SearchConfig` fields; on_tuple(x, values) fires in
-    discovery order and progress(done) every 10000 residues.
+    discovery order and progress(done) every `search.PROGRESS_EVERY`
+    residues.
     """
     return run_striped(SearchConfig(pattern=pattern, n=n, **cfg), table=table,
                        checkpoint_path=checkpoint_path, on_tuple=on_tuple,
-                       progress=progress, progress_every=10000)
+                       progress=progress)
 
 
 def twins(X: int, **kw) -> TupleCensus:

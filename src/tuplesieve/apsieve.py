@@ -5,12 +5,13 @@ One segment covers a single wheel residue r: byte j of the segment
 stands for the candidate x(j) = r + j*W, and stays 1 only if no sieve
 prime divides any form value there.  Segment length is about x_top/W,
 where x_top = min_i (n - b_i) // a_i is the largest x in range.  The
-planner's default wheel budget is x_top // B, so W <= x_top/B and a
-segment holds at least about B bytes; it is not capped near B.
+planner's default wheel budget is x_top // B_s for its space bound
+B_s >= B, so W <= x_top/B_s and a segment holds at least about B_s
+bytes; it is not capped near B.
 
-`live_fraction` predicts the share of a segment's bytes that survive
-the sieve primes; the search planner uses it to choose the sieve depth
-and whether early abort can pay off.
+`live_fractions` predicts the share of a segment's bytes that survive
+each prefix of the sieve primes; the search planner uses it to choose
+the one sieve depth every segment of a run is sieved to.
 
 Where each prime's strikes start depends on r only through one product,
 so the inverses behind it are computed once per run (`start_table`) and
@@ -28,7 +29,6 @@ __all__ = [
     "PlanError",
     "SievePlan",
     "make_plan",
-    "EarlyAbort",
     "SieveSegment",
     "start_table",
     "sieve_segment",
@@ -36,7 +36,7 @@ __all__ = [
     "primes_upto",
     "iter_primes",
     "next_prime",
-    "live_fraction",
+    "live_fractions",
 ]
 
 
@@ -108,8 +108,6 @@ def make_plan(n: int, c: float | None = None, sieve_bound: int | None = None,
     values all stay <= n (n itself when not given), so that a segment
     spans at least about B candidates.
     """
-    if n < 4:
-        raise PlanError(f"search bound n={n} too small to plan")
     if sieve_bound is not None:
         B = int(sieve_bound)
     elif c is not None:
@@ -126,32 +124,20 @@ def make_plan(n: int, c: float | None = None, sieve_bound: int | None = None,
                      primes=tuple(primes_upto(B)))
 
 
-@dataclass(frozen=True)
-class EarlyAbort:
-    """Stop sieving a segment once live bytes drop below 1 per `min_live_per`
-    positions; the density is re-checked every `check_every` primes."""
+def live_fractions(pattern, primes):
+    """Yield (p, predicted share of candidates no prime up to p clears)
+    for each p in `primes`.
 
-    enabled: bool = True
-    min_live_per: int = 4096
-    check_every: int = 64
-
-
-def live_fraction(pattern, primes, stop: float = 0.0) -> float:
-    """Predicted share of candidates no prime in `primes` clears.
-
-    The product of 1 - w(p)/p, where w(p) counts the distinct roots
-    -b * a^-1 mod p over the forms a*x + b with p not dividing a.
-    `primes` may be lazy: the product stops, and returns, as soon as it
-    is <= stop, so a caller asking only whether it falls that low
-    reads no further primes than it needs.
+    The share is the running product of 1 - w(p)/p, where w(p) counts
+    the distinct roots -b * a^-1 mod p over the forms a*x + b with p not
+    dividing a.  `primes` may be lazy: a consumer that stops once the
+    share is low enough reads no further primes than it needs.
     """
     frac = 1.0
     for p in primes:
         roots = {-b * pow(a, -1, p) % p for a, b in pattern.forms if a % p}
         frac *= 1 - len(roots) / p
-        if frac <= stop:
-            break
-    return frac
+        yield p, frac
 
 
 @dataclass
@@ -160,12 +146,8 @@ class SieveSegment:
     W: int
     j_max: int
     bits: bytearray
-    sieved_to: int        # every prime <= this has been ruled out
-    aborted: bool = False
-    applied: int = 0      # sieve primes actually applied
-
-    def live_count(self) -> int:
-        return self.bits.count(1)
+    applied: int          # sieve primes applied: the whole table
+    aborted: bool = False  # never set; the benchmark's layer counters still read it
 
 
 def segment_length(pattern, r: int, W: int, n: int) -> int:
@@ -200,33 +182,19 @@ def start_table(pattern, W: int, sieve_primes) -> tuple:
     return tuple(table)
 
 
-def sieve_segment(pattern, r: int, W: int, n: int, table,
-                  early_abort: EarlyAbort | None = None,
-                  full_bound: int | None = None) -> SieveSegment:
+def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
     """Sieve the candidates x(j) = r + j*W, j = 0..j_max, by a start table.
 
-    table is `start_table(pattern, W, primes)`, primes ascending.  Form
-    i is divisible by p at x(j) exactly when j = s_i - r*W^-1 (mod p), so
-    each row costs one multiply for the segment, then per form one
-    subtract-mod for the first index j0 and strides of p from there.
-    Forms whose multiplier p divides have no entry in the row: their
-    values are never 0 mod p.
-
-    full_bound is the trial-division depth a completed sieve certifies
-    (the plan's B); when early abort fires, the certified depth drops to
-    just below the first unapplied prime.
+    table is `start_table(pattern, W, primes)`, and every row of it is
+    applied.  Form i is divisible by p at x(j) exactly when
+    j = s_i - r*W^-1 (mod p), so each row costs one multiply for the
+    segment, then per form one subtract-mod for the first index j0 and
+    strides of p from there.  Forms whose multiplier p divides have no
+    entry in the row: their values are never 0 mod p.
     """
     length = segment_length(pattern, r, W, n)
     bits = bytearray([1]) * length
-    if length == 0:
-        return SieveSegment(r, W, -1, bits, sieved_to=full_bound or 0)
-    if full_bound is None:
-        full_bound = max(row[0] for row in table) if table else 2
     j_max = length - 1
-    abort = early_abort if early_abort is not None else EarlyAbort(enabled=False)
-    min_live = length // abort.min_live_per if abort.enabled else -1
-
-    applied = 0
     for row in table:
         p = row[0]
         t = r * row[1]
@@ -234,14 +202,7 @@ def sieve_segment(pattern, r: int, W: int, n: int, table,
             j0 = (s - t) % p
             if j0 <= j_max:
                 bits[j0::p] = b"\x00" * ((j_max - j0) // p + 1)
-        applied += 1
-        if abort.enabled and applied % abort.check_every == 0 and applied < len(table):
-            if bits.count(1) <= min_live:
-                # certified depth: everything below the next unapplied prime
-                depth = table[applied][0] - 1
-                return SieveSegment(r, W, j_max, bits, sieved_to=depth,
-                                    aborted=True, applied=applied)
-    return SieveSegment(r, W, j_max, bits, sieved_to=full_bound, applied=applied)
+    return SieveSegment(r, W, j_max, bits, applied=len(table))
 
 
 def survivors(seg: SieveSegment) -> list:

@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import sys
 
-from .apsieve import EarlyAbort, PlanError
+from .apsieve import PlanError
 from .apps import chain_search, quads, search, smallest_chain, twins
 from .pattern import PatternError, parse_pattern
 from .primality import (
@@ -34,12 +34,14 @@ def _add_search_options(p, with_pattern=True):
         p.add_argument("--n", required=True, type=int, help="search bound: max form value")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--sieve-bound", type=int, metavar="B",
-                       help="explicit sieve bound (use sqrt(n) to avoid prime tests)")
+                       help="sieve every segment to B, taken literally (sqrt(n) avoids "
+                            "prime tests)")
     group.add_argument("--space-exp", type=float, metavar="C",
                        help="space exponent c > 2; sieve bound becomes 2^floor(log2(n)/c)")
     p.add_argument("--wheel-limit", type=int,
                    help="cap on the wheel modulus product (default x_top/B, x_top the "
-                        "largest x whose form values all stay within the bound)")
+                        "largest x whose form values all stay within the bound, B the "
+                        "sieve bound or the planner's space bound)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
                    help="stripe the residues across NU logical workers")
     p.add_argument("--exclude-wheel-prime", type=int, action="append", default=[],
@@ -47,10 +49,6 @@ def _add_search_options(p, with_pattern=True):
     p.add_argument("--checkpoint", metavar="FILE", help="write (and resume from) this checkpoint file")
     p.add_argument("--checkpoint-interval", type=float, metavar="SEC",
                    help="seconds between checkpoint writes (default 900; needs --checkpoint)")
-    p.add_argument("--no-early-abort", action="store_true",
-                   help="always sieve to the full bound before testing "
-                        "(by default the planner turns early abort on where the sieve "
-                        "is predicted to leave at most 1 candidate in 4096)")
     p.add_argument("--unsorted", action="store_true",
                    help="stream tuples in discovery order instead of sorting")
     p.add_argument("--out", metavar="FILE", help="write tuple lines here instead of stdout")
@@ -64,8 +62,6 @@ def _config_kw(args):
         space_exp=args.space_exp,
         wheel_limit=args.wheel_limit,
         excluded_wheel_primes=frozenset(args.exclude_wheel_prime),
-        # None leaves early abort to the planner
-        early_abort=EarlyAbort(enabled=False) if args.no_early_abort else None,
     )
     if args.checkpoint is not None:
         kw["checkpoint_path"] = args.checkpoint

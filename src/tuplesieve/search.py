@@ -1,24 +1,23 @@
 """End-to-end pattern search: wheel residues -> AP sieve -> probable-prime
 filter -> certified prime tests -> tuple stream.
 
-The planner (`_resolve_plan`) picks the sieve depth B, the wheel budget
-and early abort from the input: B = sqrt(n), where sieving alone
-decides primality, while the prime table fits its budget and the
-predicted survivor density stays above early abort's threshold;
-otherwise B = n^(1/3) with prime tests.  The wheel budget is x_top // B
-over the x range, and early abort is on only where it is predicted to
-fire.
+The planner (`_resolve_plan`) fixes one sieve depth B and the wheel
+budget per run from the input.  The space bound is sqrt(n), where
+sieving alone decides primality, while the prime table fits its budget
+and the predicted survivor density stays above LIVE_FLOOR; otherwise it
+is n^(1/3).  The wheel budget is x_top // (space bound) over the x
+range, and B is the first sieve prime at which the predicted density
+reaches LIVE_FLOOR, or the space bound if none does.  Every segment is
+sieved to B.
 
 Tuples containing a prime at or below the cut (B or the largest wheel
 prime) never reach the sieve path (the wheel excludes their residue or
 a sieve prime clears them), so a byte sieve over that boundary window
 of x finds those first.  On the sieve path a segment's survivors come
-out ascending, so one bisect drops those the boundary window owns.
-When the segment's certified depth squared exceeds the largest
-remaining value, sieving alone has proved every survivor a tuple, and
-the count, the found list and the reciprocal sum take the whole
-segment at once; otherwise each survivor goes through the SPRP gate
-and the certified test.  The residue stream
+out ascending, and two bisects split them: those the boundary window
+owns are dropped, those whose largest value is below (B+1)^2 are
+proved tuples by the sieve alone and are accounted in bulk, and the
+rest go through the SPRP gate and the certified test.  The residue stream
 is striped across nu logical workers by enumeration position; workers
 run in lockstep rounds inside one process, which keeps checkpoints
 consistent and the merged output deterministic.  Each stripe keeps its
@@ -36,9 +35,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .apsieve import (
-    EarlyAbort,
     iter_primes,
-    live_fraction,
+    live_fractions,
     make_plan,
     primes_upto,
     sieve_segment,
@@ -77,7 +75,6 @@ class SearchConfig:
     space_exp: float | None = None
     wheel_limit: int | None = None
     excluded_wheel_primes: frozenset = frozenset()
-    early_abort: EarlyAbort | None = None  # None: the planner decides
     checkpoint_interval: float = 900.0
 
 
@@ -95,50 +92,49 @@ class SearchResult:
 # budget for the plan's prime tables: sieving to sqrt(n) lists every
 # prime up to it, so above this the planner falls back to n^(1/3)
 SQRT_BOUND_MAX = 2**24
+# predicted share of live segment bytes at which sieving stops: a prime
+# past it strikes almost nothing, and prime tests cost less
+LIVE_FLOOR = 1 / 4096
+# residues between two progress reports
+PROGRESS_EVERY = 10000
 
 
 def _resolve_plan(cfg: SearchConfig):
-    """The run's sieve plan and the early abort its segments use.
+    """The run's sieve plan: the one depth B its segments are sieved to.
 
-    Depth: B = isqrt(n), where sieving alone decides every survivor, as
-    long as isqrt(n) <= SQRT_BOUND_MAX and a full sieve is predicted to
-    leave more than 1 live byte per `min_live_per` (so it would not
-    abort); otherwise B = 2^floor(log2(n)/3).  The wheel budget is
-    x_top // B, x_top the largest x in range.  Early abort is on exactly
-    when the prediction at the chosen B is at most that density.  The
-    prediction skips the primes the wheel will take, because segment
-    bytes are already wheel-filtered.  The config's sieve_bound,
-    space_exp, wheel_limit and early_abort each override their part.
+    An explicit sieve_bound or space_exp sets B literally.  Otherwise
+    the space bound B_s is isqrt(n), where sieving alone decides every
+    survivor, as long as isqrt(n) <= SQRT_BOUND_MAX and the predicted
+    live fraction over the sieve primes up to it stays above
+    LIVE_FLOOR; else B_s = 2^floor(log2(n)/3).  The wheel budget is
+    x_top // B_s, x_top the largest x in range, unless the config's
+    wheel_limit overrides it.  B is the first sieve prime at which the
+    prediction reaches LIVE_FLOOR, or B_s if none does.  The prediction
+    skips the primes the wheel will take, because segment bytes are
+    already wheel-filtered.
     """
     pattern, n = cfg.pattern, cfg.n
     x_top = min((n - b) // a for a, b in pattern.forms)
-    floor = 1 / (cfg.early_abort or EarlyAbort()).min_live_per
+    if cfg.sieve_bound is not None or cfg.space_exp is not None:
+        return make_plan(n, c=cfg.space_exp, sieve_bound=cfg.sieve_bound,
+                         wheel_limit=cfg.wheel_limit, x_top=x_top)
 
-    def predicted(primes, wheel_limit):
-        skip = set(wheel_primes(wheel_limit, cfg.excluded_wheel_primes))
-        return live_fraction(pattern, (p for p in primes if p not in skip), stop=floor)
+    def depth(bound):
+        """The wheel budget for `bound`, and the first sieve prime up to
+        it where the prediction reaches LIVE_FLOOR (None if none does)."""
+        limit = max(2, x_top // bound) if cfg.wheel_limit is None else cfg.wheel_limit
+        skip = set(wheel_primes(limit, cfg.excluded_wheel_primes))
+        live = live_fractions(pattern, (p for p in iter_primes(bound) if p not in skip))
+        return limit, next((p for p, frac in live if frac <= LIVE_FLOOR), None)
 
-    kw = dict(wheel_limit=cfg.wheel_limit, x_top=x_top)
-    live = None
-    if cfg.sieve_bound is not None:
-        plan = make_plan(n, sieve_bound=cfg.sieve_bound, **kw)
-    elif cfg.space_exp is not None:
-        plan = make_plan(n, c=cfg.space_exp, **kw)
-    else:
-        root = math.isqrt(n)
-        if root <= SQRT_BOUND_MAX:
-            limit = max(2, x_top // root) if cfg.wheel_limit is None else cfg.wheel_limit
-            live = predicted(iter_primes(root), limit)
-        if live is not None and live > floor:
-            plan = make_plan(n, sieve_bound=root, **kw)
-        else:
-            plan = make_plan(n, c=3.0, **kw)
-            live = None
-    if cfg.early_abort is not None:
-        return plan, cfg.early_abort
-    if live is None:
-        live = predicted(plan.primes, plan.wheel_limit)
-    return plan, EarlyAbort(enabled=live <= floor)
+    root = max(2, math.isqrt(n))
+    if root <= SQRT_BOUND_MAX:
+        limit, B = depth(root)
+        if B is None:
+            return make_plan(n, sieve_bound=root, wheel_limit=limit)
+    space = 1 << int(math.log2(n) / 3)
+    limit, B = depth(space)
+    return make_plan(n, sieve_bound=B or space, wheel_limit=limit)
 
 
 def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
@@ -259,14 +255,15 @@ def _read_checkpoint(path, digest, cfg):
 
 
 def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
-                stop_after_residues=None, checkpoint_every_residues=None,
-                table=EMBEDDED_TABLE, progress=None, progress_every=100000) -> SearchResult:
+                stop_after_residues=None, table=EMBEDDED_TABLE,
+                progress=None) -> SearchResult:
     """Run the full search, optionally resuming from a checkpoint file.
 
     on_tuple(x, values) fires in emission order: boundary tuples first,
-    then sieve-path tuples by residue position.  stop_after_residues
-    ends the run early at a round boundary after writing a checkpoint
-    (deterministic stand-in for being killed mid-flight).
+    then sieve-path tuples by residue position.  progress(done) fires
+    every PROGRESS_EVERY residues.  stop_after_residues ends the run
+    early at a round boundary after writing a checkpoint (deterministic
+    stand-in for being killed mid-flight).
     """
     if not admissible(cfg.pattern):
         raise ValueError(f"pattern {format_pattern(cfg.pattern)} is not admissible")
@@ -278,7 +275,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     if cfg.n > WIDE_MAX:
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
 
-    plan, early_abort = _resolve_plan(cfg)
+    plan = _resolve_plan(cfg)
     base_wheel = build_wheel(cfg.pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
     sieve_table = start_table(cfg.pattern, base_wheel.W, plan.sieve_primes(base_wheel.moduli))
     cut = max(plan.B, max(base_wheel.moduli))
@@ -330,15 +327,15 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     forms = pattern.forms
     # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
     x_cut = max((cut - b) // a for a, b in forms)
+    # a value below (B+1)^2 with no prime factor <= B is prime, and every
+    # value of x is below it exactly when x <= x_proved
+    x_proved = max(x_cut, min(((plan.B + 1) ** 2 - 1 - b) // a for a, b in forms))
     # residues handled so far, derived from the live cursors on resume
     processed = sum(
         (st.wheel.position - st.idx) // cfg.nu
         for st in stripes
         if not st.done and st.wheel.position > st.idx
     )
-    next_count_ckpt = None
-    if checkpoint_every_residues is not None:
-        next_count_ckpt = (processed // checkpoint_every_residues + 1) * checkpoint_every_residues
 
     last_checkpoint = time.monotonic()
     interrupted = False
@@ -351,48 +348,37 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                 st.done = True
                 continue
             _advance(st.wheel, cfg.nu - 1)
-            seg = sieve_segment(pattern, r, W, n, sieve_table,
-                                early_abort=early_abort, full_bound=plan.B)
-            depth = seg.sieved_to
-            certified = (depth + 1) * (depth + 1)
-            xs = survivors(seg)
-            del xs[: bisect_right(xs, x_cut)]  # the boundary window owns these
-            if xs and certified > pattern.max_value(xs[-1]):
-                # the sieve alone proved every value prime: account in bulk
-                st.count += len(xs)
-                st.recip.add_group(a * x + b for a, b in forms for x in xs)
-                found.extend(xs)
+            xs = survivors(sieve_segment(pattern, r, W, n, sieve_table))
+            # the boundary window owns those up to x_cut
+            lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
+            proved = xs[lo:hi]
+            st.count += len(proved)
+            st.recip.add_group(a * x + b for a, b in forms for x in proved)
+            found.extend(proved)
+            if on_tuple:
+                for x in proved:
+                    on_tuple(x, pattern.evaluate(x))
+            for x in xs[hi:]:
+                vals = pattern.evaluate(x)
+                # cheap probable-prime gates first, then certified tests
+                if not all(sprp_base2(v) for v in vals):
+                    continue
+                if not all(is_prime(v, plan.B, table) for v in vals):
+                    continue
+                st.count += 1
+                st.recip.add_group(vals)
+                found.append(x)
                 if on_tuple:
-                    for x in xs:
-                        on_tuple(x, pattern.evaluate(x))
-            else:
-                for x in xs:
-                    vals = pattern.evaluate(x)
-                    if certified <= max(vals):
-                        # cheap probable-prime gates first, then certified tests
-                        if not all(sprp_base2(v) for v in vals):
-                            continue
-                        if not all(is_prime(v, depth, table) for v in vals):
-                            continue
-                    st.count += 1
-                    st.recip.add_group(vals)
-                    found.append(x)
-                    if on_tuple:
-                        on_tuple(x, vals)
+                    on_tuple(x, vals)
             processed += 1
-            if progress and processed % progress_every == 0:
+            if progress and processed % PROGRESS_EVERY == 0:
                 progress(processed)
         # round boundary: every live stripe is aligned here
         if checkpoint_path is not None:
-            due = next_count_ckpt is not None and processed >= next_count_ckpt
             now = time.monotonic()
-            if due or now - last_checkpoint >= cfg.checkpoint_interval:
+            if now - last_checkpoint >= cfg.checkpoint_interval:
                 _write_checkpoint(checkpoint_path, digest, cfg, stripes)
                 last_checkpoint = now
-                if due:
-                    next_count_ckpt = (
-                        processed // checkpoint_every_residues + 1
-                    ) * checkpoint_every_residues
         if stop_after_residues is not None and processed >= stop_after_residues:
             if not all(st.done for st in stripes):
                 if checkpoint_path is not None:
@@ -455,7 +441,7 @@ def smallest_chain(kind: str, length: int, cap: int, table=EMBEDDED_TABLE, *,
     while searched < cap:
         x_hi = min(x_hi, cap)
         window = SearchConfig(pattern=pattern, n=pattern.max_value(x_hi), **cfg)
-        res = run_striped(window, table=table, progress=progress, progress_every=10000)
+        res = run_striped(window, table=table, progress=progress)
         x = next((x for x in res.xs if _chain_complete(kind, length, x, table)), None)
         if x is not None:
             if on_tuple:

@@ -4,10 +4,9 @@ import math
 import pytest
 
 from tuplesieve.apsieve import (
-    EarlyAbort,
     PlanError,
     iter_primes,
-    live_fraction,
+    live_fractions,
     make_plan,
     next_prime,
     primes_upto,
@@ -76,16 +75,20 @@ def test_plan_errors():
     (make_pattern(CORPUS["chernick"]), (5, 7, 11)),
 ])
 def test_live_fraction_counts_surviving_residues(pattern, primes):
-    m = math.prod(primes)
-    live = sum(
-        all((a * x + b) % p for p in primes for a, b in pattern.forms) for x in range(m)
-    )
-    assert live_fraction(pattern, primes) == pytest.approx(live / m, rel=1e-12)
+    for k in range(1, len(primes) + 1):
+        m = math.prod(primes[:k])
+        live = sum(
+            all((a * x + b) % p for p in primes[:k] for a, b in pattern.forms)
+            for x in range(m)
+        )
+        p, frac = list(live_fractions(pattern, primes))[k - 1]
+        assert p == primes[k - 1]
+        assert frac == pytest.approx(live / m, rel=1e-12)
 
 
 def test_live_fraction_stops_at_floor():
     primes = iter([7, 11, 13])
-    assert live_fraction(QUAD, primes, stop=0.5) == 1 - 4 / 7
+    assert next(p for p, frac in live_fractions(QUAD, primes) if frac <= 0.5) == 7
     assert next(primes) == 11  # nothing past the prime that reached the floor was read
 
 
@@ -101,7 +104,7 @@ def test_worked_example_segment():
     seg = sieve_segment(QUAD, 11, 210, 5050, start_table(QUAD, 210, [11, 13, 17, 19]))
     assert seg.j_max == 23
     assert survivors(seg) == [851, 1481, 3161]
-    assert seg.sieved_to == 19
+    assert seg.applied == 4
     assert not seg.aborted
 
 
@@ -181,27 +184,6 @@ def test_sqrt_sieve_leaves_exactly_primes(table_1e6):
     assert got == expect
 
 
-def test_early_abort_fires_and_stays_sound():
-    primes = [p for p in primes_upto(1000) if p > 7]
-    table = start_table(QUAD, 210, primes)
-    eager = EarlyAbort(enabled=True, min_live_per=1, check_every=1)
-    seg = sieve_segment(QUAD, 11, 210, 10**6, table, early_abort=eager)
-    assert seg.aborted
-    assert seg.applied == 1
-    assert seg.sieved_to == primes[1] - 1
-    full = sieve_segment(QUAD, 11, 210, 10**6, table)
-    assert set(survivors(seg)) >= set(survivors(full))
-    assert full.sieved_to == max(primes)
-
-
-def test_abort_never_loses_candidates():
-    table = start_table(QUAD, 210, [p for p in primes_upto(500) if p > 7])
-    modest = EarlyAbort(enabled=True, min_live_per=64, check_every=8)
-    full = sieve_segment(QUAD, 11, 210, 2 * 10**5, table)
-    part = sieve_segment(QUAD, 11, 210, 2 * 10**5, table, early_abort=modest)
-    assert set(survivors(part)) >= set(survivors(full))
-
-
 def _struck_by(pattern, r, W, length, primes):
     """Brute force: the j < length where some p in primes with p not
     dividing a divides a*(r + j*W) + b."""
@@ -216,10 +198,9 @@ def _struck_by(pattern, r, W, length, primes):
 
 CHERNICK = make_pattern(CORPUS["chernick"])
 SECOND_5 = chain_pattern("second", 5)
-EAGER = EarlyAbort(enabled=True, min_live_per=8, check_every=4)
 
 
-@pytest.mark.parametrize("pattern, r, W, n, primes, abort", [
+@pytest.mark.parametrize("pattern, r, W, n, primes, floor", [
     # 2 and 3 divide every multiplier: their rows strike nothing
     (CHERNICK, 4, 5 * 7 * 11, 10**5, [2, 3, 13, 17, 19, 23, 29], None),
     (CHERNICK, 0, 5 * 7 * 11, 10**5, [3, 13, 17, 19], None),
@@ -228,22 +209,20 @@ EAGER = EarlyAbort(enabled=True, min_live_per=8, check_every=4)
     (QUAD, 0, 210, 10**5, [11, 13, 17, 19, 23], None),
     # 24 candidates: every prime from 29 on is longer than the segment
     (QUAD, 11, 210, 5050, primes_upto(100)[4:], None),
-    (QUAD, 11, 210, 10**6, primes_upto(400)[4:], EAGER),
-    (SECOND_5, 1, 30, 10**6, primes_upto(400)[3:], EAGER),
+    # a table cut, as the planner cuts it, where the prediction reaches floor
+    (QUAD, 11, 210, 10**6, primes_upto(400)[4:], 1 / 8),
+    (SECOND_5, 1, 30, 10**6, primes_upto(400)[3:], 1 / 8),
 ])
-def test_strike_set_matches_brute_force(pattern, r, W, n, primes, abort):
-    seg = sieve_segment(pattern, r, W, n, start_table(pattern, W, primes), early_abort=abort)
+def test_strike_set_matches_brute_force(pattern, r, W, n, primes, floor):
+    if floor is not None:
+        depth = next(p for p, frac in live_fractions(pattern, primes) if frac <= floor)
+        assert depth < primes[-1]
+        primes = primes[: primes.index(depth) + 1]
+    seg = sieve_segment(pattern, r, W, n, start_table(pattern, W, primes))
     length = segment_length(pattern, r, W, n)
-    applied = primes[: seg.applied]
-    struck = _struck_by(pattern, r, W, length, applied)
+    struck = _struck_by(pattern, r, W, length, primes)
     assert [j for j in range(length) if not seg.bits[j]] == sorted(struck)
-    if abort is None:
-        assert not seg.aborted and applied == primes
-        assert seg.sieved_to == max(primes)
-    else:
-        assert seg.aborted and 0 < seg.applied < len(primes)
-        assert seg.sieved_to == primes[seg.applied] - 1
-        assert seg.live_count() <= length // abort.min_live_per
+    assert seg.applied == len(primes) and not seg.aborted
 
 
 def test_start_table_rows():

@@ -1,6 +1,5 @@
 import pytest
 
-from tuplesieve.apsieve import EarlyAbort
 from tuplesieve.cli import _config_kw, build_parser, main
 from tuplesieve.primality import load_table
 
@@ -144,11 +143,33 @@ def test_workers_flag_same_output(capsys):
     assert out1 == out4
 
 
-def test_early_abort_left_to_planner():
+def test_early_abort_left_to_planner(capsys):
+    # where sieving stops is the planner's call unless a bound is given
     argv = ["search", "--pattern", "x,x+2", "--n", "100"]
-    assert _config_kw(build_parser().parse_args(argv))["early_abort"] is None
-    kw = _config_kw(build_parser().parse_args(argv + ["--no-early-abort"]))
-    assert kw["early_abort"] == EarlyAbort(enabled=False)
+    kw = _config_kw(build_parser().parse_args(argv))
+    assert set(kw) == {"nu", "sieve_bound", "space_exp", "wheel_limit",
+                       "excluded_wheel_primes"}
+    assert (kw["sieve_bound"], kw["space_exp"]) == (None, None)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-early-abort"])
+    assert exc.value.code == 2
+
+
+def test_search_bound_3(capsys):
+    rc, out, err = run_cli(capsys, "search", "--pattern", "x", "--n", "3")
+    assert (rc, out, err) == (0, "2 2\n3 3\ncount=2\n", "")
+    rc, out, _ = run_cli(capsys, "search", "--pattern", "x,x+2", "--n", "3")
+    assert (rc, out) == (0, "count=0\n")
+
+
+def test_chains_progress_on_stderr(capsys):
+    # wheel 2*3*...*17 leaves 22275 residues for x, 2x+1
+    rc, out, err = run_cli(
+        capsys, "chains", "--kind", "first", "--length", "2", "--cap", "100000",
+        "--sieve-bound", "20", "--wheel-limit", "510510", "--progress",
+    )
+    assert rc == 0 and out.splitlines()[-1] == "count=1171"
+    assert err == "progress: 10000 residues\nprogress: 20000 residues\n"
 
 
 def test_wheel_limit_help_names_x_range_budget(capsys):

@@ -5,10 +5,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tuplesieve.search as search_mod
-from tuplesieve.apps import quads
-from tuplesieve.apsieve import EarlyAbort
+from tuplesieve.apps import quads, search
+from tuplesieve.apsieve import live_fractions, primes_upto
 from tuplesieve.arith import WIDE_MAX
-from tuplesieve.pattern import admissible, chain_pattern, make_pattern
+from tuplesieve.pattern import admissible, chain_pattern, make_pattern, parse_pattern
 from tuplesieve.wheel import build_wheel
 from tuplesieve.search import (
     CheckpointError,
@@ -78,6 +78,25 @@ def test_inadmissible_rejected_before_work():
     bad = make_pattern([(1, 0), (1, 1)])
     with pytest.raises(ValueError, match="admissible"):
         run_striped(SearchConfig(pattern=bad, n=1000))
+
+
+@pytest.mark.parametrize("text,want", [("x", [2, 3]), ("x+1", [1, 2]), ("x,x+2", [])])
+def test_bound_at_most_3_is_planned(text, want, table_1e5):
+    # every value is 2 or 3, so the boundary window holds the whole answer
+    pattern = parse_pattern(text)
+    for n in range(pattern.max_value(1), 4):
+        res = run_striped(SearchConfig(pattern=pattern, n=n))
+        assert res.xs == naive_pattern_xs(pattern.forms, n, table_1e5)
+    assert res.xs == want
+    assert res.count == len(want)
+
+
+def test_progress_every_10000_residues():
+    # wheel 2*3*...*17 leaves 22275 twin residues
+    seen = []
+    res = search(TWIN, 10**5, wheel_limit=510510, sieve_bound=20, progress=seen.append)
+    assert seen == [10000, 20000]
+    assert res.count == 1224
 
 
 def test_bound_below_pattern_start_rejected():
@@ -248,28 +267,25 @@ def test_tiny_n_boundary_only():
     assert (res.boundary_count, sum(res.stripe_counts)) == (1, 1)
 
 
-def test_early_abort_output_invariant(table_1e6):
-    pattern = chain_pattern("first", 5)
-    n = 5 * 10**5
-    eager = EarlyAbort(enabled=True, min_live_per=16, check_every=4)
-    off = EarlyAbort(enabled=False)
-    a = find_pattern_primes(SearchConfig(pattern=pattern, n=n, early_abort=eager))
-    b = find_pattern_primes(SearchConfig(pattern=pattern, n=n, early_abort=off))
-    assert a == b == naive_pattern_xs(pattern.forms, n, table_1e6)
-
-
 def test_boundary_cut_inside_a_segment(table_1e5):
-    # W = 6 leaves one twin residue, 5, and its segment runs through
-    # cut = B = 101.  Sieving stops after the prime 5, which divides
-    # neither 101 nor 103, so only the cut at x <= 101 keeps the
-    # boundary scan's (101, 103) from being counted a second time.
-    eager = EarlyAbort(min_live_per=1, check_every=1)
-    cfg = SearchConfig(pattern=TWIN, n=10**4, sieve_bound=101, wheel_limit=6,
-                       early_abort=eager)
-    res = run_striped(cfg)
-    assert 101 in res.xs
-    assert res.xs == naive_pattern_xs(CORPUS["twin"], 10**4, table_1e5)
-    assert res.count == len(res.xs)
+    # x,2x-1 is 1, 1 at x = 1: no prime divides 1, so x = 1 survives the
+    # sieve in the segment of residue 1 mod W, and only the cut at
+    # x <= x_cut keeps it out of the count
+    pattern = parse_pattern("x,2x-1")
+    want = naive_pattern_xs(pattern.forms, 1000, table_1e5)
+    assert len(want) == 21
+    for plan in ({}, {"sieve_bound": 31, "wheel_limit": 6}):
+        res = run_striped(SearchConfig(pattern=pattern, n=1000, **plan))
+        assert res.xs == want
+        assert res.count == len(want)
+    # with 5 kept out of the wheel and B = 3, nothing strikes x = 5 of
+    # x,6x+1 (values 5 and 31), whose largest value is past (B+1)^2:
+    # the boundary window owns it all the same
+    pattern = parse_pattern("x,6x+1")
+    res = run_striped(SearchConfig(pattern=pattern, n=1000, sieve_bound=3, wheel_limit=42,
+                                   excluded_wheel_primes=frozenset({5})))
+    assert res.xs == naive_pattern_xs(pattern.forms, 1000, table_1e5)
+    assert res.count == len(res.xs) and 5 in res.xs
 
 
 _PATTERN = st.lists(_FORM, min_size=1, max_size=4, unique=True).map(make_pattern).filter(admissible)
@@ -279,25 +295,16 @@ _SIEVE = st.one_of(
     st.builds(lambda b: {"sieve_bound": b}, st.integers(2, 40)),
     st.just({"space_exp": 2.5}),
 )
-_ABORT = st.sampled_from([
-    None,                                           # the planner's choice
-    EarlyAbort(enabled=False),
-    EarlyAbort(),
-    EarlyAbort(min_live_per=4, check_every=1),      # fires on most segments
-])
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(pattern=_PATTERN, n=st.integers(100, 3 * 10**4), sieve=_SIEVE,
-       wheel_limit=st.sampled_from([None, 2, 6, 30, 210]), nu=st.integers(1, 3),
-       early_abort=_ABORT)
-def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_limit,
-                                         nu, early_abort):
+       wheel_limit=st.sampled_from([None, 2, 6, 30, 210]), nu=st.integers(1, 3))
+def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_limit, nu):
     if sieve == "sqrt":
         sieve = {"sieve_bound": math.isqrt(n)}
-    cfg = SearchConfig(pattern=pattern, n=n, nu=nu, wheel_limit=wheel_limit,
-                       early_abort=early_abort, **sieve)
+    cfg = SearchConfig(pattern=pattern, n=n, nu=nu, wheel_limit=wheel_limit, **sieve)
     seen = []
     res = run_striped(cfg, on_tuple=lambda x, vals: seen.append((x, vals)))
     want = naive_pattern_xs(pattern.forms, n, table_1e5)
@@ -309,27 +316,51 @@ def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_lim
 
 def test_plan_sqrt_for_twins_and_quads_at_1e8():
     for pattern in (TWIN, QUAD):
-        plan, abort = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=10**8))
-        assert (plan.B, plan.c, abort.enabled) == (10**4, None, False)
+        plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=10**8))
+        assert (plan.B, plan.wheel_limit) == (10**4, 9999)
         assert len(plan.primes) == 1229
 
 
-def test_plan_chain_window_c3_with_abort(monkeypatch):
+def _planned_depth(pattern, bound, wheel_limit):
+    """First prime <= bound, wheel primes left out, where the predicted
+    live fraction is at most LIVE_FLOOR."""
+    moduli = build_wheel(pattern, wheel_limit).moduli
+    primes = [p for p in primes_upto(bound) if p not in moduli]
+    return next(p for p, frac in live_fractions(pattern, primes)
+                if frac <= search_mod.LIVE_FLOOR)
+
+
+def test_plan_chain_window_depth_cut(monkeypatch):
     plans = []
     resolve = search_mod._resolve_plan
 
     def record(cfg):
-        plan, abort = resolve(cfg)
-        plans.append((cfg, plan, abort))
-        return plan, abort
+        plan = resolve(cfg)
+        plans.append((cfg, plan))
+        return plan
 
     monkeypatch.setattr(search_mod, "_resolve_plan", record)
     assert smallest_chain("first", 9, 10**9) == 85864769
-    cfg, plan, abort = plans[-1]  # the largest window
+    cfg, plan = plans[-1]  # the largest window
     x_top = min((cfg.n - b) // a for a, b in cfg.pattern.forms)
     assert x_top == 2**29
-    assert (plan.c, plan.B, abort.enabled) == (3.0, 2**12, True)
-    assert build_wheel(cfg.pattern, plan.wheel_limit).W <= plan.wheel_limit == x_top // plan.B
+    # the wheel is budgeted by the space bound n^(1/3), not by the cut depth
+    assert build_wheel(cfg.pattern, plan.wheel_limit).W <= plan.wheel_limit == x_top // 2**12
+    assert plan.B == _planned_depth(cfg.pattern, 2**12, plan.wheel_limit) == 1033
+    assert plan.primes == tuple(primes_upto(1033))
+
+
+def test_plan_length_15_chain_lists_few_primes(monkeypatch):
+    import tuplesieve.apsieve as apsieve
+
+    asked = []
+    listed = apsieve.primes_upto
+    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
+    chain = chain_pattern("first", 15)
+    plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=chain.max_value(10**20)))
+    assert max(asked) <= 2**12
+    assert len(plan.primes) < 200
+    assert plan.B == _planned_depth(chain, 2**12, plan.wheel_limit)
 
 
 def test_plan_quads_1e17_within_table_budget(monkeypatch):
@@ -338,37 +369,22 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
     asked = []
     listed = apsieve.primes_upto
     monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
-    plan, _ = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
-    assert (plan.B, plan.c) == (2**18, 3.0)
+    plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
+    # past the wheel, no prime up to 2^18 brings the prediction to the floor
+    assert plan.B == 2**18
     assert max(asked) <= 2**24
 
 
 def test_plan_explicit_overrides_win():
     plan_of = search_mod._resolve_plan
     chain = chain_pattern("first", 9)
-    n = chain.max_value(2**20)  # the default plan is c=3 with abort on
-    assert plan_of(SearchConfig(pattern=chain, n=n, sieve_bound=math.isqrt(n)))[0].B == math.isqrt(n)
-    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, space_exp=3.0))[0].B == 2**8
-    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, wheel_limit=30))[0].wheel_limit == 30
-    off = EarlyAbort(enabled=False)
-    assert plan_of(SearchConfig(pattern=chain, n=n, early_abort=off))[1] is off
-    on = EarlyAbort()
-    assert plan_of(SearchConfig(pattern=TWIN, n=10**8, early_abort=on))[1] is on
-
-
-@pytest.mark.parametrize("early_abort,want", [(None, {True}), (EarlyAbort(enabled=False), {False})])
-def test_planned_abort_reaches_every_segment(monkeypatch, early_abort, want):
-    seen = set()
-    sieve = search_mod.sieve_segment
-
-    def record(*args, early_abort, **kw):
-        seen.add(early_abort.enabled)
-        return sieve(*args, early_abort=early_abort, **kw)
-
-    monkeypatch.setattr(search_mod, "sieve_segment", record)
-    chain = chain_pattern("first", 9)
-    run_striped(SearchConfig(pattern=chain, n=chain.max_value(2**20), early_abort=early_abort))
-    assert seen == want
+    n = chain.max_value(2**20)  # the default plan cuts the sieve short of n^(1/3)
+    assert plan_of(SearchConfig(pattern=chain, n=n)).B < 1 << int(math.log2(n) / 3)
+    # explicit bounds are taken literally
+    assert plan_of(SearchConfig(pattern=chain, n=n, sieve_bound=math.isqrt(n))).B == math.isqrt(n)
+    assert plan_of(SearchConfig(pattern=chain, n=n, space_exp=3.0)).B == 1 << int(math.log2(n) / 3)
+    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, space_exp=3.0)).B == 2**8
+    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, wheel_limit=30)).wheel_limit == 30
 
 
 def test_excluded_wheel_prime_same_output():
