@@ -6,7 +6,7 @@ p < X on the smaller element, quadruplets count tuples whose largest
 member is below X.  `search`, `twins`, `quads` and `chain_search` take
 the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel_limit,
 excluded_wheel_primes, checkpoint_interval) and the run
-options (table, checkpoint_path, on_tuple, progress) as keywords.
+options (checkpoint_path, on_tuple, progress) as keywords.
 `smallest_chain` takes the same, except checkpoint_path: it runs one
 search per window of the bound.  It is defined in `search.py`, the
 module the chain-hunt benchmark entry names.
@@ -15,7 +15,6 @@ module the chain-hunt benchmark entry names.
 from dataclasses import dataclass
 
 from .pattern import chain_pattern, make_pattern
-from .primality import EMBEDDED_TABLE
 from .search import SearchConfig, SearchResult, run_striped, smallest_chain
 
 __all__ = [
@@ -40,15 +39,15 @@ class TupleCensus:
     recip_sum: float
 
 
-def search(pattern, n: int, *, table=EMBEDDED_TABLE, checkpoint_path=None,
-           on_tuple=None, progress=None, **cfg) -> SearchResult:
+def search(pattern, n: int, *, checkpoint_path=None, on_tuple=None, progress=None,
+           **cfg) -> SearchResult:
     """Every x with all forms of `pattern` prime and max_i f_i(x) <= n.
 
     `cfg` holds the `SearchConfig` fields; on_tuple(x, values) fires in
     discovery order and progress(done) every `search.PROGRESS_EVERY`
     residues.
     """
-    return run_striped(SearchConfig(pattern=pattern, n=n, **cfg), table=table,
+    return run_striped(SearchConfig(pattern=pattern, n=n, **cfg),
                        checkpoint_path=checkpoint_path, on_tuple=on_tuple,
                        progress=progress)
 

@@ -35,7 +35,6 @@ __all__ = [
     "survivors",
     "primes_upto",
     "iter_primes",
-    "next_prime",
     "live_fractions",
 ]
 
@@ -68,14 +67,6 @@ def iter_primes(limit: int):
         ps = primes_upto(hi)
         yield from ps[bisect_right(ps, lo):]
         lo, hi = hi, 4 * hi
-
-
-def next_prime(p: int) -> int:
-    """Least prime > p, by trial division."""
-    c = max(p + 1, 2)
-    while any(c % q == 0 for q in range(2, math.isqrt(c) + 1)):
-        c += 1
-    return c
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .apsieve import next_prime, primes_upto
+from .apsieve import iter_primes, primes_upto
 from .arith import check_wide, powmod
 
 __all__ = [
@@ -208,7 +208,9 @@ def compute_pseudosquares(limit: int) -> PseudosquareTable:
     pseudosquare equals that value, so lookups select minimal base sets.
     """
     entries = []
-    odd_primes = [3]
+    # the first failing q divides M or is a non-residue, so q <= M <= limit
+    more_primes = (q for q in iter_primes(limit) if q > 2)
+    odd_primes = []
     wanted = 3  # least prime level with no pseudosquare recorded yet
     M = 9
     while M <= limit:
@@ -218,7 +220,7 @@ def compute_pseudosquares(limit: int) -> PseudosquareTable:
             i = 0
             while True:
                 if i == len(odd_primes):
-                    odd_primes.append(next_prime(odd_primes[-1]))
+                    odd_primes.append(next(more_primes))
                 q = odd_primes[i]
                 if not _legendre_is_qr(M, q):
                     first_fail = q

@@ -17,13 +17,14 @@ of x finds those first.  On the sieve path a segment's survivors come
 out ascending, and two bisects split them: those the boundary window
 owns are dropped, those whose largest value is below (B+1)^2 are
 proved tuples by the sieve alone and are accounted in bulk, and the
-rest go through the SPRP gate and the certified test.  The residue stream
-is striped across nu logical workers by enumeration position; workers
-run in lockstep rounds inside one process, which keeps checkpoints
-consistent and the merged output deterministic.  Each stripe keeps its
-reciprocal sum as one exact integer (see kahan.py), so the reported
-sum is the correctly rounded total whatever the worker count or resume
-point, and a checkpoint stores that integer as it is.
+rest go through the SPRP gate and the certified test.  One walk over
+the wheel's positions visits every residue once, in position order and
+in one process; the residue at position p is accounted to stripe
+p mod nu of nu logical workers.  The sieve path keeps its reciprocal
+sum as one exact integer (see kahan.py), so the reported sum is the
+correctly rounded total whatever the worker count or resume point.  A
+checkpoint stores the walk's position, the stripe counts and that
+integer.
 """
 
 import hashlib
@@ -46,8 +47,8 @@ from .apsieve import (
 from .arith import WIDE_MAX
 from .kahan import KahanBuckets
 from .pattern import Pattern, admissible, chain_pattern, format_pattern
-from .primality import EMBEDDED_TABLE, is_prime, sprp_base2
-from .wheel import WheelError, build_wheel, wheel_primes
+from .primality import is_prime, sprp_base2
+from .wheel import build_wheel, wheel_primes
 
 __all__ = [
     "SearchConfig",
@@ -59,7 +60,7 @@ __all__ = [
     "smallest_chain",
 ]
 
-CHECKPOINT_MAGIC = "TSCKPT v2"
+CHECKPOINT_MAGIC = "TSCKPT v3"
 
 
 class CheckpointError(RuntimeError):
@@ -167,25 +168,10 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
     return list(compress(range(x0, x1 + 1), live))
 
 
-@dataclass
-class _Stripe:
-    idx: int
-    wheel: object
-    recip: KahanBuckets
-    count: int = 0
-    done: bool = False
-
-
-def _advance(wheel, steps):
-    for _ in range(steps):
-        if wheel.next_residue() is None:
-            break
-
-
 def _config_digest(cfg: SearchConfig, plan) -> str:
     blob = "|".join(
         [
-            "tsckpt2",
+            "tsckpt3",
             format_pattern(cfg.pattern),
             f"n={cfg.n}",
             f"B={plan.B}",
@@ -197,234 +183,181 @@ def _config_digest(cfg: SearchConfig, plan) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_checkpoint(path, digest, cfg, stripes):
-    lines = [CHECKPOINT_MAGIC, f"digest {digest}", f"nu {cfg.nu}"]
-    for st in stripes:
-        parts = [f"stripe: idx={st.idx}", f"done={int(st.done)}", f"count={st.count}"]
-        if not st.done:
-            parts.append("cursor=" + ",".join(map(str, st.wheel.cursor())))
-        parts.append(f"sum={st.recip.units}")
-        lines.append(" ".join(parts))
+def _write_checkpoint(path, digest, position, counts, recip):
+    lines = [
+        CHECKPOINT_MAGIC,
+        f"digest {digest}",
+        f"position {position}",
+        "counts " + ",".join(map(str, counts)),
+        f"sum {recip.units}",
+    ]
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
         f.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, digest, cfg):
+def _read_checkpoint(path, digest, nu, last):
+    """The saved (position, stripe counts, sieve-path sum units); the
+    position lies in [0, last], last meaning the walk is done."""
     try:
         with open(path) as f:
-            lines = [ln.rstrip("\n") for ln in f]
-    except OSError as e:
+            lines = f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
         raise CheckpointError(f"cannot read checkpoint: {e}") from None
+    if lines[0] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad checkpoint header {lines[0]!r}")
     try:
-        if lines[0] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint header {lines[0]!r}")
-        saved_digest = lines[1].split()[1]
-        if saved_digest != digest:
+        fields = dict(ln.split(" ", 1) for ln in lines[1:] if ln)
+        if sorted(fields) != ["counts", "digest", "position", "sum"]:
+            raise ValueError(f"fields {sorted(fields)}")
+        if fields["digest"] != digest:
             raise CheckpointError(
                 "checkpoint digest mismatch: file belongs to a different "
                 "configuration; refusing to restore"
             )
-        nu = int(lines[2].split()[1])
-        if nu != cfg.nu:
-            raise CheckpointError("checkpoint stripe layout differs from config")
-        records = []
-        for ln in lines[3:]:
-            if not ln.strip():
-                continue
-            if not ln.startswith("stripe:"):
-                raise CheckpointError(f"unexpected checkpoint line {ln!r}")
-            fields = dict(p.split("=", 1) for p in ln[len("stripe:") :].split())
-            rec = {
-                "idx": int(fields["idx"]),
-                "done": bool(int(fields["done"])),
-                "count": int(fields["count"]),
-                "sum": int(fields["sum"]),
-            }
-            if not rec["done"]:
-                rec["cursor"] = [int(c) for c in fields["cursor"].split(",")]
-            records.append(rec)
-        if sorted(r["idx"] for r in records) != list(range(nu)):
-            raise CheckpointError("checkpoint does not cover every stripe")
-    except CheckpointError:
-        raise
-    except Exception as e:
+        counts = [int(c) for c in fields["counts"].split(",")]
+        if len(counts) != nu:
+            raise ValueError(f"{len(counts)} stripe counts for {nu} stripes")
+        position = int(fields["position"])
+        if not 0 <= position <= last:
+            raise ValueError(f"position {position} not in [0, {last}]")
+        return position, counts, int(fields["sum"])
+    except ValueError as e:
         raise CheckpointError(f"corrupt checkpoint file: {e}") from None
-    return records
 
 
 def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
-                stop_after_residues=None, table=EMBEDDED_TABLE,
-                progress=None) -> SearchResult:
+                stop_after_residues=None, progress=None) -> SearchResult:
     """Run the full search, optionally resuming from a checkpoint file.
 
     on_tuple(x, values) fires in emission order: boundary tuples first,
     then sieve-path tuples by residue position.  progress(done) fires
     every PROGRESS_EVERY residues.  stop_after_residues ends the run
-    early at a round boundary after writing a checkpoint (deterministic
-    stand-in for being killed mid-flight).
+    once the walk has passed that many residues, after writing a
+    checkpoint (deterministic stand-in for being killed mid-flight).
     """
     if not admissible(cfg.pattern):
         raise ValueError(f"pattern {format_pattern(cfg.pattern)} is not admissible")
-    if cfg.n < cfg.pattern.max_value(1):
-        raise ValueError(f"bound n={cfg.n} below the pattern's smallest values")
     if cfg.nu < 1:
         raise ValueError("worker count must be >= 1")
     # every sieve-path value v has cut < v <= n, so this bounds them all
     if cfg.n > WIDE_MAX:
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
+    pattern, n, nu = cfg.pattern, cfg.n, cfg.nu
+    forms = pattern.forms
+    if min((n - b) // a for a, b in forms) < pattern.min_x():
+        # no x has every value in [2, n], so nothing can be prime
+        return SearchResult(xs=[], count=0, recip_sum=0.0, stripe_counts=[0] * nu,
+                            boundary_count=0, completed=True)
 
     plan = _resolve_plan(cfg)
-    base_wheel = build_wheel(cfg.pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
-    sieve_table = start_table(cfg.pattern, base_wheel.W, plan.sieve_primes(base_wheel.moduli))
-    cut = max(plan.B, max(base_wheel.moduli))
+    wheel = build_wheel(pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
+    sieve_table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
+    cut = max(plan.B, max(wheel.moduli))
     digest = _config_digest(cfg, plan)
 
     # tuples containing a prime <= cut are found by the boundary window
-    boundary = boundary_tuples(cfg.pattern, cut, cfg.n)
+    boundary = boundary_tuples(pattern, cut, n)
     total = KahanBuckets()
     found = []
     for x in boundary:
-        vals = cfg.pattern.evaluate(x)
+        vals = pattern.evaluate(x)
         total.add_group(vals)
         found.append(x)
         if on_tuple:
             on_tuple(x, vals)
 
-    stripes = []
-    resumed = False
-    if checkpoint_path is not None:
-        if os.path.exists(checkpoint_path):
-            records = _read_checkpoint(checkpoint_path, digest, cfg)
-            resumed = True
-            for rec in sorted(records, key=lambda r: r["idx"]):
-                w = base_wheel.copy()
-                if rec["done"]:
-                    w.exhausted = True
-                else:
-                    try:
-                        w.seek(rec["cursor"])
-                    except WheelError as e:
-                        raise CheckpointError(
-                            f"corrupt checkpoint file: stripe {rec['idx']}: {e}"
-                        ) from None
-                    if w.position % cfg.nu != rec["idx"]:
-                        raise CheckpointError(
-                            f"stripe {rec['idx']} cursor lands on position "
-                            f"{w.position}, wrong stripe"
-                        )
-                stripes.append(_Stripe(rec["idx"], w, KahanBuckets(rec["sum"]),
-                                       count=rec["count"], done=rec["done"]))
-    if not stripes:
-        for idx in range(cfg.nu):
-            w = base_wheel.copy()
-            w.reset()
-            _advance(w, idx)
-            stripes.append(_Stripe(idx, w, KahanBuckets()))
+    W, last = wheel.W, wheel.residue_count()
+    counts = [0] * nu
+    recip = KahanBuckets()  # the sieve path's sum, which a checkpoint holds
+    resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
+    if resumed:
+        position, counts, units = _read_checkpoint(checkpoint_path, digest, nu, last)
+        wheel.seek(position)
+        recip = KahanBuckets(units)
 
-    pattern, n, W = cfg.pattern, cfg.n, base_wheel.W
-    forms = pattern.forms
     # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
     x_cut = max((cut - b) // a for a, b in forms)
     # a value below (B+1)^2 with no prime factor <= B is prime, and every
     # value of x is below it exactly when x <= x_proved
     x_proved = max(x_cut, min(((plan.B + 1) ** 2 - 1 - b) // a for a, b in forms))
-    # residues handled so far, derived from the live cursors on resume
-    processed = sum(
-        (st.wheel.position - st.idx) // cfg.nu
-        for st in stripes
-        if not st.done and st.wheel.position > st.idx
-    )
 
     last_checkpoint = time.monotonic()
-    interrupted = False
-    while not all(st.done for st in stripes):
-        for st in stripes:
-            if st.done:
+    completed = True
+    while (r := wheel.next_residue()) is not None:
+        done = wheel.position
+        stripe = (done - 1) % nu
+        xs = survivors(sieve_segment(pattern, r, W, n, sieve_table))
+        # the boundary window owns those up to x_cut
+        lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
+        proved = xs[lo:hi]
+        counts[stripe] += len(proved)
+        recip.add_group(a * x + b for a, b in forms for x in proved)
+        found.extend(proved)
+        if on_tuple:
+            for x in proved:
+                on_tuple(x, pattern.evaluate(x))
+        for x in xs[hi:]:
+            vals = pattern.evaluate(x)
+            # cheap probable-prime gates first, then certified tests
+            if not all(sprp_base2(v) for v in vals):
                 continue
-            r = st.wheel.next_residue()
-            if r is None:
-                st.done = True
+            if not all(is_prime(v, plan.B) for v in vals):
                 continue
-            _advance(st.wheel, cfg.nu - 1)
-            xs = survivors(sieve_segment(pattern, r, W, n, sieve_table))
-            # the boundary window owns those up to x_cut
-            lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
-            proved = xs[lo:hi]
-            st.count += len(proved)
-            st.recip.add_group(a * x + b for a, b in forms for x in proved)
-            found.extend(proved)
+            counts[stripe] += 1
+            recip.add_group(vals)
+            found.append(x)
             if on_tuple:
-                for x in proved:
-                    on_tuple(x, pattern.evaluate(x))
-            for x in xs[hi:]:
-                vals = pattern.evaluate(x)
-                # cheap probable-prime gates first, then certified tests
-                if not all(sprp_base2(v) for v in vals):
-                    continue
-                if not all(is_prime(v, plan.B, table) for v in vals):
-                    continue
-                st.count += 1
-                st.recip.add_group(vals)
-                found.append(x)
-                if on_tuple:
-                    on_tuple(x, vals)
-            processed += 1
-            if progress and processed % PROGRESS_EVERY == 0:
-                progress(processed)
-        # round boundary: every live stripe is aligned here
+                on_tuple(x, vals)
+        if progress and done % PROGRESS_EVERY == 0:
+            progress(done)
+        if stop_after_residues is not None and stop_after_residues <= done < last:
+            completed = False
+            break
         if checkpoint_path is not None:
             now = time.monotonic()
             if now - last_checkpoint >= cfg.checkpoint_interval:
-                _write_checkpoint(checkpoint_path, digest, cfg, stripes)
+                _write_checkpoint(checkpoint_path, digest, done, counts, recip)
                 last_checkpoint = now
-        if stop_after_residues is not None and processed >= stop_after_residues:
-            if not all(st.done for st in stripes):
-                if checkpoint_path is not None:
-                    _write_checkpoint(checkpoint_path, digest, cfg, stripes)
-                interrupted = True
-                break
 
-    completed = not interrupted
-    if completed and checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, digest, cfg, stripes)
+    if checkpoint_path is not None:
+        _write_checkpoint(checkpoint_path, digest, wheel.position, counts, recip)
 
-    for st in stripes:
-        st.recip.fold_into(total)
+    recip.fold_into(total)
     return SearchResult(
         xs=sorted(found),
-        count=len(boundary) + sum(st.count for st in stripes),
+        count=len(boundary) + sum(counts),
         recip_sum=total.value(),
-        stripe_counts=[st.count for st in stripes],
+        stripe_counts=counts,
         boundary_count=len(boundary),
         completed=completed,
         resumed=resumed,
     )
 
 
-def find_pattern_primes(cfg: SearchConfig, table=EMBEDDED_TABLE) -> list:
+def find_pattern_primes(cfg: SearchConfig) -> list:
     """All x with every form value prime and max_i f_i(x) <= n, sorted."""
-    return run_striped(cfg, table=table).xs
+    return run_striped(cfg).xs
 
 
-def _chain_complete(kind, length, x, table) -> bool:
+def _chain_complete(kind, length, x) -> bool:
     """No prime extends the chain at x in either direction."""
     pattern = chain_pattern(kind, length)
     last = pattern.evaluate(x)[-1]
     sign = 1 if kind == "first" else -1
-    if is_prime(2 * last + sign, 1, table):
+    if is_prime(2 * last + sign):
         return False
     prev2 = x - sign  # predecessor y solves 2y + sign = x
     if prev2 % 2 == 0:
         y = prev2 // 2
-        if y >= 2 and is_prime(y, 1, table):
+        if y >= 2 and is_prime(y):
             return False
     return True
 
 
-def smallest_chain(kind: str, length: int, cap: int, table=EMBEDDED_TABLE, *,
-                   on_tuple=None, progress=None, **cfg):
+def smallest_chain(kind: str, length: int, cap: int, *, on_tuple=None, progress=None,
+                   **cfg):
     """Least x <= cap starting a complete chain of exactly this length.
 
     Complete means unextendable: the next doubled value is composite and
@@ -441,8 +374,8 @@ def smallest_chain(kind: str, length: int, cap: int, table=EMBEDDED_TABLE, *,
     while searched < cap:
         x_hi = min(x_hi, cap)
         window = SearchConfig(pattern=pattern, n=pattern.max_value(x_hi), **cfg)
-        res = run_striped(window, table=table, progress=progress)
-        x = next((x for x in res.xs if _chain_complete(kind, length, x, table)), None)
+        res = run_striped(window, progress=progress)
+        x = next((x for x in res.xs if _chain_complete(kind, length, x)), None)
         if x is not None:
             if on_tuple:
                 on_tuple(x, pattern.evaluate(x))

@@ -1,15 +1,17 @@
 """Wheel over pairwise-coprime prime moduli: enumerates residues r mod W
-that survive every wheel prime, in amortized constant time per residue.
+that survive every wheel prime.
 
-Enumeration is a mixed-radix odometer over each modulus's acceptable
-residues (increasing order, least-significant modulus first).  The
-current residue is maintained incrementally through precomputed CRT
-basis coefficients, so one odometer step costs O(1) arithmetic ops.
-The order is deterministic, which makes striping and checkpoint cursors
-well defined.
+The residues are numbered 0 .. residue_count() - 1, and `residue(pos)`
+computes any of them directly: the position's mixed-radix digits, low
+modulus first, pick one acceptable residue per modulus (in increasing
+order), and precomputed CRT basis coefficients combine them.  The
+enumeration walks the positions in order, so its cursor is one integer,
+which makes stripes (positions mod nu) and checkpoints well defined.
 """
 
-from .apsieve import next_prime
+import math
+
+from .apsieve import iter_primes
 from .arith import check_wide, modinv
 from .pattern import acceptable_residues
 
@@ -21,7 +23,7 @@ class WheelError(ValueError):
 
 
 class Wheel:
-    """Single-owner enumeration state; concurrent searches use one per worker."""
+    """Position-indexed residues mod W, with a cursor for one walk."""
 
     def __init__(self, moduli_masks):
         if not moduli_masks:
@@ -41,114 +43,38 @@ class Wheel:
             raise WheelError("moduli must be distinct")
         self.W = w
         # e_m = (W/m) * ((W/m)^-1 mod m): 1 mod m, 0 mod every other modulus
-        self.basis = []
-        for p in self.moduli:
-            q = w // p
-            self.basis.append(q * modinv(q % p, p) % w if p > 1 else 0)
+        self.basis = [w // p * modinv(w // p % p, p) % w for p in self.moduli]
         self.accept = [m.acceptable() for m in self.masks]
-        # single-residue moduli contribute a constant; only the rest turn
-        self._fixed = 0
-        self._digits = []  # indices into moduli with >= 2 choices
-        for i, acc in enumerate(self.accept):
-            if len(acc) == 1:
-                self._fixed = (self._fixed + acc[0] * self.basis[i]) % w
-            else:
-                self._digits.append(i)
-        self.ops = 0  # odometer steps, for amortized-cost accounting
-        self.reset()
-
-    # -- enumeration ---------------------------------------------------
-
-    def reset(self):
-        self.counter = [0] * len(self.moduli)
+        self._count = math.prod(map(len, self.accept))
         self.position = 0
-        self.exhausted = False
-        self._recompute_current()
-
-    def _recompute_current(self):
-        cur = self._fixed
-        for i in self._digits:
-            cur = (cur + self.accept[i][self.counter[i]] * self.basis[i]) % self.W
-        self.current = cur
 
     def residue_count(self) -> int:
-        n = 1
-        for acc in self.accept:
-            n *= len(acc)
-        return n
+        return self._count
+
+    def residue(self, pos: int) -> int:
+        """The residue at position pos, 0 <= pos < residue_count()."""
+        r = 0
+        for acc, e in zip(self.accept, self.basis):
+            pos, digit = divmod(pos, len(acc))
+            r += acc[digit] * e
+        return r % self.W
+
+    def seek(self, pos: int):
+        """Move the cursor to position pos; residue_count() means exhausted."""
+        if not 0 <= pos <= self._count:
+            raise WheelError(f"position {pos} not in [0, {self._count}]")
+        self.position = pos
 
     def next_residue(self):
-        """Yield the next acceptable residue mod W, or None when exhausted."""
-        if self.exhausted:
+        """The residue at the cursor, advancing it, or None when exhausted."""
+        if self.position >= self._count:
             return None
-        out = self.current
         self.position += 1
-        # advance odometer: step the lowest digit, carrying on wrap
-        for i in self._digits:
-            acc = self.accept[i]
-            c = self.counter[i]
-            self.ops += 1
-            if c + 1 < len(acc):
-                self.counter[i] = c + 1
-                delta = acc[c + 1] - acc[c]
-                self.current = (self.current + delta * self.basis[i]) % self.W
-                return out
-            self.counter[i] = 0
-            delta = acc[0] - acc[c]
-            self.current = (self.current + delta * self.basis[i]) % self.W
-        self.exhausted = True
-        return out
+        return self.residue(self.position - 1)
 
     def __iter__(self):
-        while True:
-            r = self.next_residue()
-            if r is None:
-                return
+        while (r := self.next_residue()) is not None:
             yield r
-
-    def stripe(self, nu: int, idx: int):
-        """Yield residues whose enumeration position is idx mod nu."""
-        if not 0 <= idx < nu:
-            raise ValueError(f"stripe index {idx} not in [0, {nu})")
-        while True:
-            pos = self.position
-            r = self.next_residue()
-            if r is None:
-                return
-            if pos % nu == idx:
-                yield r
-
-    # -- cursors --------------------------------------------------------
-
-    def cursor(self) -> list:
-        """Odometer counters, the serialized enumeration position."""
-        return list(self.counter)
-
-    def seek(self, counter):
-        if len(counter) != len(self.moduli):
-            raise WheelError(
-                f"cursor has {len(counter)} digits, wheel has {len(self.moduli)}"
-            )
-        for i, c in enumerate(counter):
-            if not 0 <= c < len(self.accept[i]):
-                raise WheelError(f"cursor digit {i}={c} out of range")
-        # position is the mixed-radix value, low digit first
-        pos = 0
-        scale = 1
-        for i in self._digits:
-            pos += counter[i] * scale
-            scale *= len(self.accept[i])
-        self.counter = list(counter)
-        self.position = pos
-        self.exhausted = False
-        self._recompute_current()
-
-    def copy(self) -> "Wheel":
-        w = Wheel(list(zip(self.moduli, self.masks)))
-        w.seek(self.cursor())
-        w.exhausted = self.exhausted
-        w.position = self.position
-        return w
 
 
 def wheel_primes(limit: int, excluded=frozenset()) -> list:
@@ -156,14 +82,15 @@ def wheel_primes(limit: int, excluded=frozenset()) -> list:
     `excluded`, taken while their product stays <= limit."""
     primes = []
     w = 1
-    p = 2
-    while True:
-        if p not in excluded:
-            if w * p > limit:
-                return primes
-            primes.append(p)
-            w *= p
-        p = next_prime(p)
+    # a prime above limit never fits the product
+    for p in iter_primes(limit):
+        if p in excluded:
+            continue
+        if w * p > limit:
+            break
+        primes.append(p)
+        w *= p
+    return primes
 
 
 def build_wheel(pattern, limit: int, excluded=frozenset()) -> Wheel:

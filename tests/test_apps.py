@@ -48,15 +48,13 @@ def test_checkpoint_sum_round_trips(tmp_path):
     ck = tmp_path / "run.ckpt"
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**6, nu=3)
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
-    stripes = KahanBuckets()
-    for line in ck.read_text().splitlines()[3:]:
-        fields = dict(f.split("=", 1) for f in line.split()[1:])
-        KahanBuckets(int(fields["sum"])).fold_into(stripes)
+    fields = dict(line.split(" ", 1) for line in ck.read_text().splitlines()[1:])
     # sieve-path tuples sort after the boundary ones
     sieve_xs = part.xs[part.boundary_count :]
     assert sieve_xs
     want = math.fsum(1.0 / (x + d) for x in sieve_xs for d in (0, 2, 6, 8))
-    assert stripes.value().hex() == want.hex()
+    assert KahanBuckets(int(fields["sum"])).value().hex() == want.hex()
+    assert fields["counts"] == ",".join(map(str, part.stripe_counts))
     resumed = run_striped(cfg, checkpoint_path=str(ck))
     assert resumed.recip_sum.hex() == run_striped(cfg).recip_sum.hex()
 

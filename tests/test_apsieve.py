@@ -1,4 +1,3 @@
-import bisect
 import math
 
 import pytest
@@ -8,7 +7,6 @@ from tuplesieve.apsieve import (
     iter_primes,
     live_fractions,
     make_plan,
-    next_prime,
     primes_upto,
     segment_length,
     sieve_segment,
@@ -21,12 +19,6 @@ from tuplesieve.pattern import chain_pattern, make_pattern
 from conftest import CORPUS, naive_pattern_xs
 
 QUAD = make_pattern(CORPUS["quad"])
-
-
-def test_next_prime_agrees_with_primes_upto():
-    ps = primes_upto(10**4 + 7)  # 10007 is the least prime past 10^4
-    for m in range(10**4):
-        assert next_prime(m) == ps[bisect.bisect_right(ps, m)]
 
 
 def test_iter_primes_agrees_with_primes_upto():

@@ -162,6 +162,15 @@ def test_search_bound_3(capsys):
     assert (rc, out) == (0, "count=0\n")
 
 
+def test_search_x_range_from_zero(capsys):
+    # x = 0 gives the prime 3, although max_value(1) = 4 is past the bound
+    rc, out, err = run_cli(capsys, "search", "--pattern", "x+3", "--n", "3")
+    assert (rc, out, err) == (0, "0 3\ncount=1\n", "")
+    # no x has a value in [2, n]: an empty answer, not an error
+    rc, out, err = run_cli(capsys, "search", "--pattern", "x-5", "--n", "-4")
+    assert (rc, out, err) == (0, "count=0\n", "")
+
+
 def test_chains_progress_on_stderr(capsys):
     # wheel 2*3*...*17 leaves 22275 residues for x, 2x+1
     rc, out, err = run_cli(

@@ -99,9 +99,24 @@ def test_progress_every_10000_residues():
     assert res.count == 1224
 
 
-def test_bound_below_pattern_start_rejected():
-    with pytest.raises(ValueError, match="below"):
-        run_striped(SearchConfig(pattern=QUAD, n=5))
+def test_bound_below_pattern_start_is_empty():
+    res = run_striped(SearchConfig(pattern=QUAD, n=5, nu=2))
+    assert (res.xs, res.count, res.recip_sum, res.stripe_counts) == ([], 0, 0.0, [0, 0])
+    assert res.completed and not res.resumed
+
+
+_SHORT_RANGE = {**CORPUS, "x+3": [(1, 3)], "x-5": [(1, -5)]}
+
+
+@pytest.mark.parametrize("name", sorted(_SHORT_RANGE))
+def test_small_and_negative_bounds_match_scan(name, table_1e5):
+    # x starts at 0, so x+3 has the prime 3 at n = 3 although max_value(1) = 4
+    forms = _SHORT_RANGE[name]
+    pattern = make_pattern(forms)
+    for n in range(-10, 60):
+        res = run_striped(SearchConfig(pattern=pattern, n=n))
+        assert res.xs == naive_pattern_xs(forms, n, table_1e5), n
+        assert res.count == len(res.xs) and res.completed
 
 
 class _Planned(Exception):
@@ -204,6 +219,25 @@ def test_checkpoint_interrupt_resume_default_plan(tmp_path):
     assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_kill_resume_at_every_position(tmp_path, nu):
+    # c=3 gives QUAD at 10^5 a wheel of 21 residues; stop after each but the last
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0)
+    full = run_striped(cfg)
+    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
+    assert last == 21
+    for stop in range(1, last):
+        ck = tmp_path / f"run{stop}.ckpt"
+        part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=stop)
+        assert not part.completed
+        resumed = run_striped(cfg, checkpoint_path=str(ck))
+        assert resumed.resumed and resumed.completed
+        assert resumed.count == full.count
+        assert resumed.recip_sum.hex() == full.recip_sum.hex()
+        assert resumed.stripe_counts == full.stripe_counts
+        assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+
+
 def test_checkpoint_digest_mismatch(tmp_path):
     ck = tmp_path / "run.ckpt"
     cfg = SearchConfig(pattern=QUAD, n=10**6, nu=2)
@@ -218,30 +252,36 @@ def test_checkpoint_digest_mismatch(tmp_path):
 
 def test_checkpoint_corrupt_file(tmp_path):
     ck = tmp_path / "run.ckpt"
-    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1)
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0)
     run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
     text = ck.read_text().splitlines()
-    ck.write_text("\n".join(text[:3]) + "\nstripe: garbage\n")
-    with pytest.raises(CheckpointError, match="corrupt|cover|unexpected"):
+    assert text[0] == "TSCKPT v3" and text[2] == "position 2"
+    ck.write_text("\n".join(text) + "\nstripe: garbage\n")
+    with pytest.raises(CheckpointError, match="corrupt"):
         run_striped(cfg, checkpoint_path=str(ck))
     ck.write_text("WRONG HEADER\n")
     with pytest.raises(CheckpointError):
         run_striped(cfg, checkpoint_path=str(ck))
-    ck.write_text(text[0].replace("v2", "v1") + "\n" + "\n".join(text[1:]) + "\n")
+    ck.write_text("")
     with pytest.raises(CheckpointError, match="bad checkpoint header"):
         run_striped(cfg, checkpoint_path=str(ck))
-    # a live stripe whose cursor is missing, too short or off the wheel
-    stripe = text[3]
-    cursor = stripe.split("cursor=")[1].split()[0]
-    digits = cursor.split(",")
-    for bad in (
-        stripe.replace(f" cursor={cursor}", ""),
-        stripe.replace(cursor, ",".join(digits[:-1])),
-        stripe.replace(cursor, ",".join(digits[:-1] + ["99999"])),
-    ):
-        ck.write_text("\n".join(text[:3] + [bad]) + "\n")
+    ck.write_bytes(b"\xff\xfe")
+    with pytest.raises(CheckpointError, match="cannot read"):
+        run_striped(cfg, checkpoint_path=str(ck))
+    # the per-stripe layout of v2 files is refused by its header
+    ck.write_text(text[0].replace("v3", "v2") + "\n" + "\n".join(text[1:]) + "\n")
+    with pytest.raises(CheckpointError, match="bad checkpoint header"):
+        run_striped(cfg, checkpoint_path=str(ck))
+    # a position that is missing, negative, past the end or not an integer
+    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
+    for bad in ([], ["position -1"], [f"position {last + 1}"], ["position 2.5"]):
+        ck.write_text("\n".join(text[:2] + bad + text[3:]) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
             run_striped(cfg, checkpoint_path=str(ck))
+    # stripe counts that do not match the worker count
+    ck.write_text("\n".join(text[:3] + ["counts 1,2"] + text[4:]) + "\n")
+    with pytest.raises(CheckpointError, match="corrupt"):
+        run_striped(cfg, checkpoint_path=str(ck))
 
 
 def test_completed_checkpoint_resume_is_noop(tmp_path):

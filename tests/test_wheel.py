@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from tuplesieve.pattern import ResidueMask, chain_pattern, make_pattern
+from tuplesieve.search import SearchConfig, run_striped
 from tuplesieve.wheel import Wheel, WheelError, build_wheel, wheel_primes
 
 from conftest import CORPUS
@@ -102,13 +105,28 @@ def test_wheel_filters_exactly_like_wheel_primes(table_1e5):
     assert covered == direct
 
 
-def test_amortized_step_cost():
-    w = build_wheel(chain_pattern("first", 3), 9699690)
-    count = w.residue_count()
-    while w.next_residue() is not None:
-        pass
-    # odometer work is linear in the number of yields
-    assert w.ops <= 3 * count + len(w.moduli)
+def _crt_walk(wheel):
+    """The walk order, computed without the wheel's basis: acceptable
+    residues per modulus, the lowest modulus varying fastest, each tuple
+    combined by stepwise CRT."""
+    accept = [m.acceptable() for m in wheel.masks]
+    out = []
+    for digits in itertools.product(*reversed(accept)):
+        r, m = 0, 1
+        for p, d in zip(reversed(wheel.moduli), digits):
+            r += m * ((d - r) * pow(m, -1, p) % p)
+            m *= p
+        out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("pattern,limit,W", [(QUAD, 30030, 30030),
+                                             (chain_pattern("first", 4), 300, 210)])
+def test_walk_order_is_low_modulus_first(pattern, limit, W):
+    w = build_wheel(pattern, limit)
+    assert w.W == W
+    assert list(w) == _crt_walk(w)
+    assert [w.residue(pos) for pos in range(w.residue_count())] == _crt_walk(w)
 
 
 def test_medium_wheel_yields_distinct():
@@ -120,39 +138,42 @@ def test_medium_wheel_yields_distinct():
 
 
 def test_stripe_identity():
-    w1 = build_wheel(QUAD, 210)
-    w2 = build_wheel(QUAD, 210)
-    assert list(w1.stripe(1, 0)) == list(w2)
+    # with one stripe, that stripe holds the whole sieve path
+    res = run_striped(SearchConfig(pattern=QUAD, n=10**5, wheel_limit=210))
+    # 38 quadruplets, 4 of them (x = 5, 11, 101, 191) with a value <= B = 316
+    assert (res.count, res.boundary_count) == (38, 4)
+    assert res.stripe_counts == [34]
 
 
 def test_stripe_each_gets_one():
-    for idx in range(3):
-        w = build_wheel(QUAD, 210)
-        assert len(list(w.stripe(3, idx))) == 1
+    # QUAD at 210 has three residues, so three stripes get one position
+    # each, and stripe idx counts exactly the tuples of residue(idx)
+    w = build_wheel(QUAD, 210)
+    res = run_striped(SearchConfig(pattern=QUAD, n=10**5, wheel_limit=210, nu=3))
+    sieve_xs = res.xs[res.boundary_count:]
+    want = [sum(x % 210 == w.residue(idx) for x in sieve_xs) for idx in range(3)]
+    assert res.stripe_counts == want
+    assert all(want)
 
 
 def test_stripe_twin_w30():
-    # twin residues mod 30 are 11, 17, 29; two stripes split 2/1
+    # twin residues mod 30 walk as 11, 17, 29 (only 5 has two choices);
+    # two stripes take positions 0, 2 and position 1
     w = build_wheel(TWIN, 30)
     assert w.W == 30
-    sizes = []
-    for idx in range(2):
-        ww = build_wheel(TWIN, 30)
-        sizes.append(len(list(ww.stripe(2, idx))))
-    assert sorted(sizes) == [1, 2]
-    assert set(build_wheel(TWIN, 30)) == {11, 17, 29}
+    assert list(w) == [11, 17, 29]
+    assert [[w.residue(pos) for pos in range(idx, 3, 2)] for idx in range(2)] == [[11, 29], [17]]
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 5, 8])
 def test_stripe_partition(nu):
-    full = list(build_wheel(QUAD, 30030))
-    parts = []
-    for idx in range(nu):
-        w = build_wheel(QUAD, 30030)
-        parts.append(list(w.stripe(nu, idx)))
+    # stripe idx holds the positions idx mod nu, read without walking the rest
+    w = build_wheel(QUAD, 30030)
+    full = list(w)
     merged = []
-    for i, part in enumerate(parts):
-        assert part == full[i::nu]
+    for idx in range(nu):
+        part = [w.residue(pos) for pos in range(idx, w.residue_count(), nu)]
+        assert part == full[idx::nu]
         merged.extend(part)
     assert sorted(merged) == sorted(full)
 
@@ -161,37 +182,26 @@ def test_cursor_roundtrip():
     w = build_wheel(QUAD, 30030)
     for _ in range(7):
         w.next_residue()
-    cur = w.cursor()
+    assert w.position == 7
     rest_a = list(w)
+    assert w.next_residue() is None
     w2 = build_wheel(QUAD, 30030)
-    w2.seek(cur)
-    assert w2.position == 7
+    w2.seek(7)
     assert list(w2) == rest_a
 
 
 def test_cursor_validation():
     w = build_wheel(QUAD, 210)
-    with pytest.raises(WheelError):
-        w.seek([0, 0, 0])  # wrong digit count
-    with pytest.raises(WheelError):
-        w.seek([0, 0, 0, 99])
-
-
-def test_copy_independent():
-    w = build_wheel(QUAD, 210)
-    w.next_residue()
-    c = w.copy()
-    assert list(c) == list(w)
+    for bad in (-1, w.residue_count() + 1):
+        with pytest.raises(WheelError):
+            w.seek(bad)
+    # the end of the walk is a valid cursor, with nothing left
+    w.seek(w.residue_count())
+    assert w.next_residue() is None
+    w.seek(0)
+    assert len(list(w)) == 3
 
 
 def test_empty_mask_rejected():
     with pytest.raises(WheelError):
         Wheel([(3, ResidueMask(3, 0))])
-
-
-def test_stripe_index_validation():
-    w = build_wheel(QUAD, 210)
-    with pytest.raises(ValueError):
-        next(w.stripe(3, 3))
-    with pytest.raises(ValueError):
-        next(w.stripe(2, -1))
