@@ -6,7 +6,10 @@ p < X on the smaller element, quadruplets count tuples whose largest
 member is below X.  `search`, `twins`, `quads` and `chain_search` take
 the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel_limit,
 excluded_wheel_primes, checkpoint_interval) and the run
-options (checkpoint_path, on_tuple, progress) as keywords.
+options (checkpoint_path, on_tuple, progress, keep_xs) as keywords.
+keep_xs=False keeps no list of x values (the result's `.xs` is None);
+`twins` and `quads` always pass it, since a census reports only the
+count and the reciprocal sum.
 `smallest_chain` takes the same, except checkpoint_path: it runs one
 search per window of the bound.  It is defined in `search.py`, the
 module the chain-hunt benchmark entry names.
@@ -40,16 +43,17 @@ class TupleCensus:
 
 
 def search(pattern, n: int, *, checkpoint_path=None, on_tuple=None, progress=None,
-           **cfg) -> SearchResult:
+           keep_xs=True, **cfg) -> SearchResult:
     """Every x with all forms of `pattern` prime and max_i f_i(x) <= n.
 
     `cfg` holds the `SearchConfig` fields; on_tuple(x, values) fires in
     discovery order and progress(done) every `search.PROGRESS_EVERY`
-    residues.
+    residues.  The result's `.xs` lists the x values, sorted, unless
+    keep_xs is False.
     """
     return run_striped(SearchConfig(pattern=pattern, n=n, **cfg),
                        checkpoint_path=checkpoint_path, on_tuple=on_tuple,
-                       progress=progress)
+                       progress=progress, keep_xs=keep_xs)
 
 
 def twins(X: int, **kw) -> TupleCensus:
@@ -60,7 +64,7 @@ def twins(X: int, **kw) -> TupleCensus:
     """
     if X < 5:
         raise ValueError("twin census needs X >= 5 (--x >= 5)")
-    res = search(TWIN_PATTERN, X + 1, **kw)
+    res = search(TWIN_PATTERN, X + 1, keep_xs=False, **kw)
     return TupleCensus(bound=X, count=res.count, recip_sum=res.recip_sum)
 
 
@@ -71,7 +75,7 @@ def quads(X: int, **kw) -> TupleCensus:
     if X <= 13:
         # the smallest quadruplet tops out at 13, so nothing can fit
         return TupleCensus(bound=X, count=0, recip_sum=0.0)
-    res = search(QUAD_PATTERN, X - 1, **kw)
+    res = search(QUAD_PATTERN, X - 1, keep_xs=False, **kw)
     return TupleCensus(bound=X, count=res.count, recip_sum=res.recip_sum)
 
 

@@ -174,17 +174,25 @@ def sprp_base2(N: int) -> bool:
     return _strong_test(N, 2, d, s)
 
 
-def is_perfect_power(N: int) -> bool:
-    """True when N = m**k for some m >= 2, k >= 2 (always composite)."""
+def is_perfect_power(N: int, trial_bound: int = 1) -> bool:
+    """True when N = m**k for some m >= 2, k >= 2 (always composite).
+
+    N must have no prime factor <= trial_bound (1 claims nothing).  Then
+    any base m has none either, so m >= trial_bound + 1, and m**k = N
+    needs (trial_bound + 1)**k <= N.  A power with a composite exponent
+    is also a power with a prime one, so only the square and the prime
+    exponents within that bound are tried.
+    """
     if N < 4:
         return False
     r = math.isqrt(N)
     if r * r == N:
         return True
+    m_min = max(2, trial_bound + 1)
     for k in _TRIAL_PRIMES:
         if k == 2:
             continue
-        if 1 << k > N:
+        if m_min**k > N:
             break
         root = round(N ** (1.0 / k))
         for m in (root - 1, root, root + 1):
@@ -250,7 +258,7 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
     if trial_bound < 1:
         raise ValueError("trial_bound must be >= 1")
     level = table.level_for(N, trial_bound)
-    if is_perfect_power(N):
+    if is_perfect_power(N, trial_bound):
         return False
     half = (N - 1) // 2
     e2 = powmod(2, half, N)

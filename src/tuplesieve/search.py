@@ -16,10 +16,13 @@ a sieve prime clears them), so a byte sieve over that boundary window
 of x finds those first.  On the sieve path a segment's survivors come
 out ascending, and two bisects split them: those the boundary window
 owns are dropped, those whose largest value is below (B+1)^2 are
-proved tuples by the sieve alone and are accounted in bulk, and the
-rest go through the SPRP gate and the certified test.  One walk over
-the wheel's positions visits every residue once, in position order and
-in one process; the residue at position p is accounted to stripe
+proved tuples by the sieve alone, and the rest go through the SPRP
+gate and the certified test.  The proved prefix and the tested tuples
+make one ascending list per segment, accounted in one step: its length
+goes to the count and its values, as C-level map columns, to one
+exact-sum call.  The boundary window is accounted the same way.  One
+walk over the wheel's positions visits every residue once, in position
+order and in one process; the residue at position p is accounted to stripe
 p mod nu of nu logical workers.  The sieve path keeps its reciprocal
 sum as one exact integer (see kahan.py), so the reported sum is the
 correctly rounded total whatever the worker count or resume point.  A
@@ -33,7 +36,7 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .apsieve import (
     iter_primes,
@@ -81,7 +84,7 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
-    xs: list                 # x values found this run, sorted
+    xs: list | None          # x values found this run, sorted; None unless kept
     count: int               # total tuples, including any restored progress
     recip_sum: float         # sum of 1/f_i over all counted tuples, correctly rounded
     stripe_counts: list
@@ -136,6 +139,16 @@ def _resolve_plan(cfg: SearchConfig):
     space = 1 << int(math.log2(n) / 3)
     limit, B = depth(space)
     return make_plan(n, sieve_bound=B or space, wheel_limit=limit)
+
+
+def _values(forms, xs):
+    """Every form's values over the list xs, form by form, built by
+    C-level iterators only (xs itself for the form x)."""
+    cols = []
+    for a, b in forms:
+        col = xs if a == 1 else map(a.__mul__, xs)
+        cols.append(col if b == 0 else map(b.__add__, col))
+    return chain.from_iterable(cols)
 
 
 def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
@@ -228,14 +241,17 @@ def _read_checkpoint(path, digest, nu, last):
 
 
 def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
-                stop_after_residues=None, progress=None) -> SearchResult:
+                stop_after_residues=None, progress=None, keep_xs=True) -> SearchResult:
     """Run the full search, optionally resuming from a checkpoint file.
 
     on_tuple(x, values) fires in emission order: boundary tuples first,
-    then sieve-path tuples by residue position.  progress(done) fires
-    every PROGRESS_EVERY residues.  stop_after_residues ends the run
-    once the walk has passed that many residues, after writing a
-    checkpoint (deterministic stand-in for being killed mid-flight).
+    then sieve-path tuples by residue position, ascending within one.
+    progress(done) fires every PROGRESS_EVERY residues.
+    stop_after_residues ends the run once the walk has passed that many
+    residues, after writing a checkpoint (deterministic stand-in for
+    being killed mid-flight).  With keep_xs=False the run keeps no list
+    of x values and the result's xs is None: a census needs only the
+    count and the sum.
     """
     if not admissible(cfg.pattern):
         raise ValueError(f"pattern {format_pattern(cfg.pattern)} is not admissible")
@@ -248,8 +264,8 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     forms = pattern.forms
     if min((n - b) // a for a, b in forms) < pattern.min_x():
         # no x has every value in [2, n], so nothing can be prime
-        return SearchResult(xs=[], count=0, recip_sum=0.0, stripe_counts=[0] * nu,
-                            boundary_count=0, completed=True)
+        return SearchResult(xs=[] if keep_xs else None, count=0, recip_sum=0.0,
+                            stripe_counts=[0] * nu, boundary_count=0, completed=True)
 
     plan = _resolve_plan(cfg)
     wheel = build_wheel(pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
@@ -260,13 +276,11 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     # tuples containing a prime <= cut are found by the boundary window
     boundary = boundary_tuples(pattern, cut, n)
     total = KahanBuckets()
-    found = []
-    for x in boundary:
-        vals = pattern.evaluate(x)
-        total.add_group(vals)
-        found.append(x)
-        if on_tuple:
-            on_tuple(x, vals)
+    total.add_group(_values(forms, boundary))
+    found = list(boundary) if keep_xs else None
+    if on_tuple:
+        for x in boundary:
+            on_tuple(x, pattern.evaluate(x))
 
     W, last = wheel.W, wheel.residue_count()
     counts = [0] * nu
@@ -291,25 +305,19 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
         xs = survivors(sieve_segment(pattern, r, W, n, sieve_table))
         # the boundary window owns those up to x_cut
         lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
-        proved = xs[lo:hi]
-        counts[stripe] += len(proved)
-        recip.add_group(a * x + b for a, b in forms for x in proved)
-        found.extend(proved)
-        if on_tuple:
-            for x in proved:
-                on_tuple(x, pattern.evaluate(x))
+        ok = xs[lo:hi]  # proved by the sieve alone
         for x in xs[hi:]:
             vals = pattern.evaluate(x)
             # cheap probable-prime gates first, then certified tests
-            if not all(sprp_base2(v) for v in vals):
-                continue
-            if not all(is_prime(v, plan.B) for v in vals):
-                continue
-            counts[stripe] += 1
-            recip.add_group(vals)
-            found.append(x)
-            if on_tuple:
-                on_tuple(x, vals)
+            if all(sprp_base2(v) for v in vals) and all(is_prime(v, plan.B) for v in vals):
+                ok.append(x)
+        counts[stripe] += len(ok)
+        recip.add_group(_values(forms, ok))
+        if keep_xs:
+            found.extend(ok)
+        if on_tuple:
+            for x in ok:
+                on_tuple(x, pattern.evaluate(x))
         if progress and done % PROGRESS_EVERY == 0:
             progress(done)
         if stop_after_residues is not None and stop_after_residues <= done < last:
@@ -326,7 +334,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
 
     recip.fold_into(total)
     return SearchResult(
-        xs=sorted(found),
+        xs=sorted(found) if keep_xs else None,
         count=len(boundary) + sum(counts),
         recip_sum=total.value(),
         stripe_counts=counts,

@@ -1,10 +1,14 @@
 import math
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tuplesieve.kahan as kahan_mod
 from tuplesieve.apps import QUAD_PATTERN, chain_search, quads, twins
 from tuplesieve.arith import WIDE_MAX
-from tuplesieve.kahan import KahanBuckets
+from tuplesieve.kahan import UNIT_EXP, KahanBuckets
 from tuplesieve.search import SearchConfig, run_striped
 
 from conftest import sieve_table
@@ -28,6 +32,77 @@ def test_add_group_matches_fsum_in_any_order():
         one = KahanBuckets()
         one.add_group([v])
         assert one.value().hex() == (1.0 / v).hex()
+
+
+def oracle_units(vals):
+    """Each term converted on its own: 2^UNIT_EXP / v is 1.0 / v scaled
+    by a power of two, so its int() is the term's exact unit count."""
+    return sum(int(float(1 << UNIT_EXP) / v) for v in vals)
+
+
+NEAR_2_53 = [2**53 + d for d in range(-3, 4)]
+NEAR_WIDE_MAX = [WIDE_MAX - d for d in range(4)] + [WIDE_MAX // 2 + d for d in range(-2, 3)]
+ORACLE_CASES = {
+    "empty": [],
+    "one": [1],
+    "two": [2],
+    "three": [3],
+    "seven": [7],
+    "2^53+1": [2**53 + 1],
+    "wide_max": [WIDE_MAX],
+    "edge": EDGE_VALUES,
+    # 1/3 has a full significand, so 10^5 copies need more than one pass
+    "threes": [3] * 10**5,
+    "small_and_near_2^53": [*range(1, 10), *NEAR_2_53] * 50,
+    "small_and_near_wide_max": [*NEAR_WIDE_MAX, *range(1, 10)] * 50,
+    "all_mixed": [*range(1, 10), *NEAR_2_53, *NEAR_WIDE_MAX, 3 * 2**125] * 200,
+}
+
+
+def _split_sums(vals, step):
+    acc = KahanBuckets()
+    for i in range(0, len(vals), step):
+        acc.add_group(vals[i : i + step])
+    return acc.units
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_add_group_units_match_per_term_oracle(name, monkeypatch):
+    vals = ORACLE_CASES[name]
+    want = oracle_units(vals)
+    passes = []
+
+    def fsum(terms):
+        passes.append(len(terms))
+        return math.fsum(terms)
+
+    monkeypatch.setattr(kahan_mod, "math", types.SimpleNamespace(fsum=fsum, ldexp=math.ldexp))
+    acc = KahanBuckets()
+    acc.add_group(iter(vals))
+    assert acc.units == want
+    # the pass bound proved in add_group's docstring
+    assert len(passes) <= -(-want.bit_length() // 53) + 1
+    # any order, any split into groups
+    assert _split_sums(vals[::-1], len(vals) or 1) == want
+    for step in (1, 7, 1000):
+        if len(vals) // step <= 10**4:
+            assert _split_sums(vals, step) == want
+            assert _split_sums(vals[::-1], step) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.integers(1, WIDE_MAX), max_size=40), data=st.data())
+def test_add_group_units_match_oracle_on_any_ints(vals, data):
+    want = oracle_units(vals)
+    one = KahanBuckets()
+    one.add_group(vals)
+    assert one.units == want
+    cut = data.draw(st.integers(0, len(vals)))
+    order = data.draw(st.permutations(vals))
+    parts = KahanBuckets()
+    parts.add_group(order[:cut])
+    parts.add_group(order[cut:])
+    assert parts.units == want
 
 
 def test_fold_into_equals_one_sum():

@@ -1,10 +1,12 @@
 import math
 import random
+from itertools import compress
 
 import pytest
 import sympy
 
 from tuplesieve import primality
+from tuplesieve.apsieve import primes_upto
 from tuplesieve.primality import (
     _MR_LADDER,
     EMBEDDED_TABLE,
@@ -252,6 +254,18 @@ def test_perfect_power():
     assert not is_perfect_power(2)
     assert not is_perfect_power(97)
     assert not is_perfect_power(2**40 + 1)
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 31, 100, 997])
+def test_perfect_power_trial_bound_matches_scan(b):
+    # every N < 10^6 with no prime factor <= b, against all powers m^k below it
+    limit = 10**6
+    powers = {m**k for m in range(2, 1001) for k in range(2, 20) if m**k < limit}
+    free = bytearray([1]) * limit
+    for p in primes_upto(b):
+        free[::p] = bytes(len(range(0, limit, p)))
+    got = [N for N in compress(range(limit), free) if is_perfect_power(N, b)]
+    assert got == sorted(N for N in powers if free[N])
 
 
 def test_table_file_roundtrip(tmp_path):

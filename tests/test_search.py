@@ -103,6 +103,7 @@ def test_bound_below_pattern_start_is_empty():
     res = run_striped(SearchConfig(pattern=QUAD, n=5, nu=2))
     assert (res.xs, res.count, res.recip_sum, res.stripe_counts) == ([], 0, 0.0, [0, 0])
     assert res.completed and not res.resumed
+    assert run_striped(SearchConfig(pattern=QUAD, n=5), keep_xs=False).xs is None
 
 
 _SHORT_RANGE = {**CORPUS, "x+3": [(1, 3)], "x-5": [(1, -5)]}
@@ -226,16 +227,40 @@ def test_kill_resume_at_every_position(tmp_path, nu):
     full = run_striped(cfg)
     last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
     assert last == 21
-    for stop in range(1, last):
-        ck = tmp_path / f"run{stop}.ckpt"
-        part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=stop)
-        assert not part.completed
-        resumed = run_striped(cfg, checkpoint_path=str(ck))
-        assert resumed.resumed and resumed.completed
-        assert resumed.count == full.count
-        assert resumed.recip_sum.hex() == full.recip_sum.hex()
-        assert resumed.stripe_counts == full.stripe_counts
-        assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+    # a run that keeps no x list must checkpoint and resume the same way
+    for keep_xs in (True, False):
+        for stop in range(1, last):
+            ck = tmp_path / f"run{keep_xs}{stop}.ckpt"
+            part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=stop,
+                               keep_xs=keep_xs)
+            assert not part.completed
+            resumed = run_striped(cfg, checkpoint_path=str(ck), keep_xs=keep_xs)
+            assert resumed.resumed and resumed.completed
+            assert resumed.count == full.count
+            assert resumed.recip_sum.hex() == full.recip_sum.hex()
+            assert resumed.stripe_counts == full.stripe_counts
+            if keep_xs:
+                assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+            else:
+                assert part.xs is None and resumed.xs is None
+
+
+@pytest.mark.parametrize("mode", ["sqrt", "c3"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_keep_xs_false_matches_default_run(name, mode):
+    n = 10**5
+    plan = {"sqrt": dict(sieve_bound=math.isqrt(n)), "c3": dict(space_exp=3.0)}[mode]
+    cfg = SearchConfig(pattern=make_pattern(CORPUS[name]), n=n, nu=2, **plan)
+    seen = {True: [], False: []}
+    full = run_striped(cfg, on_tuple=lambda x, vals: seen[True].append((x, vals)))
+    lean = run_striped(cfg, on_tuple=lambda x, vals: seen[False].append((x, vals)),
+                       keep_xs=False)
+    assert full.xs and lean.xs is None
+    assert lean.count == full.count == len(full.xs)
+    assert lean.recip_sum.hex() == full.recip_sum.hex()
+    assert lean.stripe_counts == full.stripe_counts
+    assert lean.boundary_count == full.boundary_count
+    assert seen[False] == seen[True]
 
 
 def test_checkpoint_digest_mismatch(tmp_path):
