@@ -78,10 +78,8 @@ class SievePlan:
     explicitly excluded wheel prime still gets sieved.
     """
 
-    n: int
     B: int
     wheel_limit: int
-    c: float | None
     primes: tuple
 
     def sieve_primes(self, wheel_moduli) -> list:
@@ -111,8 +109,7 @@ def make_plan(n: int, c: float | None = None, sieve_bound: int | None = None,
         raise PlanError(f"sieve bound B={B} below 2")
     if wheel_limit is None:
         wheel_limit = max(2, (n if x_top is None else x_top) // B)
-    return SievePlan(n=n, B=B, wheel_limit=wheel_limit, c=c,
-                     primes=tuple(primes_upto(B)))
+    return SievePlan(B=B, wheel_limit=wheel_limit, primes=tuple(primes_upto(B)))
 
 
 def live_fractions(pattern, primes):

@@ -1,13 +1,13 @@
 """Command-line front end: a thin layer over `apps`.
 
-Subcommands: search (generic pattern search), twins, quads, chains,
-pseudosquares.  The search subcommands hand every flag to `apps` through
-`_config_kw` and write tuples through the one sink in `_run`: one line
-per tuple, `x f_1 ... f_k` in decimal, sorted by x unless --unsorted,
-to --out or else stdout (censuses list tuples only with --out or
---unsorted).  Then comes a `count=` summary; censuses add `sum=`.  Exit
-status is 0 on success, 2 on configuration errors (a flag the
-subcommand cannot honour among them), 3 on table-capacity errors.
+Subcommands: search (generic pattern search), twins, quads, chains.
+Each hands every flag to `apps` through `_config_kw` and writes tuples
+through the one sink in `_run`: one line per tuple, `x f_1 ... f_k` in
+decimal, sorted by x unless --unsorted, to --out or else stdout
+(censuses list tuples only with --out or --unsorted).  Then comes a
+`count=` summary; censuses add `sum=`.  Exit status is 0 on success, 2
+on configuration errors (a flag the subcommand cannot honour among
+them), 3 when no certifier covers a value (`TableCapacityError`).
 """
 
 import argparse
@@ -17,12 +17,7 @@ import sys
 from .apsieve import PlanError
 from .apps import chain_search, quads, search, smallest_chain, twins
 from .pattern import PatternError, parse_pattern
-from .primality import (
-    EMBEDDED_TABLE,
-    TableCapacityError,
-    compute_pseudosquares,
-    save_table,
-)
+from .primality import TableCapacityError
 from .search import CheckpointError
 from .wheel import WheelError
 
@@ -126,32 +121,6 @@ def _cmd_chains(args):
     return 0
 
 
-def _cmd_pseudosquares(args):
-    covered = EMBEDDED_TABLE.entries[-1][1]
-    if args.limit <= covered:
-        from .primality import PseudosquareTable
-
-        table = PseudosquareTable(
-            tuple((p, L) for p, L in EMBEDDED_TABLE.entries if L <= args.limit)
-        )
-    else:
-        print(
-            f"note: limit {args.limit} exceeds the shipped table "
-            f"({covered}); falling back to the exhaustive generator, which "
-            f"scans every candidate and is impractical much past 10^8",
-            file=sys.stderr,
-        )
-        table = compute_pseudosquares(args.limit)
-    if args.out:
-        save_table(table, args.out)
-    else:
-        print("PSQ v1")
-        for p, L in table.entries:
-            print(f"{p} {L}")
-    print(f"count={len(table.entries)}")
-    return 0
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="tuplesieve",
@@ -182,11 +151,6 @@ def build_parser():
                    help="report residue progress on stderr")
     _add_search_options(p, with_pattern=False)
     p.set_defaults(fn=_cmd_chains)
-
-    p = sub.add_parser("pseudosquares", help="emit a pseudosquare table up to a limit")
-    p.add_argument("--limit", required=True, type=int)
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=_cmd_pseudosquares)
 
     return ap
 

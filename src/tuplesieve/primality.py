@@ -4,36 +4,31 @@ The pipeline filters candidates with a base-2 strong probable-prime
 test, then certifies with the pseudosquares test of Lukes, Patterson,
 and Williams: if N has no prime divisor <= B and N/B is below the
 pseudosquare L_p, then Euler-criterion checks for the bases up to p
-decide N exactly (proper powers excluded separately).  When the shipped
-table cannot cover N, a strong-pseudoprime test over published base
-sets with verified thresholds takes over; every answer is unconditional
-or an explicit capacity error, never a guess.
+decide N exactly (proper powers excluded separately).  The pseudosquares
+are a fixed list, `PSEUDOSQUARES`.  When it cannot cover N, a
+strong-pseudoprime test over published base sets with verified
+thresholds takes over; every answer is unconditional or an explicit
+capacity error, never a guess.
 """
 
-import bisect
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from bisect import bisect_right
 
-from .apsieve import iter_primes, primes_upto
+from .apsieve import primes_upto
 from .arith import check_wide, powmod
 
 __all__ = [
     "TableCapacityError",
-    "PseudosquareTable",
+    "PSEUDOSQUARES",
     "sprp_base2",
-    "compute_pseudosquares",
     "pseudosquares_test",
     "is_prime",
     "is_perfect_power",
-    "load_table",
-    "save_table",
-    "EMBEDDED_TABLE",
 ]
 
 
 class TableCapacityError(RuntimeError):
-    """The pseudosquare table cannot certify this input."""
+    """No certifier covers this input."""
 
 
 # Pseudosquare values: L_p is the least non-square positive integer that
@@ -41,8 +36,9 @@ class TableCapacityError(RuntimeError):
 # Consecutive primes can share a value (L_59 = L_61, L_83 = L_89 = L_97,
 # ...); each distinct value is stored once under the least p achieving
 # it, which is what minimal-base-set lookup wants.  Every entry was
-# regenerated by an exhaustive minimality scan through 2*10^11.
-_EMBEDDED_ENTRIES = (
+# regenerated by an exhaustive minimality scan through 2*10^11.  Pairs
+# (p, L_p), strictly increasing in both coordinates.
+PSEUDOSQUARES = (
     (3, 73),
     (5, 241),
     (7, 1009),
@@ -87,62 +83,22 @@ _MR_LADDER = (
 _TRIAL_LIMIT = 1 << 20
 _TRIAL_PRIMES = primes_upto(1024)  # covers sqrt(_TRIAL_LIMIT)
 
+_PSQ_L = tuple(L for _, L in PSEUDOSQUARES)
+# the odd bases some level uses: the odd primes up to the top level
+_PSQ_BASES = tuple(_TRIAL_PRIMES[1:bisect_right(_TRIAL_PRIMES, PSEUDOSQUARES[-1][0])])
 
-@dataclass(frozen=True)
-class PseudosquareTable:
-    """Pairs (p, L_p), strictly increasing in both coordinates."""
 
-    entries: tuple
+def _level_for(N: int, trial_bound: int) -> int:
+    """Index of the least entry with L_p * trial_bound > N.
 
-    def __post_init__(self):
-        last_p, last_l = 0, 0
-        for p, L in self.entries:
-            if p <= last_p or L <= last_l:
-                raise ValueError("table entries must increase in p and L_p")
-            last_p, last_l = p, L
-
-    def max_level(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
-
-    @cached_property
-    def odd_primes(self) -> tuple:
-        """The odd primes up to max_level(): every base some level uses."""
-        return tuple(primes_upto(self.max_level())[1:])
-
-    def level_for(self, N: int, trial_bound: int) -> int:
-        """Index of the least entry with L_p * trial_bound > N."""
-        for i, (_, L) in enumerate(self.entries):
-            if N < L * trial_bound:
-                return i
+    N < L * trial_bound holds exactly when N // trial_bound < L.
+    """
+    level = bisect_right(_PSQ_L, N // trial_bound)
+    if level == len(PSEUDOSQUARES):
         raise TableCapacityError(
-            f"no pseudosquare above {N}/{trial_bound}; extend the table "
-            f"or sieve deeper before testing"
+            f"no pseudosquare above {N}/{trial_bound}; sieve deeper before testing"
         )
-
-
-EMBEDDED_TABLE = PseudosquareTable(_EMBEDDED_ENTRIES)
-
-
-def save_table(table: PseudosquareTable, path):
-    with open(path, "w") as f:
-        f.write("PSQ v1\n")
-        for p, L in table.entries:
-            f.write(f"{p} {L}\n")
-
-
-def load_table(path) -> PseudosquareTable:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "PSQ v1":
-            raise ValueError(f"bad pseudosquare table header: {header!r}")
-        entries = []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            p, L = line.split()
-            entries.append((int(p), int(L)))
-    return PseudosquareTable(tuple(entries))
+    return level
 
 
 def _strong_test(N: int, base: int, d: int, s: int) -> bool:
@@ -201,47 +157,7 @@ def is_perfect_power(N: int, trial_bound: int = 1) -> bool:
     return False
 
 
-def _legendre_is_qr(M: int, q: int) -> bool:
-    """Legendre symbol (M|q) == +1 for odd prime q (0 counts as failure)."""
-    return pow(M % q, (q - 1) // 2, q) == 1
-
-
-def compute_pseudosquares(limit: int) -> PseudosquareTable:
-    """Brute-force all pseudosquares L_p <= limit.
-
-    Scans integers 1 mod 8, skips squares, and for each finds the first
-    odd prime where it fails to be a quadratic residue.  The first
-    survivor past a prime level is that level's pseudosquare.  Only
-    distinct values are recorded: the stored p is the least prime whose
-    pseudosquare equals that value, so lookups select minimal base sets.
-    """
-    entries = []
-    # the first failing q divides M or is a non-residue, so q <= M <= limit
-    more_primes = (q for q in iter_primes(limit) if q > 2)
-    odd_primes = []
-    wanted = 3  # least prime level with no pseudosquare recorded yet
-    M = 9
-    while M <= limit:
-        r = math.isqrt(M)
-        if r * r != M:
-            first_fail = None
-            i = 0
-            while True:
-                if i == len(odd_primes):
-                    odd_primes.append(next(more_primes))
-                q = odd_primes[i]
-                if not _legendre_is_qr(M, q):
-                    first_fail = q
-                    break
-                i += 1
-            if first_fail > wanted:
-                entries.append((wanted, M))
-                wanted = first_fail
-        M += 8
-    return PseudosquareTable(tuple(entries))
-
-
-def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBEDDED_TABLE) -> bool:
+def pseudosquares_test(N: int, trial_bound: int) -> bool:
     """Deterministic verdict for odd N with no prime divisor <= trial_bound.
 
     Picks the least table level p with L_p > N/trial_bound and checks
@@ -257,7 +173,7 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
     check_wide(N, "N")
     if trial_bound < 1:
         raise ValueError("trial_bound must be >= 1")
-    level = table.level_for(N, trial_bound)
+    level = _level_for(N, trial_bound)
     if is_perfect_power(N, trial_bound):
         return False
     half = (N - 1) // 2
@@ -268,12 +184,11 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
         return False
     saw_minus_one = e2 == N - 1
 
-    bases = table.odd_primes
-    checked = 0  # bases[:checked] passed at a lower level
+    checked = 0  # _PSQ_BASES[:checked] passed at a lower level
     while True:
-        p_level = table.entries[level][0]
-        upto = bisect.bisect_right(bases, p_level)
-        for q in bases[checked:upto]:
+        p_level = PSEUDOSQUARES[level][0]
+        upto = bisect_right(_PSQ_BASES, p_level)
+        for q in _PSQ_BASES[checked:upto]:
             e = powmod(q % N, half, N)
             if e == 0:
                 return q == N  # q divides N
@@ -287,7 +202,7 @@ def pseudosquares_test(N: int, trial_bound: int, table: PseudosquareTable = EMBE
         if saw_minus_one:
             return True
         level += 1  # need a -1 witness; larger levels stay valid
-        if level == len(table.entries):
+        if level == len(PSEUDOSQUARES):
             raise TableCapacityError(
                 f"N={N} is 1 mod 8 with no -1 witness up to base {p_level}; "
                 f"table exhausted"
@@ -314,8 +229,7 @@ def _mr_proven(N: int):
     return None
 
 
-def is_prime(N: int, known_trial_bound: int = 1,
-             table: PseudosquareTable = EMBEDDED_TABLE) -> bool:
+def is_prime(N: int, known_trial_bound: int = 1) -> bool:
     """Exact primality for 0 <= N < 2^127.
 
     known_trial_bound records how far trial division is already
@@ -338,13 +252,12 @@ def is_prime(N: int, known_trial_bound: int = 1,
     if not sprp_base2(N):
         return False
     try:
-        return pseudosquares_test(N, b, table)
+        return pseudosquares_test(N, b)
     except TableCapacityError:
         verdict = _mr_proven(N)
         if verdict is None:
             raise TableCapacityError(
                 f"N={N} exceeds both the pseudosquare table (trial bound {b}) "
-                f"and the proven strong-test range; supply a larger table or "
-                f"sieve to a deeper bound"
+                f"and the proven strong-test range; sieve to a deeper bound"
             ) from None
         return verdict

@@ -15,16 +15,11 @@ from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN, quads, twins
 from tuplesieve.apsieve import sieve_segment, start_table, survivors
 from tuplesieve.cli import main
 from tuplesieve.pattern import chain_pattern, make_pattern
-from tuplesieve.primality import (
-    EMBEDDED_TABLE,
-    compute_pseudosquares,
-    is_prime,
-    sprp_base2,
-)
+from tuplesieve.primality import PSEUDOSQUARES, is_prime, sprp_base2
 from tuplesieve.search import SearchConfig, find_pattern_primes, run_striped, smallest_chain
 from tuplesieve.wheel import build_wheel
 
-from conftest import CORPUS, naive_pattern_xs, sieve_table
+from conftest import CORPUS, compute_pseudosquares, naive_pattern_xs, sieve_table
 
 
 def report(num, name, t0, detail=""):
@@ -159,9 +154,8 @@ def test_criterion_7_primality_suite():
     assert sprp_base2(2047) and not is_prime(2047)
 
     shared = 2_000_000
-    gen = compute_pseudosquares(shared)
-    embedded_prefix = tuple((p, L) for p, L in EMBEDDED_TABLE.entries if L <= shared)
-    assert gen.entries == embedded_prefix
+    embedded_prefix = tuple((p, L) for p, L in PSEUDOSQUARES if L <= shared)
+    assert compute_pseudosquares(shared) == embedded_prefix
     report(7, "primality suite", t0,
            "trial-division sweep to 10^6, 10^4 wide randoms, table self-consistency")
 

@@ -1,7 +1,6 @@
 import pytest
 
 from tuplesieve.cli import _config_kw, build_parser, main
-from tuplesieve.primality import load_table
 
 
 def run_cli(capsys, *argv):
@@ -93,21 +92,21 @@ def test_chains_smallest(capsys):
     assert lines[1] == "count=1"
 
 
-def test_pseudosquares_to_file(tmp_path, capsys):
-    dest = tmp_path / "psq.txt"
-    rc, out, _ = run_cli(capsys, "pseudosquares", "--limit", "300", "--out", str(dest))
-    assert rc == 0
-    assert out.strip() == "count=2"
-    assert load_table(dest).entries == ((3, 73), (5, 241))
-
-
-def test_pseudosquares_large_limit_uses_embedded(capsys):
-    rc, out, _ = run_cli(capsys, "pseudosquares", "--limit", "10000000000")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "PSQ v1"
-    assert lines[-1] == "count=20"
-    assert lines[-2] == "83 2805544681"
+def test_capacity_error_exit_code(capsys):
+    # at x = 0 the value is the top ladder bound, a strong pseudoprime to
+    # the bases 2-41, and sieving to 2 leaves it past the pseudosquare table
+    rc, _, err = run_cli(
+        capsys, "search", "--pattern", "x+3317044064679887385961981",
+        "--n", "3317044064679887385962200", "--sieve-bound", "2",
+    )
+    assert rc == 3
+    assert err.startswith("error:")
+    # the pseudosquares subcommand is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["pseudosquares", "--limit", "300"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "pseudosquares" in err
 
 
 def test_inadmissible_pattern_exit_code(capsys):

@@ -9,17 +9,16 @@ from tuplesieve import primality
 from tuplesieve.apsieve import primes_upto
 from tuplesieve.primality import (
     _MR_LADDER,
-    EMBEDDED_TABLE,
-    PseudosquareTable,
+    PSEUDOSQUARES,
     TableCapacityError,
-    compute_pseudosquares,
+    _level_for,
     is_perfect_power,
     is_prime,
-    load_table,
     pseudosquares_test,
-    save_table,
     sprp_base2,
 )
+
+from conftest import compute_pseudosquares
 
 
 def test_sprp_examples():
@@ -51,8 +50,8 @@ def test_sprp_catches_every_prime_and_only_base2_pseudoprimes(table_1e5):
 
 
 def test_compute_pseudosquares_examples():
-    assert compute_pseudosquares(72).entries == ()
-    assert compute_pseudosquares(300).entries == ((3, 73), (5, 241))
+    assert compute_pseudosquares(72) == ()
+    assert compute_pseudosquares(300) == ((3, 73), (5, 241))
 
 
 def test_compute_pseudosquares_matches_naive():
@@ -76,14 +75,13 @@ def test_compute_pseudosquares_matches_naive():
         if p in best and best[p] != prev:
             run_starts.append((p, best[p]))
             prev = best[p]
-    assert compute_pseudosquares(limit).entries == tuple(run_starts)
+    assert compute_pseudosquares(limit) == tuple(run_starts)
 
 
 def test_embedded_prefix_matches_generator():
     limit = 2_000_000
-    gen = compute_pseudosquares(limit)
-    prefix = tuple((p, L) for p, L in EMBEDDED_TABLE.entries if L <= limit)
-    assert gen.entries == prefix
+    prefix = tuple((p, L) for p, L in PSEUDOSQUARES if L <= limit)
+    assert compute_pseudosquares(limit) == prefix
 
 
 def test_embedded_entries_have_exact_coverage():
@@ -91,7 +89,7 @@ def test_embedded_entries_have_exact_coverage():
     # up to (exclusive) the next entry's level, and a non-residue exactly
     # there; that pins every level attribution in the run-start encoding
     primes = [q for q in range(3, 200) if sympy.isprime(q)]
-    entries = EMBEDDED_TABLE.entries
+    entries = PSEUDOSQUARES
     for i, (p, L) in enumerate(entries):
         assert L % 8 == 1
         r = math.isqrt(L)
@@ -106,12 +104,32 @@ def test_embedded_entries_have_exact_coverage():
 
 
 def test_table_strictly_increasing():
-    ps = [p for p, _ in EMBEDDED_TABLE.entries]
-    ls = [L for _, L in EMBEDDED_TABLE.entries]
+    ps = [p for p, _ in PSEUDOSQUARES]
+    ls = [L for _, L in PSEUDOSQUARES]
     assert ps == sorted(ps) and len(set(ps)) == len(ps)
     assert ls == sorted(ls) and len(set(ls)) == len(ls)
-    with pytest.raises(ValueError):
-        PseudosquareTable(((3, 73), (5, 73)))
+
+
+def _scan_level(N, trial_bound):
+    """The least index with N < L * trial_bound, by a linear scan; None past the table."""
+    for i, (_, L) in enumerate(PSEUDOSQUARES):
+        if N < L * trial_bound:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("b", [1, 19, 1021, 1 << 18])
+def test_level_choice_at_every_table_boundary(b):
+    # L*b - 1 is the last N an entry covers; L*b needs the next entry
+    last = len(PSEUDOSQUARES) - 1
+    for i, (_, L) in enumerate(PSEUDOSQUARES):
+        assert _level_for(L * b - 1, b) == _scan_level(L * b - 1, b) == i
+        if i < last:
+            assert _level_for(L * b, b) == _scan_level(L * b, b) == i + 1
+        else:
+            assert _scan_level(L * b, b) is None
+            with pytest.raises(TableCapacityError):
+                _level_for(L * b, b)
 
 
 def test_pseudosquares_worked_examples():
@@ -126,20 +144,20 @@ def test_pseudosquares_rejects_prime_powers():
 
 
 def test_pseudosquares_capacity_error():
+    # past the shipped table's reach (L <= 1.96e11) at trial bound 1
     with pytest.raises(TableCapacityError):
-        pseudosquares_test(sympy.nextprime(10**13) | 1, 1, PseudosquareTable(((3, 73),)))
+        pseudosquares_test(sympy.nextprime(10**13) | 1, 1)
 
 
-def test_pseudosquares_bases_reach_a_level_past_1021(monkeypatch):
-    # 1021 is the last prime the trial-division list holds; a table may go higher
-    table = PseudosquareTable(((1031, 10**30),))
-    odd = tuple(sympy.primerange(3, 1032))
-    assert table.odd_primes == odd
+def test_pseudosquares_top_level_uses_every_odd_prime(monkeypatch):
+    # a prime 3 mod 8 between the last two L values needs the top level, 113
+    N = int(sympy.nextprime(10**11))
+    assert N % 8 == 3 and PSEUDOSQUARES[-2][1] <= N < PSEUDOSQUARES[-1][1]
     seen = []
     powmod = primality.powmod
     monkeypatch.setattr(primality, "powmod", lambda a, e, m: seen.append(a) or powmod(a, e, m))
-    assert pseudosquares_test(1_000_003, 1, table)
-    assert seen == [2, *odd]
+    assert pseudosquares_test(N, 1)
+    assert seen == [2, *sympy.primerange(3, 114)]
 
 
 @pytest.mark.parametrize("trial_bound", [19, 100, 1000])
@@ -266,13 +284,3 @@ def test_perfect_power_trial_bound_matches_scan(b):
         free[::p] = bytes(len(range(0, limit, p)))
     got = [N for N in compress(range(limit), free) if is_perfect_power(N, b)]
     assert got == sorted(N for N in powers if free[N])
-
-
-def test_table_file_roundtrip(tmp_path):
-    path = tmp_path / "psq.txt"
-    save_table(EMBEDDED_TABLE, path)
-    assert load_table(path).entries == EMBEDDED_TABLE.entries
-    bad = tmp_path / "bad.txt"
-    bad.write_text("nope\n3 73\n")
-    with pytest.raises(ValueError):
-        load_table(bad)
