@@ -3,15 +3,11 @@ f_i(r + j*W), clearing candidates hit by any sieve prime.
 
 One segment covers a single wheel residue r: byte j of the segment
 stands for the candidate x(j) = r + j*W, and stays 1 only if no sieve
-prime divides any form value there.  Segment length is about x_top/W,
-where x_top = min_i (n - b_i) // a_i is the largest x in range.  The
-planner's default wheel budget is x_top // B_s for its space bound
-B_s >= B, so W <= x_top/B_s and a segment holds at least about B_s
-bytes; it is not capped near B.
-
-`live_fractions` predicts the share of a segment's bytes that survive
-each prefix of the sieve primes; the search planner uses it to choose
-the one sieve depth every segment of a run is sieved to.
+prime divides any form value there.  The segment runs up to
+`Pattern.x_max(n)`, the largest x in range.  How deep to sieve and how
+large a wheel to take is `search._resolve_plan`'s choice; this module
+lists the primes (`make_plan`) and predicts what they leave
+(`live_fractions`).
 
 Where each prime's strikes start depends on r only through one product,
 so the inverses behind it are computed once per run (`start_table`) and
@@ -26,7 +22,6 @@ from itertools import compress
 from .arith import modinv
 
 __all__ = [
-    "PlanError",
     "SievePlan",
     "make_plan",
     "SieveSegment",
@@ -37,10 +32,6 @@ __all__ = [
     "iter_primes",
     "live_fractions",
 ]
-
-
-class PlanError(ValueError):
-    pass
 
 
 def primes_upto(n: int) -> list:
@@ -71,7 +62,8 @@ def iter_primes(limit: int):
 
 @dataclass(frozen=True)
 class SievePlan:
-    """Sieve bound B, wheel budget, and the primes <= B.
+    """Sieve bound B, wheel budget, and the primes <= B, as
+    `search._resolve_plan` chose them.
 
     The primes split into wheel moduli and sieve primes only once the
     wheel is actually built; `sieve_primes` performs that split so an
@@ -87,28 +79,9 @@ class SievePlan:
         return [p for p in self.primes if p not in skip]
 
 
-def make_plan(n: int, c: float | None = None, sieve_bound: int | None = None,
-              wheel_limit: int | None = None, x_top: int | None = None) -> SievePlan:
-    """Derive the sieve bound and enumerate its primes.
-
-    Either pass an explicit sieve_bound, or a space exponent c > 2 which
-    sets B to the power of two nearest n^(1/c) from below.  The wheel
-    budget defaults to x_top // B, x_top being the largest x whose form
-    values all stay <= n (n itself when not given), so that a segment
-    spans at least about B candidates.
-    """
-    if sieve_bound is not None:
-        B = int(sieve_bound)
-    elif c is not None:
-        if not c > 2:
-            raise PlanError(f"space exponent c={c} must exceed 2")
-        B = 1 << int(math.log2(n) / c)
-    else:
-        raise PlanError("need either a space exponent or an explicit sieve bound")
-    if B < 2:
-        raise PlanError(f"sieve bound B={B} below 2")
-    if wheel_limit is None:
-        wheel_limit = max(2, (n if x_top is None else x_top) // B)
+def make_plan(B: int, wheel_limit: int) -> SievePlan:
+    """The plan for sieve bound B and wheel budget wheel_limit: it lists
+    the primes up to B.  `search._resolve_plan` sizes both."""
     return SievePlan(B=B, wheel_limit=wheel_limit, primes=tuple(primes_upto(B)))
 
 
@@ -132,24 +105,9 @@ def live_fractions(pattern, primes):
 class SieveSegment:
     r: int
     W: int
-    j_max: int
     bits: bytearray
     applied: int          # sieve primes applied: the whole table
     aborted: bool = False  # never set; the benchmark's layer counters still read it
-
-
-def segment_length(pattern, r: int, W: int, n: int) -> int:
-    """j_max + 1 where j_max is the largest j with max_i f_i(r + j*W) <= n.
-
-    Every form constrains j, not just the first; with multipliers above 1
-    the steepest form is the binding one.
-    """
-    j_max = None
-    for a, b in pattern.forms:
-        x_top = (n - b) // a
-        jm = (x_top - r) // W
-        j_max = jm if j_max is None else min(j_max, jm)
-    return max(0, j_max + 1)
 
 
 def start_table(pattern, W: int, sieve_primes) -> tuple:
@@ -171,18 +129,20 @@ def start_table(pattern, W: int, sieve_primes) -> tuple:
 
 
 def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
-    """Sieve the candidates x(j) = r + j*W, j = 0..j_max, by a start table.
+    """Sieve the candidates x(j) = r + j*W <= `pattern.x_max(n)` by a
+    start table.
 
-    table is `start_table(pattern, W, primes)`, and every row of it is
-    applied.  Form i is divisible by p at x(j) exactly when
-    j = s_i - r*W^-1 (mod p), so each row costs one multiply for the
-    segment, then per form one subtract-mod for the first index j0 and
-    strides of p from there.  Forms whose multiplier p divides have no
-    entry in the row: their values are never 0 mod p.
+    table is `start_table(pattern, W, primes)`, with W and the primes as
+    `search._resolve_plan` sized them, and every row of it is applied.
+    Form i is divisible by p at x(j) exactly when j = s_i - r*W^-1
+    (mod p), so each row costs one multiply for the segment, then per
+    form one subtract-mod for the first index j0 and strides of p from
+    there.  Forms whose multiplier p divides have no entry in the row:
+    their values are never 0 mod p.
     """
-    length = segment_length(pattern, r, W, n)
-    bits = bytearray([1]) * length
-    j_max = length - 1
+    # floor division by W is monotone, so this j_max is the least over the forms
+    j_max = (pattern.x_max(n) - r) // W
+    bits = bytearray([1]) * max(0, j_max + 1)
     for row in table:
         p = row[0]
         t = r * row[1]
@@ -190,7 +150,7 @@ def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
             j0 = (s - t) % p
             if j0 <= j_max:
                 bits[j0::p] = b"\x00" * ((j_max - j0) // p + 1)
-    return SieveSegment(r, W, j_max, bits, applied=len(table))
+    return SieveSegment(r, W, bits, applied=len(table))
 
 
 def survivors(seg: SieveSegment) -> list:

@@ -14,11 +14,10 @@ import argparse
 import contextlib
 import sys
 
-from .apsieve import PlanError
 from .apps import chain_search, quads, search, smallest_chain, twins
 from .pattern import PatternError, parse_pattern
 from .primality import TableCapacityError
-from .search import CheckpointError
+from .search import CheckpointError, PlanError
 from .wheel import WheelError
 
 
@@ -162,7 +161,8 @@ def main(argv=None) -> int:
     except TableCapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (PatternError, PlanError, WheelError, CheckpointError, ValueError) as e:
+    except (PatternError, PlanError, WheelError, CheckpointError, ValueError,
+            OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -55,6 +55,10 @@ class Pattern:
     def min_value(self, x: int) -> int:
         return min(a * x + b for a, b in self.forms)
 
+    def x_max(self, n: int) -> int:
+        """The largest x at which every form value is at most n."""
+        return min((n - b) // a for a, b in self.forms)
+
     def min_x(self) -> int:
         """Smallest x >= 0 at which every form value is at least 2."""
         lo = 0

@@ -1,14 +1,9 @@
 """End-to-end pattern search: wheel residues -> AP sieve -> probable-prime
 filter -> certified prime tests -> tuple stream.
 
-The planner (`_resolve_plan`) fixes one sieve depth B and the wheel
-budget per run from the input.  The space bound is sqrt(n), where
-sieving alone decides primality, while the prime table fits its budget
-and the predicted survivor density stays above LIVE_FLOOR; otherwise it
-is n^(1/3).  The wheel budget is x_top // (space bound) over the x
-range, and B is the first sieve prime at which the predicted density
-reaches LIVE_FLOOR, or the space bound if none does.  Every segment is
-sieved to B.
+The planner (`_resolve_plan`) is the one place that sizes a run: from
+the input it fixes one sieve depth B, to which every segment is sieved,
+and the wheel budget.
 
 Tuples containing a prime at or below the cut (B or the largest wheel
 prime) never reach the sieve path (the wheel excludes their residue or
@@ -57,6 +52,7 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "CheckpointError",
+    "PlanError",
     "boundary_tuples",
     "find_pattern_primes",
     "run_striped",
@@ -67,6 +63,10 @@ CHECKPOINT_MAGIC = "TSCKPT v3"
 
 
 class CheckpointError(RuntimeError):
+    pass
+
+
+class PlanError(ValueError):
     pass
 
 
@@ -104,41 +104,51 @@ PROGRESS_EVERY = 10000
 
 
 def _resolve_plan(cfg: SearchConfig):
-    """The run's sieve plan: the one depth B its segments are sieved to.
+    """The run's sieve plan: the one depth B its segments are sieved to,
+    and the wheel budget.
 
-    An explicit sieve_bound or space_exp sets B literally.  Otherwise
-    the space bound B_s is isqrt(n), where sieving alone decides every
-    survivor, as long as isqrt(n) <= SQRT_BOUND_MAX and the predicted
-    live fraction over the sieve primes up to it stays above
-    LIVE_FLOOR; else B_s = 2^floor(log2(n)/3).  The wheel budget is
-    x_top // B_s, x_top the largest x in range, unless the config's
-    wheel_limit overrides it.  B is the first sieve prime at which the
-    prediction reaches LIVE_FLOOR, or B_s if none does.  The prediction
-    skips the primes the wheel will take, because segment bytes are
-    already wheel-filtered.
+    The space bound B_s is the config's sieve_bound, or
+    2^floor(log2(n)/space_exp), and B = B_s: explicit bounds are taken
+    literally.  Otherwise B_s is isqrt(n), where sieving alone decides
+    every survivor, as long as isqrt(n) <= SQRT_BOUND_MAX and the
+    predicted live fraction over the sieve primes up to it stays above
+    LIVE_FLOOR; else B_s = 2^floor(log2(n)/3).  Then B is the first
+    sieve prime at which the prediction reaches LIVE_FLOOR, or B_s if
+    none does.  The prediction skips the primes the wheel will take,
+    because segment bytes are already wheel-filtered.  The wheel budget
+    is x_top // B_s, x_top = `pattern.x_max(n)` the largest x in range,
+    unless the config's wheel_limit overrides it.  Raises PlanError for
+    space_exp <= 2 or B < 2.
     """
     pattern, n = cfg.pattern, cfg.n
-    x_top = min((n - b) // a for a, b in pattern.forms)
-    if cfg.sieve_bound is not None or cfg.space_exp is not None:
-        return make_plan(n, c=cfg.space_exp, sieve_bound=cfg.sieve_bound,
-                         wheel_limit=cfg.wheel_limit, x_top=x_top)
+    x_top = pattern.x_max(n)
 
-    def depth(bound):
-        """The wheel budget for `bound`, and the first sieve prime up to
-        it where the prediction reaches LIVE_FLOOR (None if none does)."""
-        limit = max(2, x_top // bound) if cfg.wheel_limit is None else cfg.wheel_limit
-        skip = set(wheel_primes(limit, cfg.excluded_wheel_primes))
-        live = live_fractions(pattern, (p for p in iter_primes(bound) if p not in skip))
-        return limit, next((p for p, frac in live if frac <= LIVE_FLOOR), None)
+    def budget(space):
+        return max(2, x_top // space) if cfg.wheel_limit is None else cfg.wheel_limit
 
-    root = max(2, math.isqrt(n))
-    if root <= SQRT_BOUND_MAX:
-        limit, B = depth(root)
-        if B is None:
-            return make_plan(n, sieve_bound=root, wheel_limit=limit)
-    space = 1 << int(math.log2(n) / 3)
-    limit, B = depth(space)
-    return make_plan(n, sieve_bound=B or space, wheel_limit=limit)
+    def depth(space):
+        """The first sieve prime up to `space` where the prediction
+        reaches LIVE_FLOOR, or None if none does."""
+        skip = set(wheel_primes(budget(space), cfg.excluded_wheel_primes))
+        live = live_fractions(pattern, (p for p in iter_primes(space) if p not in skip))
+        return next((p for p, frac in live if frac <= LIVE_FLOOR), None)
+
+    if cfg.sieve_bound is not None:
+        space = B = int(cfg.sieve_bound)
+    elif cfg.space_exp is not None:
+        if not cfg.space_exp > 2:
+            raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
+        space = B = 1 << int(math.log2(n) / cfg.space_exp)
+    else:
+        space = max(2, math.isqrt(n))
+        # past the table budget, or with a cut below sqrt(n), take n^(1/3)
+        if space > SQRT_BOUND_MAX or (B := depth(space)) is not None:
+            space = 1 << int(math.log2(n) / 3)
+            B = depth(space)
+        B = B or space
+    if B < 2:
+        raise PlanError(f"sieve bound B={B} below 2")
+    return make_plan(B, budget(space))
 
 
 def _values(forms, xs):
@@ -163,8 +173,7 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
     """
     x0 = pattern.min_x()
     stop = min(cut, n)  # past n even the smallest form is out of range
-    x1 = min(max((stop - b) // a for a, b in pattern.forms),
-             min((n - b) // a for a, b in pattern.forms))
+    x1 = min(max((stop - b) // a for a, b in pattern.forms), pattern.x_max(n))
     if x1 < x0:
         return []
     size = x1 - x0 + 1
@@ -262,7 +271,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
     pattern, n, nu = cfg.pattern, cfg.n, cfg.nu
     forms = pattern.forms
-    if min((n - b) // a for a, b in forms) < pattern.min_x():
+    if pattern.x_max(n) < pattern.min_x():
         # no x has every value in [2, n], so nothing can be prime
         return SearchResult(xs=[] if keep_xs else None, count=0, recip_sum=0.0,
                             stripe_counts=[0] * nu, boundary_count=0, completed=True)
@@ -295,7 +304,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     x_cut = max((cut - b) // a for a, b in forms)
     # a value below (B+1)^2 with no prime factor <= B is prime, and every
     # value of x is below it exactly when x <= x_proved
-    x_proved = max(x_cut, min(((plan.B + 1) ** 2 - 1 - b) // a for a, b in forms))
+    x_proved = max(x_cut, pattern.x_max((plan.B + 1) ** 2 - 1))
 
     last_checkpoint = time.monotonic()
     completed = True

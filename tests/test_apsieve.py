@@ -3,12 +3,10 @@ import math
 import pytest
 
 from tuplesieve.apsieve import (
-    PlanError,
     iter_primes,
     live_fractions,
     make_plan,
     primes_upto,
-    segment_length,
     sieve_segment,
     start_table,
     survivors,
@@ -27,37 +25,11 @@ def test_iter_primes_agrees_with_primes_upto():
         assert list(iter_primes(limit)) == primes_upto(limit)
 
 
-def test_plan_power_of_two_rule():
-    plan = make_plan(2**30, c=3)
-    assert plan.B == 1024
-    assert plan.wheel_limit == 2**30 // 1024
-
-
 def test_plan_explicit_bound():
-    plan = make_plan(5050, sieve_bound=20, wheel_limit=210)
-    assert plan.B == 20
+    plan = make_plan(20, 210)
+    assert (plan.B, plan.wheel_limit) == (20, 210)
     assert plan.primes == (2, 3, 5, 7, 11, 13, 17, 19)
     assert plan.sieve_primes([2, 3, 5, 7]) == [11, 13, 17, 19]
-
-
-def test_plan_sqrt_mode():
-    n = 10**8
-    plan = make_plan(n, sieve_bound=math.isqrt(n))
-    assert plan.B == 10**4
-    assert plan.wheel_limit == 10**4
-    # the wheel budget follows the x range when it is given
-    assert make_plan(n, sieve_bound=math.isqrt(n), x_top=n // 256).wheel_limit == 39
-
-
-def test_plan_errors():
-    with pytest.raises(PlanError):
-        make_plan(3, c=3)
-    with pytest.raises(PlanError):
-        make_plan(100, c=2.0)
-    with pytest.raises(PlanError):
-        make_plan(100, sieve_bound=1)
-    with pytest.raises(PlanError):
-        make_plan(100)
 
 
 @pytest.mark.parametrize("pattern,primes", [
@@ -86,7 +58,7 @@ def test_live_fraction_stops_at_floor():
 
 def test_sieve_primes_keeps_excluded_wheel_prime():
     # a prime dropped from the wheel still gets sieved
-    plan = make_plan(10**6, sieve_bound=64)
+    plan = make_plan(64, 10**6 // 64)
     s = plan.sieve_primes([2, 3, 5, 7, 13])  # 11 skipped by the wheel
     assert 11 in s
     assert s == sorted(set(plan.primes) - {2, 3, 5, 7, 13})
@@ -94,7 +66,7 @@ def test_sieve_primes_keeps_excluded_wheel_prime():
 
 def test_worked_example_segment():
     seg = sieve_segment(QUAD, 11, 210, 5050, start_table(QUAD, 210, [11, 13, 17, 19]))
-    assert seg.j_max == 23
+    assert len(seg.bits) == 24
     assert survivors(seg) == [851, 1481, 3161]
     assert seg.applied == 4
     assert not seg.aborted
@@ -125,7 +97,7 @@ def test_segment_length_binds_on_steepest_form():
     chern = make_pattern(CORPUS["chernick"])
     n = 10**4
     r, W = 11, 210
-    length = segment_length(chern, r, W, n)
+    length = len(sieve_segment(chern, r, W, n, start_table(chern, W, [])).bits)
     # every surviving candidate obeys max f <= n, one more would not
     assert chern.max_value(r + (length - 1) * W) <= n
     assert chern.max_value(r + length * W) > n
@@ -211,7 +183,9 @@ def test_strike_set_matches_brute_force(pattern, r, W, n, primes, floor):
         assert depth < primes[-1]
         primes = primes[: primes.index(depth) + 1]
     seg = sieve_segment(pattern, r, W, n, start_table(pattern, W, primes))
-    length = segment_length(pattern, r, W, n)
+    length = len(seg.bits)
+    # the segment ends at the last candidate with every value <= n
+    assert pattern.max_value(r + length * W) > n >= pattern.max_value(r + (length - 1) * W)
     struck = _struck_by(pattern, r, W, length, primes)
     assert [j for j in range(length) if not seg.bits[j]] == sorted(struck)
     assert seg.applied == len(primes) and not seg.aborted

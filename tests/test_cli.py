@@ -109,6 +109,21 @@ def test_capacity_error_exit_code(capsys):
     assert "invalid choice" in err and "pseudosquares" in err
 
 
+WIDE = str(2**127)  # one past the widest supported value
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--pattern", "x,x+2", "--n", WIDE],
+    ["twins", "--x", WIDE],
+    ["search", "--pattern", "x,x+2", "--n", "1000", "--wheel-limit", "-5"],
+    ["search", "--pattern", f"{WIDE}x+1", "--n", "1000"],
+], ids=["n", "twins-x", "wheel-limit", "multiplier"])
+def test_out_of_width_input_exit_code(capsys, argv):
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 def test_inadmissible_pattern_exit_code(capsys):
     rc, _, err = run_cli(capsys, "search", "--pattern", "x,x+1", "--n", "100")
     assert rc == 2

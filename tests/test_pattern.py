@@ -77,6 +77,28 @@ def test_format_parse_roundtrip(forms):
     assert parse_pattern(format_pattern(p)).forms == p.forms
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(sorted(CORPUS)).map(CORPUS.get),
+        # forms with offsets down to -1000, some of them below zero at x = 0
+        st.lists(st.tuples(st.integers(1, 60), st.integers(-1000, 100)),
+                 min_size=1, max_size=5, unique=True),
+    ),
+    st.integers(0, 10**6),
+)
+def test_x_max_is_largest_x_in_range(forms, n):
+    from math import gcd
+
+    forms = [(a, b) for a, b in forms if gcd(a, b) == 1]
+    if not forms:
+        return
+    p = make_pattern(forms)
+    x = p.x_max(n)
+    # every multiplier is >= 1, so max_value grows strictly with x
+    assert p.max_value(x) <= n < p.max_value(x + 1)
+
+
 def test_mask_cunningham_first_mod3():
     # any first-kind chain of length >= 2 leaves only residue 2 mod 3
     for length in (2, 3, 5, 15):

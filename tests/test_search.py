@@ -12,6 +12,7 @@ from tuplesieve.pattern import admissible, chain_pattern, make_pattern, parse_pa
 from tuplesieve.wheel import build_wheel
 from tuplesieve.search import (
     CheckpointError,
+    PlanError,
     SearchConfig,
     boundary_tuples,
     find_pattern_primes,
@@ -386,6 +387,34 @@ def test_plan_sqrt_for_twins_and_quads_at_1e8():
         assert len(plan.primes) == 1229
 
 
+def _plan(pattern, n, **kw):
+    return search_mod._resolve_plan(SearchConfig(pattern=pattern, n=n, **kw))
+
+
+X = make_pattern([(1, 0)])
+
+
+def test_plan_power_of_two_rule():
+    plan = _plan(X, 2**30, space_exp=3)
+    assert (plan.B, plan.wheel_limit) == (1024, 2**20)
+
+
+def test_plan_sqrt_mode():
+    plan = _plan(X, 10**8, sieve_bound=10**4)
+    assert (plan.B, plan.wheel_limit, len(plan.primes)) == (10**4, 10**4, 1229)
+    # the wheel budget follows the x range, not n
+    assert _plan(make_pattern([(256, 1)]), 10**8, sieve_bound=10**4).wheel_limit == 39
+
+
+def test_plan_errors():
+    with pytest.raises(PlanError, match=r"^sieve bound B=1 below 2$"):
+        _plan(X, 3, space_exp=3)
+    with pytest.raises(PlanError, match=r"^space exponent c=2\.0 must exceed 2$"):
+        _plan(X, 100, space_exp=2.0)
+    with pytest.raises(PlanError, match=r"^sieve bound B=1 below 2$"):
+        _plan(X, 100, sieve_bound=1)
+
+
 def _planned_depth(pattern, bound, wheel_limit):
     """First prime <= bound, wheel primes left out, where the predicted
     live fraction is at most LIVE_FLOOR."""
@@ -407,7 +436,7 @@ def test_plan_chain_window_depth_cut(monkeypatch):
     monkeypatch.setattr(search_mod, "_resolve_plan", record)
     assert smallest_chain("first", 9, 10**9) == 85864769
     cfg, plan = plans[-1]  # the largest window
-    x_top = min((cfg.n - b) // a for a, b in cfg.pattern.forms)
+    x_top = cfg.pattern.x_max(cfg.n)
     assert x_top == 2**29
     # the wheel is budgeted by the space bound n^(1/3), not by the cut depth
     assert build_wheel(cfg.pattern, plan.wheel_limit).W <= plan.wheel_limit == x_top // 2**12
