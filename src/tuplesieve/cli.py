@@ -33,9 +33,9 @@ def _add_search_options(p, with_pattern=True):
     group.add_argument("--space-exp", type=float, metavar="C",
                        help="space exponent c > 2; sieve bound becomes 2^floor(log2(n)/c)")
     p.add_argument("--wheel-limit", type=int,
-                   help="cap on the wheel modulus product (default x_top/B, x_top the "
-                        "largest x whose form values all stay within the bound, B the "
-                        "sieve bound or the planner's space bound)")
+                   help="cap on the wheel modulus product (default: primes 2, 3, 5, ... "
+                        "while each saves more segment bytes over the x range than its "
+                        "sieve rows cost, and until segments hold at most 2^22 bytes)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
                    help="stripe the residues across NU logical workers")
     p.add_argument("--exclude-wheel-prime", type=int, action="append", default=[],

@@ -3,17 +3,19 @@ filter -> certified prime tests -> tuple stream.
 
 The planner (`_resolve_plan`) is the one place that sizes a run: from
 the input it fixes one sieve depth B, to which every segment is sieved,
-and the wheel budget.
+and the wheel, chosen by what a sieve row costs in CPython against a
+segment byte (`_wheel_modulus`).
 
 Tuples containing a prime at or below the cut (B or the largest wheel
 prime) never reach the sieve path (the wheel excludes their residue or
 a sieve prime clears them), so a byte sieve over that boundary window
 of x finds those first.  On the sieve path a segment's survivors come
-out ascending, and two bisects split them: those the boundary window
-owns are dropped, those whose largest value is below (B+1)^2 are
-proved tuples by the sieve alone, and the rest go through the SPRP
-gate and the certified test.  The proved prefix and the tested tuples
-make one ascending list per segment, accounted in one step: its length
+out ascending, CHUNK bytes of it at a time, and two bisects split each
+chunk's: those the boundary window owns are dropped, those whose
+largest value is below (B+1)^2 are proved tuples by the sieve alone,
+and the rest go through the SPRP gate and the certified test.  The
+proved prefix and the tested tuples make one ascending list per chunk,
+accounted in one step: its length
 goes to the count and its values, as C-level map columns, to one
 exact-sum call.  The boundary window is accounted the same way.  One
 walk over the wheel's positions visits every residue once, in position
@@ -25,7 +27,6 @@ checkpoint stores the walk's position, the stripe counts and that
 integer.
 """
 
-import hashlib
 import math
 import os
 import time
@@ -44,7 +45,7 @@ from .apsieve import (
 )
 from .arith import WIDE_MAX
 from .kahan import KahanBuckets
-from .pattern import Pattern, admissible, chain_pattern, format_pattern
+from .pattern import Pattern, acceptable_residues, admissible, chain_pattern, format_pattern
 from .primality import is_prime, sprp_base2
 from .wheel import build_wheel, wheel_primes
 
@@ -101,11 +102,20 @@ SQRT_BOUND_MAX = 2**24
 LIVE_FLOOR = 1 / 4096
 # residues between two progress reports
 PROGRESS_EVERY = 10000
+# the cost of one (segment, prime, form) row of the sieve, counted in
+# segment bytes: a row takes about 0.6 us in CPython, and a byte,
+# allocated, struck and read out, some tens of ns at most
+ROW_BYTES = 30
+# the longest segment the wheel choice allows, in bytes
+SEGMENT_MAX = 1 << 22
+# segment bytes read out and accounted at a time, which bounds the
+# survivor and term lists
+CHUNK = 1 << 16
 
 
 def _resolve_plan(cfg: SearchConfig):
     """The run's sieve plan: the one depth B its segments are sieved to,
-    and the wheel budget.
+    the primes up to it, and the wheel.
 
     The space bound B_s is the config's sieve_bound, or
     2^floor(log2(n)/space_exp), and B = B_s: explicit bounds are taken
@@ -114,25 +124,34 @@ def _resolve_plan(cfg: SearchConfig):
     predicted live fraction over the sieve primes up to it stays above
     LIVE_FLOOR; else B_s = 2^floor(log2(n)/3).  Then B is the first
     sieve prime at which the prediction reaches LIVE_FLOOR, or B_s if
-    none does.  The prediction skips the primes the wheel will take,
-    because segment bytes are already wheel-filtered.  The wheel budget
-    is x_top // B_s, x_top = `pattern.x_max(n)` the largest x in range,
-    unless the config's wheel_limit overrides it.  Raises PlanError for
-    space_exp <= 2 or B < 2.
+    none does.  The prediction skips the primes of a reference wheel
+    budgeted x_top // B_s (x_top = `pattern.x_max(n)`, the largest x in
+    range), because segment bytes are already wheel-filtered; the primes
+    it reads are the plan's, so they are listed once.  The wheel itself
+    is the config's wheel_limit or `_wheel_modulus`'s choice.  Raises
+    PlanError for space_exp <= 2 or B < 2.
     """
     pattern, n = cfg.pattern, cfg.n
     x_top = pattern.x_max(n)
 
-    def budget(space):
-        return max(2, x_top // space) if cfg.wheel_limit is None else cfg.wheel_limit
-
     def depth(space):
         """The first sieve prime up to `space` where the prediction
-        reaches LIVE_FLOOR, or None if none does."""
-        skip = set(wheel_primes(budget(space), cfg.excluded_wheel_primes))
-        live = live_fractions(pattern, (p for p in iter_primes(space) if p not in skip))
-        return next((p for p, frac in live if frac <= LIVE_FLOOR), None)
+        reaches LIVE_FLOOR, or None if none does, and the primes up to
+        it (up to `space` if none does)."""
+        budget = max(2, x_top // space) if cfg.wheel_limit is None else cfg.wheel_limit
+        skip = set(wheel_primes(budget, cfg.excluded_wheel_primes))
+        listed = []
 
+        def sieve_primes():
+            for p in iter_primes(space):
+                listed.append(p)
+                if p not in skip:
+                    yield p
+
+        live = live_fractions(pattern, sieve_primes())
+        return next((p for p, frac in live if frac <= LIVE_FLOOR), None), listed
+
+    primes = None
     if cfg.sieve_bound is not None:
         space = B = int(cfg.sieve_bound)
     elif cfg.space_exp is not None:
@@ -141,14 +160,50 @@ def _resolve_plan(cfg: SearchConfig):
         space = B = 1 << int(math.log2(n) / cfg.space_exp)
     else:
         space = max(2, math.isqrt(n))
+        B = None
+        if space <= SQRT_BOUND_MAX:
+            B, primes = depth(space)
         # past the table budget, or with a cut below sqrt(n), take n^(1/3)
-        if space > SQRT_BOUND_MAX or (B := depth(space)) is not None:
+        if space > SQRT_BOUND_MAX or B is not None:
             space = 1 << int(math.log2(n) / 3)
-            B = depth(space)
+            B, primes = depth(space)
         B = B or space
     if B < 2:
         raise PlanError(f"sieve bound B={B} below 2")
-    return make_plan(B, budget(space))
+    if primes is None:
+        primes = primes_upto(B)
+    wheel_limit = cfg.wheel_limit
+    if wheel_limit is None:
+        rows = pattern.k * len(primes)
+        wheel_limit = _wheel_modulus(pattern, x_top, rows, cfg.excluded_wheel_primes)
+    return make_plan(B, wheel_limit, primes)
+
+
+def _wheel_modulus(pattern, x_top, rows, excluded) -> int:
+    """The wheel modulus W that the per-row cost model picks for segments
+    of about x_top // W bytes sieved by `rows` (prime, form) rows.
+
+    A row costs about ROW_BYTES struck bytes, so a segment of L bytes
+    costs ROW_BYTES * rows + L.  Prime q, taken in order 2, 3, 5, ...
+    past the excluded ones, joins the wheel while its acc(q) residues
+    out of q cost less than one segment without it:
+    acc(q) * (ROW_BYTES * rows + L // q) < ROW_BYTES * rows + L, or
+    while L > SEGMENT_MAX, which bounds a segment's buffer.  The first
+    prime always joins, as a wheel needs one modulus.  Each prime taken
+    shrinks L, and at L = 0 the inequality fails, so the loop reads a
+    few dozen primes at most.
+    """
+    fixed = ROW_BYTES * rows
+    W = 1
+    for q in iter_primes(WIDE_MAX):
+        if q in excluded:
+            continue
+        L = x_top // W
+        if (W > 1 and L <= SEGMENT_MAX
+                and acceptable_residues(pattern, q).popcount * (fixed + L // q) >= fixed + L):
+            break
+        W *= q
+    return W
 
 
 def _values(forms, xs):
@@ -191,6 +246,8 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
 
 
 def _config_digest(cfg: SearchConfig, plan) -> str:
+    import hashlib  # loads libcrypto, so only runs that checkpoint pay for it
+
     blob = "|".join(
         [
             "tsckpt3",
@@ -280,7 +337,6 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     wheel = build_wheel(pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
     sieve_table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
     cut = max(plan.B, max(wheel.moduli))
-    digest = _config_digest(cfg, plan)
 
     # tuples containing a prime <= cut are found by the boundary window
     boundary = boundary_tuples(pattern, cut, n)
@@ -295,6 +351,8 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     counts = [0] * nu
     recip = KahanBuckets()  # the sieve path's sum, which a checkpoint holds
     resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
+    if checkpoint_path is not None:
+        digest = _config_digest(cfg, plan)
     if resumed:
         position, counts, units = _read_checkpoint(checkpoint_path, digest, nu, last)
         wheel.seek(position)
@@ -311,22 +369,25 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     while (r := wheel.next_residue()) is not None:
         done = wheel.position
         stripe = (done - 1) % nu
-        xs = survivors(sieve_segment(pattern, r, W, n, sieve_table))
-        # the boundary window owns those up to x_cut
-        lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
-        ok = xs[lo:hi]  # proved by the sieve alone
-        for x in xs[hi:]:
-            vals = pattern.evaluate(x)
-            # cheap probable-prime gates first, then certified tests
-            if all(sprp_base2(v) for v in vals) and all(is_prime(v, plan.B) for v in vals):
-                ok.append(x)
-        counts[stripe] += len(ok)
-        recip.add_group(_values(forms, ok))
-        if keep_xs:
-            found.extend(ok)
-        if on_tuple:
-            for x in ok:
-                on_tuple(x, pattern.evaluate(x))
+        seg = sieve_segment(pattern, r, W, n, sieve_table)
+        for start in range(0, len(seg.bits), CHUNK):
+            xs = survivors(seg, start, start + CHUNK)
+            # the boundary window owns those up to x_cut
+            lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
+            ok = xs[lo:hi]  # proved by the sieve alone
+            for x in xs[hi:]:
+                vals = pattern.evaluate(x)
+                # cheap probable-prime gates first, then certified tests
+                if all(sprp_base2(v) for v in vals) and all(is_prime(v, plan.B) for v in vals):
+                    ok.append(x)
+            counts[stripe] += len(ok)
+            recip.add_group(_values(forms, ok))
+            if keep_xs:
+                found.extend(ok)
+            if on_tuple:
+                for x in ok:
+                    on_tuple(x, pattern.evaluate(x))
+        del seg  # free the buffer before the next segment is sieved
         if progress and done % PROGRESS_EVERY == 0:
             progress(done)
         if stop_after_residues is not None and stop_after_residues <= done < last:

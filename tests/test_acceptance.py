@@ -124,7 +124,8 @@ def test_criterion_5_configuration_invariance():
 def test_criterion_6_checkpoint_determinism(tmp_path):
     t0 = time.perf_counter()
     n = 10**8
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=4, space_exp=3.0)
+    # W = 30030 leaves 189 residues, so stopping after 90 interrupts the run
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=4, space_exp=3.0, wheel_limit=30030)
     uninterrupted = run_striped(cfg)
 
     ck = tmp_path / "quad.ckpt"

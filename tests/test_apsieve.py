@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuplesieve.apsieve import (
     iter_primes,
@@ -70,6 +72,17 @@ def test_worked_example_segment():
     assert survivors(seg) == [851, 1481, 3161]
     assert seg.applied == 4
     assert not seg.aborted
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.sampled_from([11, 101, 191]), n=st.integers(0, 10**5), step=st.integers(1, 700))
+def test_survivors_by_chunks_concatenate(r, n, step):
+    # 11, 101 and 191 are QUAD's residues mod 210
+    seg = sieve_segment(QUAD, r, 210, n, start_table(QUAD, 210, primes_upto(100)[4:]))
+    whole = survivors(seg)
+    assert whole == [r + 210 * j for j, live in enumerate(seg.bits) if live]
+    parts = [survivors(seg, lo, lo + step) for lo in range(0, len(seg.bits), step)]
+    assert [x for part in parts for x in part] == whole
 
 
 def test_worked_example_first_prime_only():

@@ -34,8 +34,10 @@ def test_search_out_file(tmp_path, capsys):
 
 
 def test_search_unsorted_same_set(capsys):
+    # W = 210 splits the search over 3 residues, so the stream is out of order
     rc, out, _ = run_cli(
-        capsys, "search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000", "--unsorted"
+        capsys, "search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000", "--unsorted",
+        "--wheel-limit", "210",
     )
     assert rc == 0
     lines = out.strip().splitlines()
@@ -199,8 +201,9 @@ def test_wheel_limit_help_names_x_range_budget(capsys):
     with pytest.raises(SystemExit):
         main(["search", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "(default x_top/B, x_top the largest x whose form values" in text
-    assert "n/B" not in text
+    assert "saves more segment bytes over the x range than its sieve rows cost" in text
+    assert "at most 2^22 bytes" in text
+    assert "x_top/B" not in text and "n/B" not in text
 
 
 def test_twins_x_too_small_exit_code(capsys):

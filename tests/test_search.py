@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -193,8 +196,8 @@ def test_emission_order_boundary_first():
 
 
 def test_checkpoint_interrupt_resume_bitwise(tmp_path):
-    # c=3 gives QUAD at 10^6 189 residues, so 9 of them interrupt the run
-    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0)
+    # c=3 and W = 2310 give QUAD at 10^6 21 residues, so 9 of them interrupt the run
+    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0, wheel_limit=2310)
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
@@ -208,8 +211,9 @@ def test_checkpoint_interrupt_resume_bitwise(tmp_path):
 
 
 def test_checkpoint_interrupt_resume_default_plan(tmp_path):
-    # the default plan sieves QUAD at 10^6 to sqrt(n) over 3 residues
-    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=1)
+    # the default plan sieves QUAD at 10^8 to sqrt(n) over the 3 residues of W = 210
+    cfg = SearchConfig(pattern=QUAD, n=10**8, nu=1)
+    assert build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count() == 3
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=1)
@@ -223,8 +227,8 @@ def test_checkpoint_interrupt_resume_default_plan(tmp_path):
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_kill_resume_at_every_position(tmp_path, nu):
-    # c=3 gives QUAD at 10^5 a wheel of 21 residues; stop after each but the last
-    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0)
+    # c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues; stop after each but the last
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0, wheel_limit=2310)
     full = run_striped(cfg)
     last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
     assert last == 21
@@ -278,7 +282,7 @@ def test_checkpoint_digest_mismatch(tmp_path):
 
 def test_checkpoint_corrupt_file(tmp_path):
     ck = tmp_path / "run.ckpt"
-    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0)
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel_limit=2310)
     run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
     text = ck.read_text().splitlines()
     assert text[0] == "TSCKPT v3" and text[2] == "position 2"
@@ -383,7 +387,9 @@ def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_lim
 def test_plan_sqrt_for_twins_and_quads_at_1e8():
     for pattern in (TWIN, QUAD):
         plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=10**8))
-        assert (plan.B, plan.wheel_limit) == (10**4, 9999)
+        # the cost model stops at 11: its rows cost more than its residues save
+        assert (plan.B, plan.wheel_limit) == (10**4, 210)
+        assert plan.primes == tuple(primes_upto(10**4))
         assert len(plan.primes) == 1229
 
 
@@ -396,14 +402,19 @@ X = make_pattern([(1, 0)])
 
 def test_plan_power_of_two_rule():
     plan = _plan(X, 2**30, space_exp=3)
-    assert (plan.B, plan.wheel_limit) == (1024, 2**20)
+    # one form and 172 primes: even 11, which keeps 10 of its 11 residues, pays for its rows
+    assert (plan.B, plan.wheel_limit) == (1024, 2310)
+    assert plan.primes == tuple(primes_upto(1024))
 
 
 def test_plan_sqrt_mode():
     plan = _plan(X, 10**8, sieve_bound=10**4)
-    assert (plan.B, plan.wheel_limit, len(plan.primes)) == (10**4, 10**4, 1229)
-    # the wheel budget follows the x range, not n
-    assert _plan(make_pattern([(256, 1)]), 10**8, sieve_bound=10**4).wheel_limit == 39
+    assert (plan.B, plan.wheel_limit, len(plan.primes)) == (10**4, 210, 1229)
+    # the wheel follows the x range, not n: segments of 256x+1 are 256
+    # times shorter than n / W, so fewer primes pay for their rows
+    steep = make_pattern([(256, 1)])
+    assert _plan(steep, 10**8, sieve_bound=10**4).wheel_limit == 6
+    assert search_mod._wheel_modulus(steep, 10**8, 1229, frozenset()) == 210
 
 
 def test_plan_errors():
@@ -438,10 +449,12 @@ def test_plan_chain_window_depth_cut(monkeypatch):
     cfg, plan = plans[-1]  # the largest window
     x_top = cfg.pattern.x_max(cfg.n)
     assert x_top == 2**29
-    # the wheel is budgeted by the space bound n^(1/3), not by the cut depth
-    assert build_wheel(cfg.pattern, plan.wheel_limit).W <= plan.wheel_limit == x_top // 2**12
-    assert plan.B == _planned_depth(cfg.pattern, 2**12, plan.wheel_limit) == 1033
+    # the depth is predicted past a reference wheel budgeted by the space
+    # bound n^(1/3); the wheel itself is the cost model's
+    assert plan.B == _planned_depth(cfg.pattern, 2**12, x_top // 2**12) == 1033
     assert plan.primes == tuple(primes_upto(1033))
+    # chains keep 2 of 11 and 4 of 13 residues, so both primes pay for their rows
+    assert build_wheel(cfg.pattern, plan.wheel_limit).W == plan.wheel_limit == 30030
 
 
 def test_plan_length_15_chain_lists_few_primes(monkeypatch):
@@ -454,7 +467,8 @@ def test_plan_length_15_chain_lists_few_primes(monkeypatch):
     plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=chain.max_value(10**20)))
     assert max(asked) <= 2**12
     assert len(plan.primes) < 200
-    assert plan.B == _planned_depth(chain, 2**12, plan.wheel_limit)
+    # the probe's reference wheel is budgeted by the space bound 2^26
+    assert plan.B == _planned_depth(chain, 2**12, 10**20 // 2**26)
 
 
 def test_plan_quads_1e17_within_table_budget(monkeypatch):
@@ -467,6 +481,66 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
     # past the wheel, no prime up to 2^18 brings the prediction to the floor
     assert plan.B == 2**18
     assert max(asked) <= 2**24
+
+
+@pytest.mark.parametrize("length, x", [(15, 90616211958465842219),
+                                       (17, 2759832934171386593519)])
+def test_plan_record_chains_cap_segments(length, x):
+    # a wheel budgeted x_top // B_s left 4.5e8- and 1.38e10-byte segments here
+    chain = chain_pattern("first", length)
+    n = chain.max_value(x)
+    plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
+    assert chain.x_max(n) // build_wheel(chain, plan.wheel_limit).W <= search_mod.SEGMENT_MAX
+
+
+def test_wheel_modulus_caps_segments():
+    # twins at 2^48 sieve 2 x 1077871 rows a segment: the cost model alone
+    # stops at 17#, whose 5.5e8-byte segments SEGMENT_MAX does not allow
+    x_top = TWIN.x_max(2**48)
+    W = search_mod._wheel_modulus(TWIN, x_top, 2 * 1077871, frozenset())
+    assert W == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    assert x_top // W <= search_mod.SEGMENT_MAX < x_top // (W // 23)
+
+
+def _budget_wheel_plan(make_plan, pattern, n):
+    """make_plan with the wheel budget max(2, x_top // B_s) in place of
+    the cost model's wheel; B_s is isqrt(n) exactly when B is."""
+    root = max(2, math.isqrt(n))
+
+    def plan(B, wheel_limit, primes):
+        space = root if B == root else 1 << int(math.log2(n) / 3)
+        return make_plan(B, max(2, pattern.x_max(n) // space), primes)
+
+    return plan
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(pattern=_PATTERN, n=st.integers(0, 3 * 10**4), nu=st.integers(1, 3),
+       chunk=st.sampled_from([1, 7, 100, search_mod.CHUNK]))
+def test_default_wheel_matches_budget_wheel(pattern, n, nu, chunk):
+    cfg = SearchConfig(pattern=pattern, n=n, nu=nu)
+    with pytest.MonkeyPatch.context() as mp:
+        # short chunks split segments, which are shorter than CHUNK at this n
+        mp.setattr(search_mod, "CHUNK", chunk)
+        new = run_striped(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "make_plan",
+                   _budget_wheel_plan(search_mod.make_plan, pattern, n))
+        old = run_striped(cfg)
+    assert new.xs == old.xs
+    assert (new.count, new.boundary_count) == (old.count, old.boundary_count)
+    assert new.recip_sum.hex() == old.recip_sum.hex()
+
+
+def test_import_leaves_hashlib_unloaded():
+    # only a checkpointed run needs the digest, and hashlib loads libcrypto
+    src = str(Path(search_mod.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import tuplesieve; "
+            "print('hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_plan_explicit_overrides_win():
