@@ -15,7 +15,7 @@ search per window of the bound.  It is defined in `search.py`, the
 module the chain-hunt benchmark entry names.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .pattern import chain_pattern, make_pattern
 from .search import SearchConfig, SearchResult, run_striped, smallest_chain
@@ -35,11 +35,7 @@ TWIN_PATTERN = make_pattern([(1, 0), (1, 2)])
 QUAD_PATTERN = make_pattern([(1, 0), (1, 2), (1, 6), (1, 8)])
 
 
-@dataclass(frozen=True)
-class TupleCensus:
-    bound: int
-    count: int
-    recip_sum: float
+TupleCensus = namedtuple("TupleCensus", "bound count recip_sum")
 
 
 def search(pattern, n: int, *, checkpoint_path=None, on_tuple=None, progress=None,

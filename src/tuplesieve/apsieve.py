@@ -17,7 +17,7 @@ every segment reuses them.
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from .arith import modinv
@@ -61,8 +61,7 @@ def iter_primes(limit: int):
         lo, hi = hi, 4 * hi
 
 
-@dataclass(frozen=True)
-class SievePlan:
+class SievePlan(namedtuple("SievePlan", "B wheel_limit primes")):
     """Sieve bound B, wheel budget, and the primes <= B, as
     `search._resolve_plan` chose them.
 
@@ -71,9 +70,7 @@ class SievePlan:
     explicitly excluded wheel prime still gets sieved.
     """
 
-    B: int
-    wheel_limit: int
-    primes: tuple
+    __slots__ = ()
 
     def sieve_primes(self, wheel_moduli) -> list:
         skip = set(wheel_moduli)
@@ -104,18 +101,13 @@ def live_fractions(pattern, primes):
         yield p, frac
 
 
-@dataclass
-class SieveSegment:
-    """One wheel residue's candidates: byte j of `bits` stands for
+# applied: sieve primes applied, the whole table; aborted: never set,
+# but the benchmark's layer counters still read it
+SieveSegment = namedtuple("SieveSegment", "r W bits applied aborted", defaults=(False,))
+SieveSegment.__doc__ = """One wheel residue's candidates: byte j of `bits` stands for
     x(j) = r + j*W and is 1 while no sieve prime divides a form value
     there.  `search._resolve_plan` bounds its length by choosing W, and
     `survivors` reads it out a slice of bytes at a time."""
-
-    r: int
-    W: int
-    bits: bytearray
-    applied: int          # sieve primes applied: the whole table
-    aborted: bool = False  # never set; the benchmark's layer counters still read it
 
 
 def start_table(pattern, W: int, sieve_primes) -> tuple:
@@ -126,13 +118,14 @@ def start_table(pattern, W: int, sieve_primes) -> tuple:
     for each form a*x + b whose multiplier p does not divide.  The row
     depends on the pattern, W and p but not on the residue r, so one
     table serves every segment of a run.  Raises NotInvertibleError
-    when p divides W.
+    when p divides W.  W^-1 is the row's one `modinv`; a form with a = 1
+    has root -b and needs no inverse.
     """
     table = []
     for p in sieve_primes:
         winv = modinv(W % p, p)
-        table.append((p, winv, *(winv * (-b * modinv(a % p, p)) % p
-                                  for a, b in pattern.forms if a % p)))
+        table.append((p, winv, *[winv * (-b if a == 1 else -b * pow(a, -1, p)) % p
+                                 for a, b in pattern.forms if a % p]))
     return tuple(table)
 
 

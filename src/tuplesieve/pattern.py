@@ -5,7 +5,7 @@ p the residues x mod p that force some form to 0 mod p are excluded; the
 remainder are the acceptable residues, stored as a bit mask.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 import re
 
@@ -31,11 +31,10 @@ class PatternError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(namedtuple("Pattern", "forms")):
     """An ordered tuple of distinct linear forms (a, b) with a >= 1."""
 
-    forms: tuple
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -72,12 +71,10 @@ class Pattern:
         return format_pattern(self)
 
 
-@dataclass(frozen=True)
-class ResidueMask:
+class ResidueMask(namedtuple("ResidueMask", "modulus bits")):
     """Acceptable residues mod a prime, bit x set <=> residue x survives."""
 
-    modulus: int
-    bits: int
+    __slots__ = ()
 
     def is_acceptable(self, x: int) -> bool:
         return bool(self.bits >> (x % self.modulus) & 1)

@@ -31,7 +31,7 @@ import math
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress
 
 from .apsieve import (
@@ -71,27 +71,20 @@ class PlanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    pattern: Pattern
-    n: int
-    nu: int = 1
-    sieve_bound: int | None = None
-    space_exp: float | None = None
-    wheel_limit: int | None = None
-    excluded_wheel_primes: frozenset = frozenset()
-    checkpoint_interval: float = 900.0
+SearchConfig = namedtuple(
+    "SearchConfig",
+    "pattern n nu sieve_bound space_exp wheel_limit excluded_wheel_primes checkpoint_interval",
+    defaults=(1, None, None, None, frozenset(), 900.0),
+)
 
-
-@dataclass
-class SearchResult:
-    xs: list | None          # x values found this run, sorted; None unless kept
-    count: int               # total tuples, including any restored progress
-    recip_sum: float         # sum of 1/f_i over all counted tuples, correctly rounded
-    stripe_counts: list
-    boundary_count: int
-    completed: bool
-    resumed: bool = False
+# xs: x values found this run, sorted; None unless kept
+# count: total tuples, including any restored progress
+# recip_sum: sum of 1/f_i over all counted tuples, correctly rounded
+SearchResult = namedtuple(
+    "SearchResult",
+    "xs count recip_sum stripe_counts boundary_count completed resumed",
+    defaults=(False,),
+)
 
 
 # budget for the plan's prime tables: sieving to sqrt(n) lists every

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tuplesieve.apsieve import (
@@ -13,8 +13,8 @@ from tuplesieve.apsieve import (
     start_table,
     survivors,
 )
-from tuplesieve.arith import NotInvertibleError
-from tuplesieve.pattern import chain_pattern, make_pattern
+from tuplesieve.arith import NotInvertibleError, modinv
+from tuplesieve.pattern import admissible, chain_pattern, make_pattern
 
 from conftest import CORPUS, naive_pattern_xs
 
@@ -214,3 +214,33 @@ def test_start_table_rows():
         assert (a * (s * 385) + b) % p == 0
     with pytest.raises(NotInvertibleError):
         start_table(QUAD, 210, [11, 7])  # 7 divides W
+
+
+def _start_table_two_inverses(pattern, W, primes):
+    """The start table as first written: an inverse of W and one of
+    every form's multiplier per prime."""
+    table = []
+    for p in primes:
+        winv = modinv(W % p, p)
+        table.append((p, winv, *(winv * (-b * modinv(a % p, p)) % p
+                                  for a, b in pattern.forms if a % p)))
+    return tuple(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    forms=st.lists(st.tuples(st.integers(1, 300), st.integers(-10**4, 10**4)),
+                   min_size=1, max_size=6, unique=True),
+    W=st.integers(1, 10**9),
+    primes=st.lists(st.sampled_from(primes_upto(2000)), max_size=40, unique=True),
+)
+def test_start_table_matches_two_inverse_table(forms, W, primes):
+    forms = [(a, b) for a, b in forms if math.gcd(a, b) == 1]
+    assume(forms)
+    pattern = make_pattern(forms)
+    assume(admissible(pattern))
+    coprime = [p for p in primes if W % p]
+    assert start_table(pattern, W, coprime) == _start_table_two_inverses(pattern, W, coprime)
+    if len(coprime) < len(primes):
+        with pytest.raises(NotInvertibleError):
+            start_table(pattern, W, primes)

@@ -1,3 +1,4 @@
+import copy
 import math
 import subprocess
 import sys
@@ -8,15 +9,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tuplesieve.search as search_mod
-from tuplesieve.apps import quads, search
-from tuplesieve.apsieve import live_fractions, primes_upto
+from tuplesieve.apps import TupleCensus, quads, search
+from tuplesieve.apsieve import SievePlan, SieveSegment, live_fractions, primes_upto
 from tuplesieve.arith import WIDE_MAX
-from tuplesieve.pattern import admissible, chain_pattern, make_pattern, parse_pattern
+from tuplesieve.pattern import (
+    Pattern,
+    ResidueMask,
+    admissible,
+    chain_pattern,
+    make_pattern,
+    parse_pattern,
+)
 from tuplesieve.wheel import build_wheel
 from tuplesieve.search import (
     CheckpointError,
     PlanError,
     SearchConfig,
+    SearchResult,
     boundary_tuples,
     find_pattern_primes,
     run_striped,
@@ -534,13 +543,50 @@ def test_default_wheel_matches_budget_wheel(pattern, n, nu, chunk):
 
 
 def test_import_leaves_hashlib_unloaded():
-    # only a checkpointed run needs the digest, and hashlib loads libcrypto
+    # only a checkpointed run needs the digest, and hashlib loads libcrypto;
+    # dataclasses would bring inspect, ast and dis, most of an import's cost
     src = str(Path(search_mod.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import tuplesieve; "
-            "print('hashlib' in sys.modules)")
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    for module in ("tuplesieve", "tuplesieve.cli"):
+        code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+                "print(sorted({'hashlib', 'dataclasses', 'inspect'} & sys.modules.keys()))")
+        out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == "[]", module
+
+
+RECORDS = [
+    # (type, required fields, default fields as today's values)
+    (Pattern, dict(forms=((1, 0), (1, 2))), {}),
+    (ResidueMask, dict(modulus=3, bits=0b110), {}),
+    (SievePlan, dict(B=20, wheel_limit=210, primes=(2, 3, 5)), {}),
+    (SieveSegment, dict(r=11, W=210, bits=bytearray(b"\x01\x00"), applied=4),
+     dict(aborted=False)),
+    (SearchConfig, dict(pattern=QUAD, n=10**4),
+     dict(nu=1, sieve_bound=None, space_exp=None, wheel_limit=None,
+          excluded_wheel_primes=frozenset(), checkpoint_interval=900.0)),
+    (SearchResult, dict(xs=None, count=2, recip_sum=0.5, stripe_counts=[1, 1],
+                        boundary_count=0, completed=True), dict(resumed=False)),
+    (TupleCensus, dict(bound=10, count=2, recip_sum=0.5), {}),
+]
+
+
+@pytest.mark.parametrize("cls, required, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_semantics(cls, required, defaults):
+    fields = {**required, **defaults}  # in declaration order
+    rec = cls(**required)
+    assert {f: getattr(rec, f) for f in fields} == fields
+    twin = cls(*copy.deepcopy(list(fields.values())))
+    assert rec == twin
+    if any(isinstance(v, (list, bytearray)) for v in required.values()):
+        with pytest.raises(TypeError):  # a mutable field makes the record unhashable
+            hash(rec)
+    else:
+        assert hash(rec) == hash(twin)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+    assert repr(rec).startswith(cls.__name__ + "(")
+    assert all(f"{field}=" in repr(rec) for field in fields)
 
 
 def test_plan_explicit_overrides_win():
