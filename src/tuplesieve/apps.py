@@ -6,7 +6,10 @@ p < X on the smaller element, quadruplets count tuples whose largest
 member is below X.  `search`, `twins`, `quads` and `chain_search` take
 the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel_limit,
 excluded_wheel_primes, checkpoint_interval) and the run
-options (checkpoint_path, on_tuple, progress, keep_xs) as keywords.
+options (checkpoint_path, on_tuple, progress, keep_xs, output) as
+keywords.  nu is the number of processes a run may use, at most the
+CPU count: the parent forks one child per range of wheel positions
+after the first (see `search.run_striped`).
 keep_xs=False keeps no list of x values (the result's `.xs` is None);
 `twins` and `quads` always pass it, since a census reports only the
 count and the reciprocal sum.
@@ -39,17 +42,18 @@ TupleCensus = namedtuple("TupleCensus", "bound count recip_sum")
 
 
 def search(pattern, n: int, *, checkpoint_path=None, on_tuple=None, progress=None,
-           keep_xs=True, **cfg) -> SearchResult:
+           keep_xs=True, output=None, **cfg) -> SearchResult:
     """Every x with all forms of `pattern` prime and max_i f_i(x) <= n.
 
     `cfg` holds the `SearchConfig` fields; on_tuple(x, values) fires in
     discovery order and progress(done) every `search.PROGRESS_EVERY`
     residues.  The result's `.xs` lists the x values, sorted, unless
-    keep_xs is False.
+    keep_xs is False.  output is the file on_tuple appends lines to,
+    whose length a checkpoint records (see `search.run_striped`).
     """
     return run_striped(SearchConfig(pattern=pattern, n=n, **cfg),
                        checkpoint_path=checkpoint_path, on_tuple=on_tuple,
-                       progress=progress, keep_xs=keep_xs)
+                       progress=progress, keep_xs=keep_xs, output=output)
 
 
 def twins(X: int, **kw) -> TupleCensus:

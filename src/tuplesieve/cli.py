@@ -4,14 +4,17 @@ Subcommands: search (generic pattern search), twins, quads, chains.
 Each hands every flag to `apps` through `_config_kw` and writes tuples
 through the one sink in `_run`: one line per tuple, `x f_1 ... f_k` in
 decimal, sorted by x unless --unsorted, to --out or else stdout
-(censuses list tuples only with --out or --unsorted).  Then comes a
+(censuses list tuples only with --out or --unsorted).  --out streams
+the lines to the file as found and sorts it once the run completes; with
+--checkpoint, a resumed run cuts the file back to the length its
+checkpoint recorded and appends from there.  Then comes a
 `count=` summary; censuses add `sum=`.  Exit status is 0 on success, 2
 on configuration errors (a flag the subcommand cannot honour among
 them), 3 when no certifier covers a value (`TableCapacityError`).
 """
 
 import argparse
-import contextlib
+import os
 import sys
 
 from .apps import chain_search, quads, search, smallest_chain, twins
@@ -37,7 +40,7 @@ def _add_search_options(p, with_pattern=True):
                         "while each saves more segment bytes over the x range than its "
                         "sieve rows cost, and until segments hold at most 2^22 bytes)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
-                   help="stripe the residues across NU logical workers")
+                   help="sieve the residues in NU processes (at most the CPU count)")
     p.add_argument("--exclude-wheel-prime", type=int, action="append", default=[],
                    metavar="P", help="keep P out of the wheel (repeatable)")
     p.add_argument("--checkpoint", metavar="FILE", help="write (and resume from) this checkpoint file")
@@ -66,6 +69,10 @@ def _config_kw(args):
     return kw
 
 
+def _line(x, vals):
+    return f"{x} {' '.join(map(str, vals))}\n"
+
+
 def _run(args, fn, *a, listing=True, **kw):
     """Call fn(*a, **kw) with the config fields and a tuple sink; return its result.
 
@@ -74,19 +81,28 @@ def _run(args, fn, *a, listing=True, **kw):
     unless --unsorted is given, in which case they stream as found.
     """
     kw.update(_config_kw(args))
-    if not (args.out or listing or args.unsorted):
+    if args.out:
+        # a checkpointed run appends: the search cuts the file back to the
+        # length its checkpoint recorded, or to 0 when it starts afresh
+        with open(args.out, "w" if args.checkpoint is None else "a") as out:
+            if args.checkpoint is not None:
+                kw["output"] = out
+            res = fn(*a, on_tuple=lambda x, vals: out.write(_line(x, vals)), **kw)
+        if not args.unsorted:
+            with open(args.out) as f:
+                lines = sorted(f, key=lambda line: int(line.split(" ", 1)[0]))
+            tmp = args.out + ".tmp"
+            with open(tmp, "w") as f:
+                f.writelines(lines)
+            os.replace(tmp, args.out)
+        return res
+    if not (listing or args.unsorted):
         return fn(*a, **kw)
+    if args.unsorted:
+        return fn(*a, on_tuple=lambda x, vals: sys.stdout.write(_line(x, vals)), **kw)
     rows = []
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        def on_tuple(x, vals):
-            line = f"{x} {' '.join(map(str, vals))}\n"
-            if args.unsorted:
-                out.write(line)
-            else:
-                rows.append((x, line))
-
-        res = fn(*a, on_tuple=on_tuple, **kw)
-        out.writelines(line for _, line in sorted(rows))
+    res = fn(*a, on_tuple=lambda x, vals: rows.append((x, _line(x, vals))), **kw)
+    sys.stdout.writelines(line for _, line in sorted(rows))
     return res
 
 

@@ -6,8 +6,8 @@ least 2^-179: each term is a whole multiple of 2^-UNIT_EXP.  An
 accumulator keeps its sum as an integer count of those units, so
 partial sums add exactly in any order, and value() rounds once (int
 true division is correctly rounded), giving the same double as
-math.fsum of the terms whatever the stripe count, merge order or
-resume point.
+math.fsum of the terms whatever the split into ranges, merge order
+or resume point.
 
 add_group converts a whole group to units with C-level passes: it
 builds the float terms with map(), then repeats r = math.fsum(terms),

@@ -4,7 +4,8 @@ filter -> certified prime tests -> tuple stream.
 The planner (`_resolve_plan`) is the one place that sizes a run: from
 the input it fixes one sieve depth B, to which every segment is sieved,
 and the wheel, chosen by what a sieve row costs in CPython against a
-segment byte (`_wheel_modulus`).
+segment byte (`_wheel_modulus`).  `make_context` builds the rest once:
+the wheel, the start table and the two cuts below.
 
 Tuples containing a prime at or below the cut (B or the largest wheel
 prime) never reach the sieve path (the wheel excludes their residue or
@@ -15,24 +16,36 @@ chunk's: those the boundary window owns are dropped, those whose
 largest value is below (B+1)^2 are proved tuples by the sieve alone,
 and the rest go through the SPRP gate and the certified test.  The
 proved prefix and the tested tuples make one ascending list per chunk,
-accounted in one step: its length
-goes to the count and its values, as C-level map columns, to one
-exact-sum call.  The boundary window is accounted the same way.  One
-walk over the wheel's positions visits every residue once, in position
-order and in one process; the residue at position p is accounted to stripe
-p mod nu of nu logical workers.  The sieve path keeps its reciprocal
-sum as one exact integer (see kahan.py), so the reported sum is the
-correctly rounded total whatever the worker count or resume point.  A
-checkpoint stores the walk's position, the stripe counts and that
-integer.
+accounted in one step: its length goes to the count and its values, as
+C-level map columns, to one exact-sum call.  The boundary window is
+accounted the same way.
+
+`run_range` does that for the wheel residues at positions [lo, hi) and
+returns a partial: count, sum units (see kahan.py) and, when kept, the
+x values in position order.  Partials of adjacent ranges merge by
+addition and concatenation, so the reported sum is the correctly
+rounded total however the positions are split.  `run_striped` drives a
+run: it scans the boundary window, then cuts the positions left into
+rounds of contiguous ranges, one per process, at most
+min(nu, os.cpu_count()) of them.  The parent forks a child per range
+after the first (`os.fork`, one pipe each, partials sent by `marshal`),
+runs the first range itself, reads the children's partials in position
+order and reaps every child; only then does it fire on_tuple, report
+progress and write a checkpoint.  Rounds are cut from the config and
+the start position alone, so every count is repeatable.  A checkpoint
+stores the next position, the sieve path's count and sum units, and
+how many bytes of tuple lines the caller had written.
 """
 
+import marshal
 import math
 import os
+import sys
 import time
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import chain, compress
+from types import SimpleNamespace
 
 from .apsieve import (
     iter_primes,
@@ -56,11 +69,13 @@ __all__ = [
     "PlanError",
     "boundary_tuples",
     "find_pattern_primes",
+    "make_context",
+    "run_range",
     "run_striped",
     "smallest_chain",
 ]
 
-CHECKPOINT_MAGIC = "TSCKPT v3"
+CHECKPOINT_MAGIC = "TSCKPT v4"
 
 
 class CheckpointError(RuntimeError):
@@ -82,7 +97,7 @@ SearchConfig = namedtuple(
 # recip_sum: sum of 1/f_i over all counted tuples, correctly rounded
 SearchResult = namedtuple(
     "SearchResult",
-    "xs count recip_sum stripe_counts boundary_count completed resumed",
+    "xs count recip_sum boundary_count completed resumed",
     defaults=(False,),
 )
 
@@ -93,8 +108,11 @@ SQRT_BOUND_MAX = 2**24
 # predicted share of live segment bytes at which sieving stops: a prime
 # past it strikes almost nothing, and prime tests cost less
 LIVE_FLOOR = 1 / 4096
-# residues between two progress reports
+# residues between two progress reports; rounds end at its multiples
 PROGRESS_EVERY = 10000
+# segment bytes one process sieves in a round: rounds that long make a
+# fork cost little, and bound the x values a round holds before merging
+ROUND_BYTES = 1 << 24
 # the cost of one (segment, prime, form) row of the sieve, counted in
 # segment bytes: a row takes about 0.6 us in CPython, and a byte,
 # allocated, struck and read out, some tens of ns at most
@@ -243,25 +261,25 @@ def _config_digest(cfg: SearchConfig, plan) -> str:
 
     blob = "|".join(
         [
-            "tsckpt3",
+            "tsckpt4",
             format_pattern(cfg.pattern),
             f"n={cfg.n}",
             f"B={plan.B}",
             f"wl={plan.wheel_limit}",
             "excl=" + ",".join(map(str, sorted(cfg.excluded_wheel_primes))),
-            f"nu={cfg.nu}",
         ]
     )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_checkpoint(path, digest, position, counts, recip):
+def _write_checkpoint(path, digest, position, count, units, output):
     lines = [
         CHECKPOINT_MAGIC,
         f"digest {digest}",
         f"position {position}",
-        "counts " + ",".join(map(str, counts)),
-        f"sum {recip.units}",
+        f"count {count}",
+        f"sum {units}",
+        f"output {output.tell() if output is not None else 0}",
     ]
     tmp = str(path) + ".tmp"
     with open(tmp, "w") as f:
@@ -269,9 +287,10 @@ def _write_checkpoint(path, digest, position, counts, recip):
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, digest, nu, last):
-    """The saved (position, stripe counts, sieve-path sum units); the
-    position lies in [0, last], last meaning the walk is done."""
+def _read_checkpoint(path, digest, last):
+    """The saved (position, sieve-path count, sieve-path sum units,
+    output bytes); the position lies in [0, last], last meaning the walk
+    is done."""
     try:
         with open(path) as f:
             lines = f.read().split("\n")
@@ -281,36 +300,181 @@ def _read_checkpoint(path, digest, nu, last):
         raise CheckpointError(f"bad checkpoint header {lines[0]!r}")
     try:
         fields = dict(ln.split(" ", 1) for ln in lines[1:] if ln)
-        if sorted(fields) != ["counts", "digest", "position", "sum"]:
+        if sorted(fields) != ["count", "digest", "output", "position", "sum"]:
             raise ValueError(f"fields {sorted(fields)}")
         if fields["digest"] != digest:
             raise CheckpointError(
                 "checkpoint digest mismatch: file belongs to a different "
                 "configuration; refusing to restore"
             )
-        counts = [int(c) for c in fields["counts"].split(",")]
-        if len(counts) != nu:
-            raise ValueError(f"{len(counts)} stripe counts for {nu} stripes")
-        position = int(fields["position"])
+        position, count, units, output = (int(fields[k]) for k in
+                                          ("position", "count", "sum", "output"))
         if not 0 <= position <= last:
             raise ValueError(f"position {position} not in [0, {last}]")
-        return position, counts, int(fields["sum"])
+        if count < 0 or units < 0 or output < 0:
+            raise ValueError("negative count, sum or output")
+        return position, count, units, output
     except ValueError as e:
         raise CheckpointError(f"corrupt checkpoint file: {e}") from None
 
 
+def make_context(cfg: SearchConfig) -> SimpleNamespace:
+    """Plan the run and build what its ranges share: the pattern and n,
+    the plan, the wheel, the start table, the cut of the boundary window
+    (every tuple with a value <= cut has x <= x_cut) and x_proved, up to
+    which the sieve alone proves a tuple."""
+    pattern, n = cfg.pattern, cfg.n
+    plan = _resolve_plan(cfg)
+    wheel = build_wheel(pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
+    table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
+    cut = max(plan.B, max(wheel.moduli))
+    # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
+    x_cut = max((cut - b) // a for a, b in pattern.forms)
+    # a value below (B+1)^2 with no prime factor <= B is prime, and every
+    # value of x is below it exactly when x <= x_proved
+    x_proved = max(x_cut, pattern.x_max((plan.B + 1) ** 2 - 1))
+    return SimpleNamespace(pattern=pattern, n=n, plan=plan, wheel=wheel, table=table,
+                           cut=cut, x_cut=x_cut, x_proved=x_proved)
+
+
+def run_range(ctx, lo: int, hi: int, keep: bool = True) -> tuple:
+    """Sieve and account the wheel residues at positions [lo, hi).
+
+    Returns the partial (count, units, xs): the number of tuples, their
+    reciprocal sum in units of 2^-kahan.UNIT_EXP and, when keep is true,
+    their x values, ascending within a residue and residues in position
+    order (else None).  Boundary tuples (x <= ctx.x_cut) are not in it.
+    Partials of adjacent ranges merge by addition and concatenation.
+    """
+    pattern, n, wheel, table = ctx.pattern, ctx.n, ctx.wheel, ctx.table
+    forms, W, B, x_cut, x_proved = pattern.forms, wheel.W, ctx.plan.B, ctx.x_cut, ctx.x_proved
+    count = 0
+    recip = KahanBuckets()
+    found = [] if keep else None
+    wheel.seek(lo)
+    while wheel.position < hi:
+        r = wheel.next_residue()
+        seg = sieve_segment(pattern, r, W, n, table)
+        for start in range(0, len(seg.bits), CHUNK):
+            xs = survivors(seg, start, start + CHUNK)
+            # the boundary window owns those up to x_cut
+            a, b = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
+            ok = xs[a:b]  # proved by the sieve alone
+            for x in xs[b:]:
+                vals = pattern.evaluate(x)
+                # cheap probable-prime gates first, then certified tests
+                if all(sprp_base2(v) for v in vals) and all(is_prime(v, B) for v in vals):
+                    ok.append(x)
+            count += len(ok)
+            recip.add_group(_values(forms, ok))
+            if keep:
+                found.extend(ok)
+        del seg  # free the buffer before the next segment is sieved
+    return count, recip.units, found
+
+
+def _fork_range(ctx, lo, hi, keep):
+    """Fork a child that runs positions [lo, hi) and writes its partial,
+    or the exception it raised, to a pipe; returns (pid, read end)."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    try:  # the child: never returns, and never flushes the parent's buffers
+        os.close(rfd)
+        try:
+            reply = (True, run_range(ctx, lo, hi, keep))
+        except BaseException as e:  # handed to the parent, which re-raises it
+            reply = (False, (type(e).__module__, type(e).__qualname__, str(e)))
+        with open(wfd, "wb") as f:
+            f.write(marshal.dumps(reply))
+    finally:
+        os._exit(0)
+
+
+def _reraise(module, qualname, message):
+    """Raise the exception a child reported, by its type if this process
+    has it loaded, else as a RuntimeError naming it."""
+    cls = sys.modules.get(module)
+    for part in qualname.split("."):
+        cls = getattr(cls, part, None)
+    exc = None
+    if isinstance(cls, type) and issubclass(cls, BaseException):
+        try:
+            exc = cls(message)
+        except TypeError:  # a type whose constructor takes other arguments
+            pass
+    raise exc if exc is not None else RuntimeError(f"{module}.{qualname}: {message}")
+
+
+def _run_round(ctx, lo, hi, procs, keep) -> list:
+    """The partials of positions [lo, hi), cut into at most procs
+    contiguous ranges, in position order.  The first range runs here,
+    each other one in a forked child; every child is reaped before this
+    returns or raises."""
+    k = min(procs, hi - lo)
+    cuts = [lo + -(-(hi - lo) * i // k) for i in range(k + 1)]  # the first share is the largest
+    children = {}  # pid -> pipe, until reaped
+    try:
+        if k > 1:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            pid, fd = _fork_range(ctx, a, b, keep)
+            children[pid] = open(fd, "rb")
+        parts = [run_range(ctx, cuts[0], cuts[1], keep)]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result "
+                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
+            ok, payload = marshal.loads(data)
+            if not ok:
+                _reraise(*payload)
+            parts.append(payload)
+        return parts
+    finally:
+        if children:  # an error or interrupt cut the round short
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass  # an interrupt landed between its reaping and its removal
+
+
 def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
-                stop_after_residues=None, progress=None, keep_xs=True) -> SearchResult:
+                stop_after_residues=None, progress=None, keep_xs=True,
+                output=None) -> SearchResult:
     """Run the full search, optionally resuming from a checkpoint file.
 
     on_tuple(x, values) fires in emission order: boundary tuples first,
-    then sieve-path tuples by residue position, ascending within one.
-    progress(done) fires every PROGRESS_EVERY residues.
-    stop_after_residues ends the run once the walk has passed that many
-    residues, after writing a checkpoint (deterministic stand-in for
-    being killed mid-flight).  With keep_xs=False the run keeps no list
-    of x values and the result's xs is None: a census needs only the
-    count and the sum.
+    then sieve-path tuples by residue position, ascending within one.  A
+    resumed run fires only for the positions past the checkpoint: the
+    run that wrote it fired the boundary tuples.  progress(done) fires
+    every PROGRESS_EVERY residues.  stop_after_residues ends the run
+    once the walk has passed that many residues, after writing a
+    checkpoint (deterministic stand-in for being killed mid-flight).
+    With keep_xs=False the run keeps no list of x values and the
+    result's xs is None: a census needs only the count and the sum.
+
+    output is the file, opened for appending, that on_tuple writes
+    lines to, if any: each checkpoint records its length (`tell()`).
+    Before it emits anything, a resumed run truncates the file back to
+    that length and a fresh run empties it, so a killed run's output
+    resumes without loss.
     """
     if not admissible(cfg.pattern):
         raise ValueError(f"pattern {format_pattern(cfg.pattern)} is not admissible")
@@ -319,88 +483,70 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     # every sieve-path value v has cut < v <= n, so this bounds them all
     if cfg.n > WIDE_MAX:
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
-    pattern, n, nu = cfg.pattern, cfg.n, cfg.nu
-    forms = pattern.forms
+    pattern, n = cfg.pattern, cfg.n
     if pattern.x_max(n) < pattern.min_x():
         # no x has every value in [2, n], so nothing can be prime
         return SearchResult(xs=[] if keep_xs else None, count=0, recip_sum=0.0,
-                            stripe_counts=[0] * nu, boundary_count=0, completed=True)
+                            boundary_count=0, completed=True)
 
-    plan = _resolve_plan(cfg)
-    wheel = build_wheel(pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
-    sieve_table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
-    cut = max(plan.B, max(wheel.moduli))
+    ctx = make_context(cfg)
+    wheel, last = ctx.wheel, ctx.wheel.residue_count()
+    position = count = units = written = 0
+    resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
+    if checkpoint_path is not None:
+        digest = _config_digest(cfg, ctx.plan)
+    if resumed:
+        position, count, units, written = _read_checkpoint(checkpoint_path, digest, last)
+    if output is not None:
+        output.truncate(written)
 
     # tuples containing a prime <= cut are found by the boundary window
-    boundary = boundary_tuples(pattern, cut, n)
+    boundary = boundary_tuples(pattern, ctx.cut, n)
     total = KahanBuckets()
-    total.add_group(_values(forms, boundary))
+    total.add_group(_values(pattern.forms, boundary))
     found = list(boundary) if keep_xs else None
-    if on_tuple:
+    if on_tuple and not resumed:
         for x in boundary:
             on_tuple(x, pattern.evaluate(x))
 
-    W, last = wheel.W, wheel.residue_count()
-    counts = [0] * nu
-    recip = KahanBuckets()  # the sieve path's sum, which a checkpoint holds
-    resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
-    if checkpoint_path is not None:
-        digest = _config_digest(cfg, plan)
-    if resumed:
-        position, counts, units = _read_checkpoint(checkpoint_path, digest, nu, last)
-        wheel.seek(position)
-        recip = KahanBuckets(units)
-
-    # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
-    x_cut = max((cut - b) // a for a, b in forms)
-    # a value below (B+1)^2 with no prime factor <= B is prime, and every
-    # value of x is below it exactly when x <= x_proved
-    x_proved = max(x_cut, pattern.x_max((plan.B + 1) ** 2 - 1))
-
+    procs = min(cfg.nu, os.cpu_count() or 1)
+    per_proc = max(1, ROUND_BYTES // (pattern.x_max(n) // wheel.W + 1))
+    keep = keep_xs or on_tuple is not None
     last_checkpoint = time.monotonic()
     completed = True
-    while (r := wheel.next_residue()) is not None:
-        done = wheel.position
-        stripe = (done - 1) % nu
-        seg = sieve_segment(pattern, r, W, n, sieve_table)
-        for start in range(0, len(seg.bits), CHUNK):
-            xs = survivors(seg, start, start + CHUNK)
-            # the boundary window owns those up to x_cut
-            lo, hi = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
-            ok = xs[lo:hi]  # proved by the sieve alone
-            for x in xs[hi:]:
-                vals = pattern.evaluate(x)
-                # cheap probable-prime gates first, then certified tests
-                if all(sprp_base2(v) for v in vals) and all(is_prime(v, plan.B) for v in vals):
-                    ok.append(x)
-            counts[stripe] += len(ok)
-            recip.add_group(_values(forms, ok))
+    while position < last:
+        end = min(last, position + procs * per_proc,
+                  (position // PROGRESS_EVERY + 1) * PROGRESS_EVERY)
+        if stop_after_residues is not None:
+            end = min(end, max(stop_after_residues, position + 1))
+        for part_count, part_units, xs in _run_round(ctx, position, end, procs, keep):
+            count += part_count
+            units += part_units
             if keep_xs:
-                found.extend(ok)
+                found.extend(xs)
             if on_tuple:
-                for x in ok:
+                for x in xs:
                     on_tuple(x, pattern.evaluate(x))
-        del seg  # free the buffer before the next segment is sieved
-        if progress and done % PROGRESS_EVERY == 0:
-            progress(done)
-        if stop_after_residues is not None and stop_after_residues <= done < last:
+        position = end
+        if progress and position % PROGRESS_EVERY == 0:
+            progress(position)
+        if stop_after_residues is not None and stop_after_residues <= position < last:
             completed = False
             break
         if checkpoint_path is not None:
             now = time.monotonic()
             if now - last_checkpoint >= cfg.checkpoint_interval:
-                _write_checkpoint(checkpoint_path, digest, done, counts, recip)
+                _write_checkpoint(checkpoint_path, digest, position, count, units, output)
                 last_checkpoint = now
 
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, digest, wheel.position, counts, recip)
+        _write_checkpoint(checkpoint_path, digest, position, count, units, output)
 
-    recip.fold_into(total)
+    KahanBuckets(units).fold_into(total)
     return SearchResult(
         xs=sorted(found) if keep_xs else None,
-        count=len(boundary) + sum(counts),
+        count=len(boundary) + count,
         recip_sum=total.value(),
-        stripe_counts=counts,
         boundary_count=len(boundary),
         completed=completed,
         resumed=resumed,

@@ -6,7 +6,7 @@ computes any of them directly: the position's mixed-radix digits, low
 modulus first, pick one acceptable residue per modulus (in increasing
 order), and precomputed CRT basis coefficients combine them.  The
 enumeration walks the positions in order, so its cursor is one integer,
-which makes stripes (positions mod nu) and checkpoints well defined.
+which makes ranges of positions and checkpoints well defined.
 """
 
 import math

@@ -97,12 +97,14 @@ def test_chains_smallest(capsys):
 def test_capacity_error_exit_code(capsys):
     # at x = 0 the value is the top ladder bound, a strong pseudoprime to
     # the bases 2-41, and sieving to 2 leaves it past the pseudosquare table
-    rc, _, err = run_cli(
-        capsys, "search", "--pattern", "x+3317044064679887385961981",
-        "--n", "3317044064679887385962200", "--sieve-bound", "2",
-    )
-    assert rc == 3
-    assert err.startswith("error:")
+    # two processes each meet such a value; the error ends the run the same way
+    for workers in ("1", "2"):
+        rc, _, err = run_cli(
+            capsys, "search", "--pattern", "x+3317044064679887385961981",
+            "--n", "3317044064679887385962200", "--sieve-bound", "2", "--workers", workers,
+        )
+        assert rc == 3
+        assert err.startswith("error:")
     # the pseudosquares subcommand is gone
     with pytest.raises(SystemExit) as exc:
         main(["pseudosquares", "--limit", "300"])
@@ -241,6 +243,38 @@ def test_chains_checkpoint_written_and_resumed(tmp_path, capsys):
     rc, out2, _ = run_cli(capsys, *args)  # resume over a completed file
     assert rc == 0
     assert out1 == out2 == "count=8\n"
+
+
+def test_out_file_survives_resume(tmp_path, capsys):
+    # the second run resumes a completed checkpoint: it keeps the 38 lines and adds none
+    ck, dest = tmp_path / "run.ckpt", tmp_path / "quads.txt"
+    args = ["search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000",
+            "--checkpoint", str(ck), "--out", str(dest)]
+    for _ in range(2):
+        rc, out, _ = run_cli(capsys, *args)
+        assert rc == 0 and out == "count=38\n"
+        xs = [int(ln.split()[0]) for ln in dest.read_text().splitlines()]
+        assert len(xs) == 38 and xs == sorted(xs) and xs[:4] == [5, 11, 101, 191]
+
+
+def test_out_resume_cuts_file_to_checkpoint(tmp_path, capsys):
+    # lines written after the last checkpoint (a kill) are cut off, then re-found
+    ck, dest = tmp_path / "run.ckpt", tmp_path / "quads.txt"
+    args = ["search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000",
+            "--checkpoint", str(ck), "--out", str(dest), "--workers", "2"]
+    assert run_cli(capsys, *args)[0] == 0
+    want = dest.read_text()
+    fields = ck.read_text().splitlines()
+    assert fields[5] == f"output {len(want)}"
+    # as if killed at position 0, after writing the boundary tuples and a partial line
+    cut = len("".join(want.splitlines(keepends=True)[:4]))
+    ck.write_text("\n".join(fields[:2] + ["position 0", "count 0", "sum 0", f"output {cut}"])
+                  + "\n")
+    with open(dest, "a") as f:
+        f.write("99131 99131 99133")
+    rc, out, _ = run_cli(capsys, *args)
+    assert (rc, out) == (0, "count=38\n")
+    assert dest.read_text() == want
 
 
 def test_chains_rejects_bad_space_exp(capsys):

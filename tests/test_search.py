@@ -106,15 +106,17 @@ def test_bound_at_most_3_is_planned(text, want, table_1e5):
 
 def test_progress_every_10000_residues():
     # wheel 2*3*...*17 leaves 22275 twin residues
-    seen = []
-    res = search(TWIN, 10**5, wheel_limit=510510, sieve_bound=20, progress=seen.append)
-    assert seen == [10000, 20000]
-    assert res.count == 1224
+    for nu in (1, 2):
+        seen = []
+        res = search(TWIN, 10**5, wheel_limit=510510, sieve_bound=20, progress=seen.append,
+                     nu=nu)
+        assert seen == [10000, 20000]
+        assert res.count == 1224
 
 
 def test_bound_below_pattern_start_is_empty():
     res = run_striped(SearchConfig(pattern=QUAD, n=5, nu=2))
-    assert (res.xs, res.count, res.recip_sum, res.stripe_counts) == ([], 0, 0.0, [0, 0])
+    assert (res.xs, res.count, res.recip_sum, res.boundary_count) == ([], 0, 0.0, 0)
     assert res.completed and not res.resumed
     assert run_striped(SearchConfig(pattern=QUAD, n=5), keep_xs=False).xs is None
 
@@ -184,15 +186,16 @@ def test_monotone_prefix():
 
 
 @pytest.mark.parametrize("nu", [1, 2, 4, 7])
-def test_stripes_partition_and_agree(nu):
+def test_stripes_partition_and_agree(nu, monkeypatch):
+    # nu processes (as many CPUs as asked for) split the positions into ranges
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: nu)
     n = 2 * 10**5
     base = run_striped(SearchConfig(pattern=QUAD, n=n, nu=1))
-    striped = run_striped(SearchConfig(pattern=QUAD, n=n, nu=nu))
-    assert striped.xs == base.xs
-    assert striped.count == base.count
-    assert striped.recip_sum.hex() == base.recip_sum.hex()
-    assert sum(striped.stripe_counts) + striped.boundary_count == striped.count
-    assert len(striped.stripe_counts) == nu
+    split = run_striped(SearchConfig(pattern=QUAD, n=n, nu=nu))
+    assert split.xs == base.xs
+    assert split.count == base.count
+    assert split.recip_sum.hex() == base.recip_sum.hex()
+    assert split.boundary_count == base.boundary_count
 
 
 def test_emission_order_boundary_first():
@@ -235,9 +238,12 @@ def test_checkpoint_interrupt_resume_default_plan(tmp_path):
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
-def test_kill_resume_at_every_position(tmp_path, nu):
-    # c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues; stop after each but the last
+def test_kill_resume_at_every_position(tmp_path, nu, monkeypatch):
+    # c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues; stop after each but the
+    # last, and resume under another worker count
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 3)
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0, wheel_limit=2310)
+    other = cfg._replace(nu=nu % 3 + 1)
     full = run_striped(cfg)
     last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
     assert last == 21
@@ -248,11 +254,10 @@ def test_kill_resume_at_every_position(tmp_path, nu):
             part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=stop,
                                keep_xs=keep_xs)
             assert not part.completed
-            resumed = run_striped(cfg, checkpoint_path=str(ck), keep_xs=keep_xs)
+            resumed = run_striped(other, checkpoint_path=str(ck), keep_xs=keep_xs)
             assert resumed.resumed and resumed.completed
             assert resumed.count == full.count
             assert resumed.recip_sum.hex() == full.recip_sum.hex()
-            assert resumed.stripe_counts == full.stripe_counts
             if keep_xs:
                 assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
             else:
@@ -272,7 +277,6 @@ def test_keep_xs_false_matches_default_run(name, mode):
     assert full.xs and lean.xs is None
     assert lean.count == full.count == len(full.xs)
     assert lean.recip_sum.hex() == full.recip_sum.hex()
-    assert lean.stripe_counts == full.stripe_counts
     assert lean.boundary_count == full.boundary_count
     assert seen[False] == seen[True]
 
@@ -284,9 +288,11 @@ def test_checkpoint_digest_mismatch(tmp_path):
     other = SearchConfig(pattern=QUAD, n=10**6 + 2, nu=2)
     with pytest.raises(CheckpointError, match="digest"):
         run_striped(other, checkpoint_path=str(ck))
-    # changing worker count also refuses
-    with pytest.raises(CheckpointError):
-        run_striped(SearchConfig(pattern=QUAD, n=10**6, nu=3), checkpoint_path=str(ck))
+    # the worker count is not part of the configuration: any count resumes
+    resumed = run_striped(SearchConfig(pattern=QUAD, n=10**6, nu=1), checkpoint_path=str(ck))
+    assert resumed.resumed and resumed.completed
+    full = run_striped(SearchConfig(pattern=QUAD, n=10**6, nu=2))
+    assert (resumed.count, resumed.recip_sum.hex()) == (full.count, full.recip_sum.hex())
 
 
 def test_checkpoint_corrupt_file(tmp_path):
@@ -294,7 +300,7 @@ def test_checkpoint_corrupt_file(tmp_path):
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel_limit=2310)
     run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
     text = ck.read_text().splitlines()
-    assert text[0] == "TSCKPT v3" and text[2] == "position 2"
+    assert text[0] == "TSCKPT v4" and text[2] == "position 2"
     ck.write_text("\n".join(text) + "\nstripe: garbage\n")
     with pytest.raises(CheckpointError, match="corrupt"):
         run_striped(cfg, checkpoint_path=str(ck))
@@ -307,20 +313,22 @@ def test_checkpoint_corrupt_file(tmp_path):
     ck.write_bytes(b"\xff\xfe")
     with pytest.raises(CheckpointError, match="cannot read"):
         run_striped(cfg, checkpoint_path=str(ck))
-    # the per-stripe layout of v2 files is refused by its header
-    ck.write_text(text[0].replace("v3", "v2") + "\n" + "\n".join(text[1:]) + "\n")
-    with pytest.raises(CheckpointError, match="bad checkpoint header"):
-        run_striped(cfg, checkpoint_path=str(ck))
+    # the per-stripe layouts of v2 and v3 files are refused by their header
+    for old in ("v2", "v3"):
+        ck.write_text(text[0].replace("v4", old) + "\n" + "\n".join(text[1:]) + "\n")
+        with pytest.raises(CheckpointError, match="bad checkpoint header"):
+            run_striped(cfg, checkpoint_path=str(ck))
     # a position that is missing, negative, past the end or not an integer
     last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
     for bad in ([], ["position -1"], [f"position {last + 1}"], ["position 2.5"]):
         ck.write_text("\n".join(text[:2] + bad + text[3:]) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
             run_striped(cfg, checkpoint_path=str(ck))
-    # stripe counts that do not match the worker count
-    ck.write_text("\n".join(text[:3] + ["counts 1,2"] + text[4:]) + "\n")
-    with pytest.raises(CheckpointError, match="corrupt"):
-        run_striped(cfg, checkpoint_path=str(ck))
+    # a v3 file's per-stripe counts in place of the one count, or a negative count
+    for bad in (["counts 1,2"], ["count -1"], ["count 1,2"]):
+        ck.write_text("\n".join(text[:3] + bad + text[4:]) + "\n")
+        with pytest.raises(CheckpointError, match="corrupt"):
+            run_striped(cfg, checkpoint_path=str(ck))
 
 
 def test_completed_checkpoint_resume_is_noop(tmp_path):
@@ -339,11 +347,11 @@ def test_tiny_n_boundary_only():
     res = run_striped(cfg)
     assert res.xs == [5]
     assert res.boundary_count == 1
-    assert sum(res.stripe_counts) == 0
+    assert res.count == res.boundary_count
     # at n=30 the first residue fits, so x=11 arrives via the sieve path
     res = run_striped(SearchConfig(pattern=QUAD, n=30, wheel_limit=210))
     assert res.xs == [5, 11]
-    assert (res.boundary_count, sum(res.stripe_counts)) == (1, 1)
+    assert (res.boundary_count, res.count) == (1, 2)
 
 
 def test_boundary_cut_inside_a_segment(table_1e5):
@@ -564,8 +572,8 @@ RECORDS = [
     (SearchConfig, dict(pattern=QUAD, n=10**4),
      dict(nu=1, sieve_bound=None, space_exp=None, wheel_limit=None,
           excluded_wheel_primes=frozenset(), checkpoint_interval=900.0)),
-    (SearchResult, dict(xs=None, count=2, recip_sum=0.5, stripe_counts=[1, 1],
-                        boundary_count=0, completed=True), dict(resumed=False)),
+    (SearchResult, dict(xs=None, count=2, recip_sum=0.5, boundary_count=0, completed=True),
+     dict(resumed=False)),
     (TupleCensus, dict(bound=10, count=2, recip_sum=0.5), {}),
 ]
 

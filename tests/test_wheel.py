@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from tuplesieve.pattern import ResidueMask, chain_pattern, make_pattern
-from tuplesieve.search import SearchConfig, run_striped
+from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
 from tuplesieve.wheel import Wheel, WheelError, build_wheel, wheel_primes
 
 from conftest import CORPUS
@@ -138,21 +138,25 @@ def test_medium_wheel_yields_distinct():
 
 
 def test_stripe_identity():
-    # with one stripe, that stripe holds the whole sieve path
-    res = run_striped(SearchConfig(pattern=QUAD, n=10**5, wheel_limit=210))
+    # one range over every position holds the whole sieve path
+    cfg = SearchConfig(pattern=QUAD, n=10**5, wheel_limit=210)
+    res = run_striped(cfg)
     # 38 quadruplets, 4 of them (x = 5, 11, 101, 191) with a value <= B = 316
     assert (res.count, res.boundary_count) == (38, 4)
-    assert res.stripe_counts == [34]
+    count, _, xs = run_range(make_context(cfg), 0, 3)
+    assert count == 34 and sorted(xs) == res.xs[4:]
 
 
 def test_stripe_each_gets_one():
-    # QUAD at 210 has three residues, so three stripes get one position
-    # each, and stripe idx counts exactly the tuples of residue(idx)
+    # QUAD at 210 has three residues, and the range of one position idx
+    # counts exactly the tuples of residue(idx)
     w = build_wheel(QUAD, 210)
-    res = run_striped(SearchConfig(pattern=QUAD, n=10**5, wheel_limit=210, nu=3))
+    cfg = SearchConfig(pattern=QUAD, n=10**5, wheel_limit=210, nu=3)
+    res = run_striped(cfg)
     sieve_xs = res.xs[res.boundary_count:]
     want = [sum(x % 210 == w.residue(idx) for x in sieve_xs) for idx in range(3)]
-    assert res.stripe_counts == want
+    ctx = make_context(cfg)
+    assert [run_range(ctx, idx, idx + 1)[0] for idx in range(3)] == want
     assert all(want)
 
 
