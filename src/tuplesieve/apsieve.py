@@ -6,8 +6,8 @@ stands for the candidate x(j) = r + j*W, and stays 1 only if no sieve
 prime divides any form value there.  The segment runs up to
 `Pattern.x_max(n)`, the largest x in range.  How deep to sieve and how
 large a wheel to take is `search._resolve_plan`'s choice; this module
-lists the primes (`make_plan`) and predicts what they leave
-(`live_fractions`).
+lists the primes (`make_plan`) and counts what each strikes (`strikes`,
+`live_fractions`).
 
 Where each prime's strikes start depends on r only through one product,
 so the inverses behind it are computed once per run (`start_table`) and
@@ -31,6 +31,7 @@ __all__ = [
     "survivors",
     "primes_upto",
     "iter_primes",
+    "strikes",
     "live_fractions",
 ]
 
@@ -85,19 +86,25 @@ def make_plan(B: int, wheel_limit: int, primes=None) -> SievePlan:
                      primes=tuple(primes_upto(B) if primes is None else primes))
 
 
+def strikes(pattern, primes):
+    """Yield (p, w(p), rows) for each p in `primes`: w(p) counts the
+    distinct roots -b * a^-1 mod p over the forms a*x + b with p not
+    dividing a, and rows counts those forms, the rows p adds to a
+    segment's sieve.  `primes` may be lazy, and is read no further than
+    the consumer asks."""
+    for p in primes:
+        # a form with a = 1 has root -b and needs no inverse
+        roots = [(-b if a == 1 else -b * pow(a, -1, p)) % p for a, b in pattern.forms if a % p]
+        yield p, len(set(roots)), len(roots)
+
+
 def live_fractions(pattern, primes):
     """Yield (p, predicted share of candidates no prime up to p clears)
-    for each p in `primes`.
-
-    The share is the running product of 1 - w(p)/p, where w(p) counts
-    the distinct roots -b * a^-1 mod p over the forms a*x + b with p not
-    dividing a.  `primes` may be lazy: a consumer that stops once the
-    share is low enough reads no further primes than it needs.
-    """
+    for each p in `primes`: the running product of 1 - w(p)/p (see
+    `strikes`)."""
     frac = 1.0
-    for p in primes:
-        roots = {-b * pow(a, -1, p) % p for a, b in pattern.forms if a % p}
-        frac *= 1 - len(roots) / p
+    for p, w, _ in strikes(pattern, primes):
+        frac *= 1 - w / p
         yield p, frac
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "pseudosquares_test",
     "is_prime",
     "is_perfect_power",
+    "LADDER_TOP",
 ]
 
 
@@ -79,6 +80,9 @@ _MR_LADDER = (
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+
+# below it every value has an exact verdict, whatever trial bound is known
+LADDER_TOP = _MR_LADDER[-1][0]
 
 _TRIAL_LIMIT = 1 << 20
 _TRIAL_PRIMES = primes_upto(1024)  # covers sqrt(_TRIAL_LIMIT)

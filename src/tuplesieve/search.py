@@ -26,15 +26,16 @@ x values in position order.  Partials of adjacent ranges merge by
 addition and concatenation, so the reported sum is the correctly
 rounded total however the positions are split.  `run_striped` drives a
 run: it scans the boundary window, then cuts the positions left into
-rounds of contiguous ranges, one per process, at most
-min(nu, os.cpu_count()) of them.  The parent forks a child per range
-after the first (`os.fork`, one pipe each, partials sent by `marshal`),
-runs the first range itself, reads the children's partials in position
-order and reaps every child; only then does it fire on_tuple, report
-progress and write a checkpoint.  Rounds are cut from the config and
-the start position alone, so every count is repeatable.  A checkpoint
-stores the next position, the sieve path's count and sum units, and
-how many bytes of tuple lines the caller had written.
+rounds of contiguous ranges, one per process, at most nu and at most
+the CPUs the process may run on (`_cpu_limit`).  The parent forks a
+child per range after the first (`os.fork`, one pipe each, partials
+sent by `marshal`), runs the first range itself, reads the children's
+partials in position order and reaps every child; only then does it
+fire on_tuple, report progress and write a checkpoint.  Rounds are cut
+from the config and the start position alone, so every count is
+repeatable.  A checkpoint stores the next position, the sieve path's
+count and sum units, and how many bytes of tuple lines the caller had
+written.
 """
 
 import marshal
@@ -54,12 +55,13 @@ from .apsieve import (
     primes_upto,
     sieve_segment,
     start_table,
+    strikes,
     survivors,
 )
 from .arith import WIDE_MAX
 from .kahan import KahanBuckets
 from .pattern import Pattern, acceptable_residues, admissible, chain_pattern, format_pattern
-from .primality import is_prime, sprp_base2
+from .primality import LADDER_TOP, is_prime, sprp_base2
 from .wheel import build_wheel, wheel_primes
 
 __all__ = [
@@ -102,11 +104,12 @@ SearchResult = namedtuple(
 )
 
 
-# budget for the plan's prime tables: sieving to sqrt(n) lists every
-# prime up to it, so above this the planner falls back to n^(1/3)
+# budget for the plan's prime tables below LADDER_TOP: the cost walk
+# lists no prime past it, so sieving to sqrt(n) needs isqrt(n) <= it
 SQRT_BOUND_MAX = 2**24
-# predicted share of live segment bytes at which sieving stops: a prime
-# past it strikes almost nothing, and prime tests cost less
+# for n >= LADDER_TOP only: the predicted share of live segment bytes at
+# which sieving stops.  A shallower depth there could leave a value that
+# a deeper sieve strikes and no certifier covers, so cost is not asked
 LIVE_FLOOR = 1 / 4096
 # residues between two progress reports; rounds end at its multiples
 PROGRESS_EVERY = 10000
@@ -117,6 +120,12 @@ ROUND_BYTES = 1 << 24
 # segment bytes: a row takes about 0.6 us in CPython, and a byte,
 # allocated, struck and read out, some tens of ns at most
 ROW_BYTES = 30
+# the cost of a base-2 strong test in segment bytes, per bit and per
+# 30-bit digit of the value: about 0.1 us each in CPython (2.4 us at 27
+# bits, 7.7 us at 37, 13 us at 60), against 0.02 us for a byte
+TEST_BYTES = 5
+# a certificate, `is_prime` past the gate, costs about ten strong tests
+CERT_TESTS = 10
 # the longest segment the wheel choice allows, in bytes
 SEGMENT_MAX = 1 << 22
 # segment bytes read out and accounted at a time, which bounds the
@@ -128,66 +137,130 @@ def _resolve_plan(cfg: SearchConfig):
     """The run's sieve plan: the one depth B its segments are sieved to,
     the primes up to it, and the wheel.
 
-    The space bound B_s is the config's sieve_bound, or
-    2^floor(log2(n)/space_exp), and B = B_s: explicit bounds are taken
-    literally.  Otherwise B_s is isqrt(n), where sieving alone decides
-    every survivor, as long as isqrt(n) <= SQRT_BOUND_MAX and the
-    predicted live fraction over the sieve primes up to it stays above
-    LIVE_FLOOR; else B_s = 2^floor(log2(n)/3).  Then B is the first
-    sieve prime at which the prediction reaches LIVE_FLOOR, or B_s if
-    none does.  The prediction skips the primes of a reference wheel
-    budgeted x_top // B_s (x_top = `pattern.x_max(n)`, the largest x in
-    range), because segment bytes are already wheel-filtered; the primes
-    it reads are the plan's, so they are listed once.  The wheel itself
-    is the config's wheel_limit or `_wheel_modulus`'s choice.  Raises
-    PlanError for space_exp <= 2 or B < 2.
+    The config's sieve_bound, or 2^floor(log2(n)/space_exp), is taken
+    literally as B.  Else B comes from `_cost_depth` below LADDER_TOP,
+    with the wheel unless wheel_limit fixes it, and from `_floor_depth`
+    at or above it.  Otherwise the wheel is the config's wheel_limit or
+    `_wheel_modulus`'s choice for x_top = `pattern.x_max(n)`, the
+    largest x in range.  The primes the planner reads are the plan's,
+    so they are listed once.  Raises PlanError for space_exp <= 2 or
+    B < 2.
     """
     pattern, n = cfg.pattern, cfg.n
     x_top = pattern.x_max(n)
-
-    def depth(space):
-        """The first sieve prime up to `space` where the prediction
-        reaches LIVE_FLOOR, or None if none does, and the primes up to
-        it (up to `space` if none does)."""
-        budget = max(2, x_top // space) if cfg.wheel_limit is None else cfg.wheel_limit
-        skip = set(wheel_primes(budget, cfg.excluded_wheel_primes))
-        listed = []
-
-        def sieve_primes():
-            for p in iter_primes(space):
-                listed.append(p)
-                if p not in skip:
-                    yield p
-
-        live = live_fractions(pattern, sieve_primes())
-        return next((p for p, frac in live if frac <= LIVE_FLOOR), None), listed
-
-    primes = None
+    wheel_limit, primes = cfg.wheel_limit, None
     if cfg.sieve_bound is not None:
-        space = B = int(cfg.sieve_bound)
+        B = int(cfg.sieve_bound)
     elif cfg.space_exp is not None:
         if not cfg.space_exp > 2:
             raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
-        space = B = 1 << int(math.log2(n) / cfg.space_exp)
+        B = 1 << int(math.log2(n) / cfg.space_exp)
+    elif n < LADDER_TOP:
+        B, primes, wheel_limit = _cost_depth(cfg, x_top)
     else:
-        space = max(2, math.isqrt(n))
-        B = None
-        if space <= SQRT_BOUND_MAX:
-            B, primes = depth(space)
-        # past the table budget, or with a cut below sqrt(n), take n^(1/3)
-        if space > SQRT_BOUND_MAX or B is not None:
-            space = 1 << int(math.log2(n) / 3)
-            B, primes = depth(space)
-        B = B or space
+        B, primes = _floor_depth(cfg, x_top)
     if B < 2:
         raise PlanError(f"sieve bound B={B} below 2")
     if primes is None:
         primes = primes_upto(B)
-    wheel_limit = cfg.wheel_limit
     if wheel_limit is None:
         rows = pattern.k * len(primes)
         wheel_limit = _wheel_modulus(pattern, x_top, rows, cfg.excluded_wheel_primes)
     return make_plan(B, wheel_limit, primes)
+
+
+def _floor_depth(cfg, x_top):
+    """B and the primes up to it for n >= LADDER_TOP, where a shallower
+    B could leave a value no certifier covers: the first sieve prime up
+    to 2^floor(log2(n)/3) where the predicted live share reaches
+    LIVE_FLOOR, else that bound, past the primes of a reference wheel
+    budgeted x_top // 2^floor(log2(n)/3)."""
+    space = 1 << int(math.log2(cfg.n) / 3)
+    budget = max(2, x_top // space) if cfg.wheel_limit is None else cfg.wheel_limit
+    skip = set(wheel_primes(budget, cfg.excluded_wheel_primes))
+    listed = []
+
+    def sieve_primes():
+        for p in iter_primes(space):
+            listed.append(p)
+            if p not in skip:
+                yield p
+
+    live = live_fractions(cfg.pattern, sieve_primes())
+    B = next((p for p, frac in live if frac <= LIVE_FLOOR), None)
+    return B or space, listed
+
+
+def _cost_depth(cfg, x_top):
+    """(B, the primes up to B, the wheel modulus) by predicted cost, for
+    n < LADDER_TOP, where every depth gives the same verdicts (the
+    README's planner paragraph gives the model).  The walk stops at the
+    first sieve prime whose rows cost more than the strong tests spared
+    the survivors it strikes, per segment of x_top // W bytes; B is the
+    prime before it.  The sqrt end wins if its rows cost no more than
+    the stop plus k gates and k certificates per predicted true tuple; a
+    bound on pi(isqrt(n)) rules it out unlisted.  Unless wheel_limit
+    fixes W, W starts at the wheel for one prime's rows, the largest,
+    and B and W are chosen in turn until W repeats.
+    """
+    pattern, n, k = cfg.pattern, cfg.n, cfg.pattern.k
+    excluded = cfg.excluded_wheel_primes
+    root = max(2, math.isqrt(n))
+    bits = n.bit_length()
+    test = TEST_BYTES * bits * -(-bits // 30)
+    # (prime, form) pairs with the prime dividing the multiplier: at most
+    # the multiplier's bit length less one per form
+    dropped = sum(a.bit_length() - 1 for a, _ in pattern.forms)
+    # the primes read so far, ascending, with w(p) and the rows of each:
+    # parallel lists of shared ints, not a tuple per prime
+    read, ws, rs = [], [], []
+    stream = strikes(pattern, iter_primes(min(root, SQRT_BOUND_MAX)))
+
+    def walk():
+        yield from zip(range(len(read)), read, ws, rs)
+        for p, w, r in stream:
+            read.append(p)
+            ws.append(w)
+            rs.append(r)
+            yield len(read) - 1, p, w, r
+
+    def choose(moduli):
+        """B and how many read primes are up to it, on wheel `moduli`."""
+        L = x_top // math.prod(moduli)
+        rows, live = 0, 1.0
+        for i, p, w, r in walk():
+            if p in moduli:
+                continue
+            if ROW_BYTES * r > L * live * w / p * test:
+                break
+            rows += r
+            live *= 1 - w / p
+        else:
+            return min(root, SQRT_BOUND_MAX), len(read)
+        if root <= SQRT_BOUND_MAX:
+            # the share left at isqrt(n), by Mertens's product
+            tuples = live * (math.log(p) / math.log(root)) ** k
+            stop_cost = ROW_BYTES * rows + L * test * (live + tuples * k * (1 + CERT_TESTS))
+            beyond = (root / math.log(root) if root >= 17 else 0) - i - len(moduli)
+            if ROW_BYTES * (rows + k * beyond - dropped) < stop_cost:
+                rows += sum(r for j, q, _, r in walk() if j >= i and q not in moduli)
+                if ROW_BYTES * rows <= stop_cost:
+                    return root, len(read)
+        i = max(i, 1)
+        return read[i - 1], i
+
+    if cfg.wheel_limit is not None:
+        W = cfg.wheel_limit
+        B, count = choose(set(wheel_primes(W, excluded)))
+    else:
+        W, seen = _wheel_modulus(pattern, x_top, k, excluded), set()
+        while W not in seen:
+            seen.add(W)
+            B, count = choose(set(wheel_primes(W, excluded)))
+            W = _wheel_modulus(pattern, x_top, k * count, excluded)
+            if B == root:
+                break  # a smaller wheel only makes a stop's tests dearer
+    return B, read[:count], W
 
 
 def _wheel_modulus(pattern, x_top, rows, excluded) -> int:
@@ -337,7 +410,7 @@ def make_context(cfg: SearchConfig) -> SimpleNamespace:
                            cut=cut, x_cut=x_cut, x_proved=x_proved)
 
 
-def run_range(ctx, lo: int, hi: int, keep: bool = True) -> tuple:
+def run_range(ctx, lo: int, hi: int, keep: bool = True, parent: int | None = None) -> tuple:
     """Sieve and account the wheel residues at positions [lo, hi).
 
     Returns the partial (count, units, xs): the number of tuples, their
@@ -345,6 +418,8 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True) -> tuple:
     their x values, ascending within a residue and residues in position
     order (else None).  Boundary tuples (x <= ctx.x_cut) are not in it.
     Partials of adjacent ranges merge by addition and concatenation.
+    A forked worker passes its parent's pid, and exits between two
+    segments once it has been re-parented: nothing would read it.
     """
     pattern, n, wheel, table = ctx.pattern, ctx.n, ctx.wheel, ctx.table
     forms, W, B, x_cut, x_proved = pattern.forms, wheel.W, ctx.plan.B, ctx.x_cut, ctx.x_proved
@@ -353,6 +428,8 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True) -> tuple:
     found = [] if keep else None
     wheel.seek(lo)
     while wheel.position < hi:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         r = wheel.next_residue()
         seg = sieve_segment(pattern, r, W, n, table)
         for start in range(0, len(seg.bits), CHUNK):
@@ -373,10 +450,18 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True) -> tuple:
     return count, recip.units, found
 
 
+def _cpu_limit() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    keeps one, else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _fork_range(ctx, lo, hi, keep):
     """Fork a child that runs positions [lo, hi) and writes its partial,
     or the exception it raised, to a pipe; returns (pid, read end)."""
     rfd, wfd = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -389,7 +474,7 @@ def _fork_range(ctx, lo, hi, keep):
     try:  # the child: never returns, and never flushes the parent's buffers
         os.close(rfd)
         try:
-            reply = (True, run_range(ctx, lo, hi, keep))
+            reply = (True, run_range(ctx, lo, hi, keep, parent))
         except BaseException as e:  # handed to the parent, which re-raises it
             reply = (False, (type(e).__module__, type(e).__qualname__, str(e)))
         with open(wfd, "wb") as f:
@@ -509,7 +594,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
         for x in boundary:
             on_tuple(x, pattern.evaluate(x))
 
-    procs = min(cfg.nu, os.cpu_count() or 1)
+    procs = min(cfg.nu, _cpu_limit())
     per_proc = max(1, ROUND_BYTES // (pattern.x_max(n) // wheel.W + 1))
     keep = keep_xs or on_tuple is not None
     last_checkpoint = time.monotonic()

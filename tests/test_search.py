@@ -443,18 +443,41 @@ def test_plan_errors():
         _plan(X, 100, sieve_bound=1)
 
 
-def _planned_depth(pattern, bound, wheel_limit):
-    """First prime <= bound, wheel primes left out, where the predicted
-    live fraction is at most LIVE_FLOOR."""
-    moduli = build_wheel(pattern, wheel_limit).moduli
-    primes = [p for p in primes_upto(bound) if p not in moduli]
+def _cost_depth(pattern, n, W, limit=2**12):
+    """The largest prime below the first sieve prime, past a wheel of
+    modulus W, whose rows cost more than the strong tests it spares the
+    survivors it strikes, per segment of x_top // W bytes."""
+    moduli = build_wheel(pattern, W).moduli
+    bits = n.bit_length()
+    test = search_mod.TEST_BYTES * bits * -(-bits // 30)
+    segment = pattern.x_max(n) // W
+    before = 1.0
+    for p, frac in live_fractions(pattern, [p for p in primes_upto(limit) if p not in moduli]):
+        rows = sum(a % p != 0 for a, _ in pattern.forms)
+        if search_mod.ROW_BYTES * rows > segment * (before - frac) * test:
+            return primes_upto(p - 1)[-1]
+        before = frac
+    raise AssertionError(f"no stop up to {limit}")
+
+
+def _floor_depth(pattern, n):
+    """The depth above LADDER_TOP: the first prime up to 2^floor(log2(n)/3),
+    wheel primes of a reference wheel budgeted x_top // 2^floor(log2(n)/3)
+    left out, where the predicted live share is at most LIVE_FLOOR."""
+    space = 1 << int(math.log2(n) / 3)
+    moduli = build_wheel(pattern, pattern.x_max(n) // space).moduli
+    primes = [p for p in primes_upto(2**12) if p not in moduli]
     return next(p for p, frac in live_fractions(pattern, primes)
                 if frac <= search_mod.LIVE_FLOOR)
 
 
 def test_plan_chain_window_depth_cut(monkeypatch):
-    plans = []
+    import tuplesieve.apsieve as apsieve
+
+    plans, asked = [], []
     resolve = search_mod._resolve_plan
+    listed = apsieve.primes_upto
+    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
 
     def record(cfg):
         plan = resolve(cfg)
@@ -466,12 +489,16 @@ def test_plan_chain_window_depth_cut(monkeypatch):
     cfg, plan = plans[-1]  # the largest window
     x_top = cfg.pattern.x_max(cfg.n)
     assert x_top == 2**29
-    # the depth is predicted past a reference wheel budgeted by the space
-    # bound n^(1/3); the wheel itself is the cost model's
-    assert plan.B == _planned_depth(cfg.pattern, 2**12, x_top // 2**12) == 1033
-    assert plan.primes == tuple(primes_upto(1033))
+    # 311's nine rows cost more than the 38-bit tests it spares the
+    # survivors of 17877-byte segments; 1033 with the rule this replaced
+    assert plan.B == _cost_depth(cfg.pattern, cfg.n, plan.wheel_limit) == 307
+    assert plan.primes == tuple(primes_upto(307))
     # chains keep 2 of 11 and 4 of 13 residues, so both primes pay for their rows
     assert build_wheel(cfg.pattern, plan.wheel_limit).W == plan.wheel_limit == 30030
+    assert [p.B for _, p in plans] == [13, 19, 41, 41, 101, 227, 307]
+    # the sqrt end, 370727 in the last window, was ruled out by a bound:
+    # no prime past the 4096 block was listed
+    assert max(asked) <= 2**12
 
 
 def test_plan_length_15_chain_lists_few_primes(monkeypatch):
@@ -481,11 +508,11 @@ def test_plan_length_15_chain_lists_few_primes(monkeypatch):
     listed = apsieve.primes_upto
     monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
     chain = chain_pattern("first", 15)
-    plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=chain.max_value(10**20)))
+    n = chain.max_value(10**20)
+    plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
     assert max(asked) <= 2**12
     assert len(plan.primes) < 200
-    # the probe's reference wheel is budgeted by the space bound 2^26
-    assert plan.B == _planned_depth(chain, 2**12, 10**20 // 2**26)
+    assert plan.B == _cost_depth(chain, n, plan.wheel_limit)
 
 
 def test_plan_quads_1e17_within_table_budget(monkeypatch):
@@ -495,9 +522,47 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
     listed = apsieve.primes_upto
     monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
     plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
-    # past the wheel, no prime up to 2^18 brings the prediction to the floor
-    assert plan.B == 2**18
+    # 2^18 with the rule this replaced; sample residues ran 23 % faster here
+    assert plan.B == _cost_depth(QUAD, 10**17, plan.wheel_limit, 2**17) == 95707
     assert max(asked) <= 2**24
+
+
+def test_plan_census_targets_unchanged():
+    # the plans of twins(10**8) and quads(10**8): sqrt mode, 1229 primes, W = 210
+    for pattern, n, B in ((TWIN, 10**8 + 1, 10**4), (QUAD, 10**8 - 1, 9999)):
+        plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=n))
+        assert (plan.B, plan.wheel_limit) == (B, 210)
+        assert plan.primes == tuple(primes_upto(10**4))
+    # a stop is charged for certifying the true tuples: uncharged, quads at
+    # 10^10 would stop at 23879, where quads(10**10) took 62-66 s against
+    # 4.4-5.1 s at the sqrt end
+    plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**10))
+    assert (plan.B, plan.wheel_limit) == (10**5, 30030)
+
+
+def test_plan_at_ladder_top_keeps_floor_depth():
+    # from LADDER_TOP on, a value that a deeper sieve strikes could be a
+    # base-2 pseudoprime no certifier covers: B stays the floor rule's
+    top = search_mod.LADDER_TOP
+    c15, c17 = chain_pattern("first", 15), chain_pattern("first", 17)
+    for chain, n, B in ((c15, top, 461), (c15, c15.max_value(3 * 10**20), 461),
+                        (c17, c17.max_value(2759832934171386593519), 311)):
+        assert _plan(chain, n).B == _floor_depth(chain, n) == B
+    # one below it, the cost rule sieves deeper here
+    below = _plan(c15, top - 1)
+    assert below.B == _cost_depth(c15, top - 1, below.wheel_limit) == 1447
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(pattern=_PATTERN, n=st.integers(100, 10**6))
+def test_planned_depth_matches_sqrt_depth(pattern, n):
+    # below LADDER_TOP every depth gives the same verdicts
+    chosen = run_striped(SearchConfig(pattern=pattern, n=n))
+    sqrt = run_striped(SearchConfig(pattern=pattern, n=n, sieve_bound=math.isqrt(n)))
+    assert chosen.xs == sqrt.xs
+    assert chosen.count == sqrt.count
+    assert chosen.recip_sum.hex() == sqrt.recip_sum.hex()
 
 
 @pytest.mark.parametrize("length, x", [(15, 90616211958465842219),

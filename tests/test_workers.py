@@ -60,7 +60,7 @@ def test_any_split_merges_to_one_run(case, data):
 
 @pytest.mark.parametrize("cfg", CASES, ids=["quad-c3", "twin", "chain"])
 def test_output_identical_for_1_2_4_workers(cfg, monkeypatch):
-    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 4)
     runs = {}
     for nu in (1, 2, 4):
         seen = []
@@ -87,15 +87,75 @@ def test_process_count_capped_at_cpu_count(monkeypatch):
     assert len(forks) + 1 <= (os.cpu_count() or 1)
     assert (res.xs, res.recip_sum.hex()) == (want.xs, want.recip_sum.hex())
     forks.clear()
-    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
     assert run_striped(cfg).xs == want.xs
     assert len(forks) == 2  # the parent plus two children
     assert_no_children()
 
 
+def test_process_count_capped_at_cpu_affinity(monkeypatch):
+    # taskset -c 0 on a machine of 4 CPUs: a second process would share the first's CPU
+    forks = []
+    monkeypatch.setattr(search_mod.os, "fork", lambda: forks.append(1) or pytest.fail("forked"))
+    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert search_mod._cpu_limit() == 1
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=30030, nu=2)
+    res = run_striped(cfg)
+    assert forks == []
+    assert res.xs == run_striped(cfg._replace(nu=1)).xs
+    # where the OS keeps no affinity set, the CPU count caps the processes
+    monkeypatch.delattr(search_mod.os, "sched_getaffinity")
+    assert search_mod._cpu_limit() == 4
+
+
+def test_orphaned_worker_exits():
+    # a parent killed by SIGKILL reaps nothing: its child must notice on its own
+    code = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import tuplesieve.search as s
+from tuplesieve.apps import twins
+s._cpu_limit = lambda: 2
+fork = s._fork_range
+def announce(*args):
+    pid, fd = fork(*args)
+    print(pid, flush=True)
+    return pid, fd
+s._fork_range = announce
+twins(10**11, nu=2, wheel_limit=9699690)
+"""
+    proc = subprocess.Popen([sys.executable, "-I", "-c", code], stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(proc.stdout.readline())
+        time.sleep(0.2)
+        # 1627 segments of 10309 bytes a round, at some tens of ms each
+        assert _alive(child)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 1.5
+    while _alive(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = _alive(child)
+    if alive:
+        os.kill(child, signal.SIGKILL)
+    assert not alive
+
+
+def _alive(pid) -> bool:
+    """Whether pid runs, a zombie counting as ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 2)
 
 
 def _patch_segment(monkeypatch, in_child, in_parent=None):
