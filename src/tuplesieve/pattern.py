@@ -42,7 +42,9 @@ class Pattern(namedtuple("Pattern", "forms")):
 
     def evaluate(self, x: int) -> tuple:
         """All form values at x; rejects values outside the supported width."""
-        vals = tuple(a * x + b for a, b in self.forms)
+        # from a list: a tuple built from a generator is over-allocated
+        # and shrunk, and the shrunk tuple stays on a free list
+        vals = tuple([a * x + b for a, b in self.forms])
         for v in vals:
             if not 0 <= v <= WIDE_MAX:
                 raise OverflowError(f"form value {v} at x={x} outside [0, 2^127)")

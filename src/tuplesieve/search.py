@@ -16,8 +16,9 @@ chunk's: those the boundary window owns are dropped, those whose
 largest value is below (B+1)^2 are proved tuples by the sieve alone,
 and the rest go through the SPRP gate and the certified test.  The
 proved prefix and the tested tuples make one ascending list per chunk,
-accounted in one step: its length goes to the count and its values, as
-C-level map columns, to one exact-sum call.  The boundary window is
+accounted in one step: its length goes to the count, and the list, the
+pattern's forms and n go to one exact-sum call, which builds each
+form's terms with a list comprehension.  The boundary window is
 accounted the same way.
 
 `run_range` does that for the wheel residues at positions [lo, hi) and
@@ -45,7 +46,7 @@ import sys
 import time
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, compress
+from itertools import compress
 from types import SimpleNamespace
 
 from .apsieve import (
@@ -290,16 +291,6 @@ def _wheel_modulus(pattern, x_top, rows, excluded) -> int:
     return W
 
 
-def _values(forms, xs):
-    """Every form's values over the list xs, form by form, built by
-    C-level iterators only (xs itself for the form x)."""
-    cols = []
-    for a, b in forms:
-        col = xs if a == 1 else map(a.__mul__, xs)
-        cols.append(col if b == 0 else map(b.__add__, col))
-    return chain.from_iterable(cols)
-
-
 def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
     """All x with min_i f_i(x) <= cut, max_i f_i(x) <= n, every value prime.
 
@@ -443,7 +434,7 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True, parent: int | None = Non
                 if all(sprp_base2(v) for v in vals) and all(is_prime(v, B) for v in vals):
                     ok.append(x)
             count += len(ok)
-            recip.add_group(_values(forms, ok))
+            recip.add_group(ok, forms, n)
             if keep:
                 found.extend(ok)
         del seg  # free the buffer before the next segment is sieved
@@ -588,7 +579,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     # tuples containing a prime <= cut are found by the boundary window
     boundary = boundary_tuples(pattern, ctx.cut, n)
     total = KahanBuckets()
-    total.add_group(_values(pattern.forms, boundary))
+    total.add_group(boundary, pattern.forms, n)
     found = list(boundary) if keep_xs else None
     if on_tuple and not resumed:
         for x in boundary:

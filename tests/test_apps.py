@@ -105,6 +105,84 @@ def test_add_group_units_match_oracle_on_any_ints(vals, data):
     assert parts.units == want
 
 
+# forms a*x + b, with x large enough that every value is at least 1 and
+# small enough that it fits the width
+FORMS = st.lists(st.one_of(st.sampled_from([(1, 0), (1, 2), (1, -2)]),
+                           st.tuples(st.integers(1, 64), st.integers(-10**4, 10**4))),
+                 min_size=1, max_size=4)
+FORM_XS = st.lists(st.one_of(st.integers(10**4 + 1, 10**7),
+                             st.integers(10**4 + 1, (WIDE_MAX - 10**4) // 64)), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms=FORMS, xs=FORM_XS, data=st.data())
+def test_add_group_forms_match_per_term_oracle(forms, xs, data):
+    vals = [a * x + b for a, b in forms for x in xs]
+    want = oracle_units(vals)
+    for top in (max(vals, default=1), WIDE_MAX):
+        one = KahanBuckets()
+        one.add_group(xs, forms, top)
+        assert one.units == want
+        cut = data.draw(st.integers(0, len(xs)))
+        order = data.draw(st.permutations(xs))
+        parts = KahanBuckets()
+        parts.add_group(order[:cut], forms, top)
+        parts.add_group(order[cut:], forms[::-1], top)
+        assert parts.units == want
+        singles = KahanBuckets()
+        for x in order:
+            singles.add_group([x], forms, top)
+        assert singles.units == want
+
+
+def _count_passes(monkeypatch):
+    """Patch kahan's fsum; the returned list gets each pass's result."""
+    results = []
+
+    def fsum(terms):
+        results.append(math.fsum(terms))
+        return results[-1]
+
+    monkeypatch.setattr(kahan_mod, "math", types.SimpleNamespace(fsum=fsum, ldexp=math.ldexp))
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(set(ORACLE_CASES) - {"empty"}))
+@pytest.mark.parametrize("at_max", [True, False])
+def test_add_group_stops_after_the_exact_pass(name, at_max, monkeypatch):
+    vals = ORACLE_CASES[name]
+    top = max(vals) if at_max else WIDE_MAX
+    results = _count_passes(monkeypatch)
+    acc = KahanBuckets()
+    acc.add_group(vals, top=top)
+    assert acc.units == oracle_units(vals)
+    # the early stop proved in add_group's docstring
+    if abs(results[0]) < 2.0 ** (53 - top.bit_length()):
+        assert len(results) <= 2
+    else:
+        assert len(results) <= -(-acc.units.bit_length() // 53) + 1
+
+
+def test_census_chunks_take_two_passes(monkeypatch):
+    # every value is at most n = 10^6 and a chunk's sum is far below
+    # 2^(53 - 20), so each group stops after its second pass
+    results = _count_passes(monkeypatch)
+    groups = []
+    add_group = KahanBuckets.add_group
+
+    def counted(self, *args):
+        groups.append(len(results))
+        add_group(self, *args)
+
+    monkeypatch.setattr(KahanBuckets, "add_group", counted)
+    census = twins(10**6, nu=1)  # one process, so the patches see every chunk
+    assert census.count == 8169
+    assert census.recip_sum.hex() == "0x1.b5f57a188e2dbp+0"  # the README's sum
+    groups.append(len(results))
+    assert len(groups) > 2
+    assert all(b - a <= 2 for a, b in zip(groups, groups[1:]))
+
+
 def test_fold_into_equals_one_sum():
     whole = KahanBuckets()
     whole.add_group(EDGE_VALUES)

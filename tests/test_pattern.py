@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,23 @@ def test_make_twin():
     p = make_pattern([(1, 0), (1, 2)])
     assert p.k == 2
     assert p.evaluate(5) == (5, 7)
+
+
+def test_evaluate_leaves_no_tuples_alive():
+    p = chain_pattern("first", 9)
+    # hold every free 9-tuple, so a tuple left behind by a call must be
+    # a new allocation whatever ran before
+    held = [tuple([i] * 9) for i in range(2100)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in range(2000):
+            p.evaluate(x)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del held
+    assert grown < 16 * 1024
 
 
 def test_make_chernick():
