@@ -1,12 +1,10 @@
-"""Shared brute-force oracles: a plain byte sieve, a scan-everything
-pattern search and a pseudosquare generator, kept independent of the
-package internals on purpose, and a boundary-window scan that tests
-each value with `is_prime`."""
+"""Shared brute-force oracles: a plain byte sieve and a scan-everything
+pattern search, kept independent of the package internals on purpose,
+and a boundary-window scan that tests each value with `is_prime`."""
 
 import math
 
 import pytest
-import sympy
 
 from tuplesieve.primality import is_prime
 
@@ -46,40 +44,6 @@ def boundary_scan(pattern, cut, n) -> list:
             out.append(x)
         x += 1
     return out
-
-
-def compute_pseudosquares(limit: int) -> tuple:
-    """Brute-force all pseudosquares L_p <= limit, as (p, L_p) pairs.
-
-    Scans integers 1 mod 8, skips squares, and for each finds the first
-    odd prime where it fails to be a quadratic residue (a Legendre
-    symbol of 0 counts as failure).  The first survivor past a prime
-    level is that level's pseudosquare.  Only distinct values are
-    recorded: the stored p is the least prime whose pseudosquare equals
-    that value, the form `primality.PSEUDOSQUARES` ships.
-    """
-    entries = []
-    # the first failing q divides M or is a non-residue, so q <= M <= limit
-    more_primes = sympy.primerange(3, limit + 1)
-    odd_primes = []
-    wanted = 3  # least prime level with no pseudosquare recorded yet
-    M = 9
-    while M <= limit:
-        r = math.isqrt(M)
-        if r * r != M:
-            i = 0
-            while True:
-                if i == len(odd_primes):
-                    odd_primes.append(next(more_primes))
-                q = odd_primes[i]
-                if pow(M % q, (q - 1) // 2, q) != 1:
-                    break
-                i += 1
-            if q > wanted:
-                entries.append((wanted, M))
-                wanted = q
-        M += 8
-    return tuple(entries)
 
 
 # the pattern corpus exercised by oracle-equivalence tests

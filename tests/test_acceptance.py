@@ -9,17 +9,18 @@ import math
 import random
 import time
 
+import pytest
 import sympy
 
 from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN, quads, twins
 from tuplesieve.apsieve import sieve_segment, start_table, survivors
 from tuplesieve.cli import main
 from tuplesieve.pattern import chain_pattern, make_pattern
-from tuplesieve.primality import PSEUDOSQUARES, is_prime, sprp_base2
+from tuplesieve.primality import _MR_LADDER, LADDER_TOP, TableCapacityError, is_prime, sprp_base2
 from tuplesieve.search import SearchConfig, find_pattern_primes, run_striped, smallest_chain
 from tuplesieve.wheel import build_wheel
 
-from conftest import CORPUS, compute_pseudosquares, naive_pattern_xs, sieve_table
+from conftest import CORPUS, naive_pattern_xs, sieve_table
 
 
 def report(num, name, t0, detail=""):
@@ -154,11 +155,25 @@ def test_criterion_7_primality_suite():
 
     assert sprp_base2(2047) and not is_prime(2047)
 
-    shared = 2_000_000
-    embedded_prefix = tuple((p, L) for p, L in PSEUDOSQUARES if L <= shared)
-    assert compute_pseudosquares(shared) == embedded_prefix
+    def strong_probable_prime(N, base):
+        d, s = N - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(base, d, N)
+        return x in (1, N - 1) or any(pow(x, 2**i, N) == N - 1 for i in range(1, s))
+
+    # each ladder bound is a composite strong pseudoprime to every base of
+    # its own rung, which is why the rung stops there; is_prime rejects it
+    for bound, bases in _MR_LADDER:
+        assert not sympy.isprime(bound)
+        assert all(strong_probable_prime(bound, base) for base in bases), bound
+        if bound < LADDER_TOP:
+            assert not is_prime(bound), bound
+        else:
+            with pytest.raises(TableCapacityError):
+                is_prime(bound)
     report(7, "primality suite", t0,
-           "trial-division sweep to 10^6, 10^4 wide randoms, table self-consistency")
+           "trial-division sweep to 10^6, 10^4 wide randoms, ladder self-consistency")
 
 
 def test_criterion_8_chain_records_desk_scale():

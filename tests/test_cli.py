@@ -96,7 +96,7 @@ def test_chains_smallest(capsys):
 
 def test_capacity_error_exit_code(capsys):
     # at x = 0 the value is the top ladder bound, a strong pseudoprime to
-    # the bases 2-41, and sieving to 2 leaves it past the pseudosquare table
+    # the bases 2-41, and sieving to 2 leaves (B+1)^2 far below it
     # two processes each meet such a value; the error ends the run the same way
     for workers in ("1", "2"):
         rc, _, err = run_cli(

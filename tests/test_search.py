@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tuplesieve.search as search_mod
@@ -20,7 +20,7 @@ from tuplesieve.pattern import (
     make_pattern,
     parse_pattern,
 )
-from tuplesieve.wheel import build_wheel
+from tuplesieve.wheel import build_wheel, wheel_primes
 from tuplesieve.search import (
     CheckpointError,
     PlanError,
@@ -600,19 +600,37 @@ def _budget_wheel_plan(make_plan, pattern, n):
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(pattern=_PATTERN, n=st.integers(0, 3 * 10**4), nu=st.integers(1, 3),
        chunk=st.sampled_from([1, 7, 100, search_mod.CHUNK]))
+# xs [6, 7, 9, 11], values 2, 3, 5, 7: the default plan's cut (B = 2, W = 2)
+# leaves one to the boundary window, the budget plan's (B = 2, W = 6) two
+@example(pattern=parse_pattern("x-4"), n=8, nu=1, chunk=search_mod.CHUNK)
 def test_default_wheel_matches_budget_wheel(pattern, n, nu, chunk):
     cfg = SearchConfig(pattern=pattern, n=n, nu=nu)
-    with pytest.MonkeyPatch.context() as mp:
-        # short chunks split segments, which are shorter than CHUNK at this n
-        mp.setattr(search_mod, "CHUNK", chunk)
-        new = run_striped(cfg)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_mod, "make_plan",
-                   _budget_wheel_plan(search_mod.make_plan, pattern, n))
-        old = run_striped(cfg)
+
+    def run(make_plan, chunk=search_mod.CHUNK):
+        # the run's result and the plans it made: none for an empty x range
+        plans = []
+
+        def plan(*args):
+            plans.append(make_plan(*args))
+            return plans[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_mod, "CHUNK", chunk)
+            mp.setattr(search_mod, "make_plan", plan)
+            return run_striped(cfg), plans
+
+    # short chunks split segments, which are shorter than CHUNK at this n
+    new, new_plans = run(search_mod.make_plan, chunk)
+    old, old_plans = run(_budget_wheel_plan(search_mod.make_plan, pattern, n))
     assert new.xs == old.xs
-    assert (new.count, new.boundary_count) == (old.count, old.boundary_count)
+    assert new.count == old.count
     assert new.recip_sum.hex() == old.recip_sum.hex()
+    # each run's boundary window owns the tuples whose least value is at
+    # most its own cut, max(B, largest wheel prime)
+    for res, plans in ((new, new_plans), (old, old_plans)):
+        assert len(plans) <= 1
+        cut = max(plans[0].B, wheel_primes(plans[0].wheel_limit)[-1]) if plans else 0
+        assert res.boundary_count == sum(pattern.min_value(x) <= cut for x in res.xs)
 
 
 def test_import_leaves_hashlib_unloaded():
