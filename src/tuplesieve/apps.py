@@ -15,8 +15,10 @@ keep_xs=False keeps no list of x values (the result's `.xs` is None);
 `twins` and `quads` always pass it, since a census reports only the
 count and the reciprocal sum.
 `smallest_chain` takes the same, except checkpoint_path: it runs one
-search per window of the bound.  It is defined in `search.py`, the
-module the chain-hunt benchmark entry names.
+search per window of x, the windows disjoint and each four times wider
+than the last, every one the pattern translated to the window's first
+x.  It is defined in `search.py`, the module the chain-hunt benchmark
+entry names.
 """
 
 from collections import namedtuple

@@ -18,6 +18,7 @@ import math
 import re
 from bisect import bisect_right
 from collections import namedtuple
+from functools import cache
 from itertools import compress
 
 from .arith import modinv
@@ -48,13 +49,27 @@ def primes_upto(n: int) -> list:
     return list(compress(range(n + 1), t))
 
 
+# the first block of `iter_primes`
+_FIRST_BLOCK = 1024
+
+
+@cache
+def _first_primes() -> tuple:
+    """The primes up to _FIRST_BLOCK, sieved on the first call only."""
+    return tuple(primes_upto(_FIRST_BLOCK))
+
+
 def iter_primes(limit: int):
     """Primes <= limit, ascending, sieved in blocks that grow fourfold.
 
     A consumer that stops after the first few primes pays only for the
-    block it stopped in, not for a sieve up to limit.
+    block it stopped in, not for a sieve up to limit.  The first block,
+    the primes up to 1024, is sieved once per process: the planner
+    reads it several times for every run.
     """
-    lo, hi = 1, 1024
+    first = _first_primes()
+    yield from first[:bisect_right(first, limit)]
+    lo, hi = _FIRST_BLOCK, 4 * _FIRST_BLOCK
     while lo < limit:
         hi = min(hi, limit)
         ps = primes_upto(hi)

@@ -60,6 +60,13 @@ class Pattern(namedtuple("Pattern", "forms")):
         """The largest x at which every form value is at most n."""
         return min((n - b) // a for a, b in self.forms)
 
+    def shifted(self, s: int) -> "Pattern":
+        """The pattern in y = x - s: each form a*x + b becomes
+        a*y + (a*s + b), with the same values.  gcd(a, a*s + b) =
+        gcd(a, b), so the forms stay coprime and distinct, and the
+        residues each prime excludes only move: admissibility is kept."""
+        return Pattern(tuple([(a, a * s + b) for a, b in self.forms]))
+
     def min_x(self) -> int:
         """Smallest x >= 0 at which every form value is at least 2."""
         lo = 0

@@ -27,6 +27,19 @@ def test_iter_primes_agrees_with_primes_upto():
         assert list(iter_primes(limit)) == primes_upto(limit)
 
 
+def test_iter_primes_sieves_the_first_block_once(monkeypatch):
+    import tuplesieve.apsieve as apsieve
+
+    first = list(iter_primes(5000))
+    asked = []
+    listed = apsieve.primes_upto
+    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
+    # a second call lists the same primes, and sieves only the blocks past 1024
+    assert list(iter_primes(5000)) == first == primes_upto(5000)
+    assert list(iter_primes(1000)) == primes_upto(1000)
+    assert asked == [4096, 5000]
+
+
 def test_plan_explicit_bound():
     plan = make_plan(20, 210)
     assert (plan.B, plan.wheel_limit) == (20, 210)

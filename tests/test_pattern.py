@@ -224,6 +224,19 @@ def test_chain_recurrence(kind, step):
             assert vals[i + 1] == 2 * vals[i] + step
 
 
+@pytest.mark.parametrize("s", [0, 1, 2, 7, 2049])
+@pytest.mark.parametrize("forms", [[(1, 0), (1, 2), (1, 6), (1, 8)], [(1, 0), (2, -1), (4, -3)],
+                                   [(6, 1), (12, 1), (18, 1)]])
+def test_shifted_keeps_values_and_admissibility(forms, s):
+    pattern = make_pattern(forms)
+    moved = pattern.shifted(s)
+    assert [a for a, _ in moved.forms] == [a for a, _ in forms]
+    assert make_pattern(moved.forms) == moved  # coprime and distinct forms
+    assert admissible(moved) == admissible(pattern)
+    for x in range(max(s, pattern.min_x()), s + 20):
+        assert moved.evaluate(x - s) == pattern.evaluate(x)
+
+
 def test_min_x():
     assert make_pattern([(1, 0), (1, 2)]).min_x() == 2
     assert chain_pattern("second", 4).min_x() == 2

@@ -32,7 +32,7 @@ from tuplesieve.search import (
     smallest_chain,
 )
 
-from conftest import CORPUS, boundary_scan, naive_pattern_xs
+from conftest import CORPUS, boundary_scan, naive_pattern_xs, sieve_table
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
@@ -486,19 +486,22 @@ def test_plan_chain_window_depth_cut(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_resolve_plan", record)
     assert smallest_chain("first", 9, 10**9) == 85864769
-    cfg, plan = plans[-1]  # the largest window
+    cfg, plan = plans[-1]  # the largest window, (2^25, 2^27]
+    # searched as y = x - (2^25 + 1), so x_top is the window's width
     x_top = cfg.pattern.x_max(cfg.n)
-    assert x_top == 2**29
-    # 311's nine rows cost more than the 38-bit tests it spares the
-    # survivors of 17877-byte segments; 1033 with the rule this replaced
-    assert plan.B == _cost_depth(cfg.pattern, cfg.n, plan.wheel_limit) == 307
-    assert plan.primes == tuple(primes_upto(307))
+    assert x_top == 2**27 - 2**25 - 1 == 100663295
+    assert cfg.n == chain_pattern("first", 9).max_value(2**27)
+    # 163's nine rows cost more than the 36-bit tests it spares the
+    # survivors of 3352-byte segments; 1033 with an older rule
+    assert plan.B == _cost_depth(cfg.pattern, cfg.n, plan.wheel_limit) == 157
+    assert plan.primes == tuple(primes_upto(157))
     # chains keep 2 of 11 and 4 of 13 residues, so both primes pay for their rows
     assert build_wheel(cfg.pattern, plan.wheel_limit).W == plan.wheel_limit == 30030
-    assert [p.B for _, p in plans] == [13, 19, 41, 41, 101, 227, 307]
-    # the sqrt end, 370727 in the last window, was ruled out by a bound:
-    # no prime past the 4096 block was listed
-    assert max(asked) <= 2**12
+    assert [p.B for _, p in plans] == [13, 17, 23, 29, 59, 47, 89, 157, 157]
+    # the sqrt end, 185363 in the last window, was ruled out by a bound:
+    # no prime past the 4096 block was listed (none at all once the
+    # first block is sieved)
+    assert max(asked, default=0) <= 2**12
 
 
 def test_plan_length_15_chain_lists_few_primes(monkeypatch):
@@ -719,3 +722,80 @@ def test_smallest_chain_second_kind():
 
 def test_smallest_chain_not_found():
     assert smallest_chain("first", 6, 50) is None
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pattern=st.lists(_FORM, min_size=1, max_size=3, unique=True).map(make_pattern)
+       .filter(admissible),
+       s=st.one_of(st.integers(0, 12), st.integers(0, 300)),
+       n=st.integers(0, 10**5))
+@example(pattern=TWIN, s=3, n=1000)  # (3, 5) at y = 0 has a value <= cut
+@example(pattern=chain_pattern("second", 3), s=1, n=10**4)  # every value at y = 0 is 1
+@example(pattern=QUAD, s=300, n=10**5)
+def test_translated_search_matches_search_from_s(pattern, s, n):
+    # the search of the translated pattern is the search of x >= s
+    want = [x for x in run_striped(SearchConfig(pattern=pattern, n=n)).xs if x >= s]
+    res = run_striped(SearchConfig(pattern=pattern.shifted(s), n=n))
+    assert [y + s for y in res.xs] == want
+    assert res.count == len(want)
+    assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
+
+
+def _is_prime_by_division(v):
+    return v >= 2 and all(v % d for d in range(2, math.isqrt(v) + 1))
+
+
+def _least_complete_chain(kind, length, limit):
+    """The least x <= limit starting a complete chain of exactly this
+    length, or None: the chain's values and the predecessor by a byte
+    sieve, the next value by trial division."""
+    sign = 1 if kind == "first" else -1
+    mult = 2 ** (length - 1)
+    table = sieve_table(mult * limit + mult)
+    for x in range(limit + 1):
+        vals = [2**i * x + sign * (2**i - 1) for i in range(length)]
+        if not all(v >= 2 and table[v] for v in vals):
+            continue
+        prev = (x - sign) // 2 if (x - sign) % 2 == 0 else 0
+        if not _is_prime_by_division(2 * vals[-1] + sign) and not (prev >= 2 and table[prev]):
+            return x
+    return None
+
+
+# window edges of smallest_chain and their neighbours
+_EDGE_CAPS = [e + d for e in (2048, 8192, 32768) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_smallest_chain_matches_brute_force_at_window_edges(kind, length):
+    answer = _least_complete_chain(kind, length, 400000)
+    assert answer is not None
+    for cap in _EDGE_CAPS + [answer, answer - 1]:
+        assert smallest_chain(kind, length, cap) == (answer if answer <= cap else None), cap
+
+
+@pytest.mark.parametrize("kind,length,cap", [
+    ("first", 7, 0), ("first", 7, 2047), ("first", 7, 2048), ("first", 7, 2049),
+    ("first", 7, 8192), ("first", 7, 10**5), ("second", 8, 10**6),
+])
+def test_smallest_chain_windows_cover_each_x_once(monkeypatch, kind, length, cap):
+    # no complete chain starts at x <= cap, so every window runs
+    pattern = chain_pattern(kind, length)
+    a, b = pattern.forms[0]
+    covered = []
+    run = search_mod.run_striped
+
+    def record(cfg, **kw):
+        s = (cfg.pattern.forms[0][1] - b) // a
+        covered.append((s, s + cfg.pattern.x_max(cfg.n)))
+        return run(cfg, **kw)
+
+    monkeypatch.setattr(search_mod, "run_striped", record)
+    assert smallest_chain(kind, length, cap) is None
+    assert covered[0][0] == 0 and covered[-1][1] == cap
+    for (_, hi), (lo, _) in zip(covered, covered[1:]):
+        assert lo == hi + 1
+    assert all(lo <= hi for lo, hi in covered)
+    # each window is four times wider than the last, but for the cap
+    assert [hi for _, hi in covered[:-1]] == [2**(11 + 2 * i) for i in range(len(covered) - 1)]
