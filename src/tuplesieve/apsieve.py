@@ -77,14 +77,10 @@ def iter_primes(limit: int):
         lo, hi = hi, 4 * hi
 
 
-class SievePlan(namedtuple("SievePlan", "B wheel_limit primes")):
-    """Sieve bound B, wheel budget, and the primes <= B, as
-    `search._resolve_plan` chose them.
-
-    The primes split into wheel moduli and sieve primes only once the
-    wheel is actually built; `sieve_primes` performs that split so an
-    explicitly excluded wheel prime still gets sieved.
-    """
+class SievePlan(namedtuple("SievePlan", "B moduli primes")):
+    """Sieve bound B, the wheel's primes (ascending) and the primes <= B,
+    as `search._resolve_plan` chose them.  A prime <= B left out of the
+    wheel is one of the `sieve_primes`."""
 
     __slots__ = ()
 
@@ -93,11 +89,11 @@ class SievePlan(namedtuple("SievePlan", "B wheel_limit primes")):
         return [p for p in self.primes if p not in skip]
 
 
-def make_plan(B: int, wheel_limit: int, primes=None) -> SievePlan:
-    """The plan for sieve bound B and wheel budget wheel_limit, with the
-    primes up to B: `primes` if the caller already listed them, else
-    sieved here.  `search._resolve_plan` sizes both."""
-    return SievePlan(B=B, wheel_limit=wheel_limit,
+def make_plan(B: int, moduli, primes=None) -> SievePlan:
+    """The plan for sieve bound B and the wheel's primes `moduli`, with
+    the primes up to B: `primes` if the caller already listed them, else
+    sieved here.  `search._resolve_plan` chooses both."""
+    return SievePlan(B=B, moduli=tuple(moduli),
                      primes=tuple(primes_upto(B) if primes is None else primes))
 
 

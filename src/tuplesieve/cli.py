@@ -24,6 +24,11 @@ from .search import CheckpointError, PlanError
 from .wheel import WheelError
 
 
+def prime_list(text):
+    """The integers of --wheel's comma-separated list; the search checks them."""
+    return tuple(int(p) for p in text.split(","))
+
+
 def _add_search_options(p, with_pattern=True):
     if with_pattern:
         p.add_argument("--pattern", required=True,
@@ -31,18 +36,16 @@ def _add_search_options(p, with_pattern=True):
         p.add_argument("--n", required=True, type=int, help="search bound: max form value")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--sieve-bound", type=int, metavar="B",
-                       help="sieve every segment to B, taken literally (sqrt(n) avoids "
-                            "prime tests)")
+                       help="sieve every segment to B, taken literally but at most "
+                            "sqrt(n), where no prime test is left")
     group.add_argument("--space-exp", type=float, metavar="C",
                        help="space exponent c > 2; sieve bound becomes 2^floor(log2(n)/c)")
-    p.add_argument("--wheel-limit", type=int,
-                   help="cap on the wheel modulus product (default: primes 2, 3, 5, ... "
+    p.add_argument("--wheel", type=prime_list, metavar="P,...",
+                   help="the wheel's primes, e.g. 2,3,5,7 (default: primes 2, 3, 5, ... "
                         "while each saves more segment bytes over the x range than its "
                         "sieve rows cost, and until segments hold at most 2^22 bytes)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
                    help="sieve the residues in NU processes (at most the CPU count)")
-    p.add_argument("--exclude-wheel-prime", type=int, action="append", default=[],
-                   metavar="P", help="keep P out of the wheel (repeatable)")
     p.add_argument("--checkpoint", metavar="FILE", help="write (and resume from) this checkpoint file")
     p.add_argument("--checkpoint-interval", type=float, metavar="SEC",
                    help="seconds between checkpoint writes (default 900; needs --checkpoint)")
@@ -57,8 +60,7 @@ def _config_kw(args):
         nu=args.workers,
         sieve_bound=args.sieve_bound,
         space_exp=args.space_exp,
-        wheel_limit=args.wheel_limit,
-        excluded_wheel_primes=frozenset(args.exclude_wheel_prime),
+        wheel=args.wheel,
     )
     if args.checkpoint is not None:
         kw["checkpoint_path"] = args.checkpoint

@@ -4,7 +4,7 @@ filter -> certified prime tests -> tuple stream.
 The planner (`_resolve_plan`) is the one place that sizes a run: from
 the input it fixes one sieve depth B, to which every segment is sieved,
 and the wheel, chosen by what a sieve row costs in CPython against a
-segment byte (`_wheel_modulus`).  `make_context` builds the rest once:
+segment byte (`_wheel_moduli`).  `make_context` builds the rest once:
 the wheel, the start table and the two cuts below.
 
 Tuples containing a prime at or below the cut (B or the largest wheel
@@ -63,7 +63,7 @@ from .arith import WIDE_MAX
 from .kahan import KahanBuckets
 from .pattern import Pattern, acceptable_residues, admissible, chain_pattern, format_pattern
 from .primality import LADDER_TOP, is_prime, sprp_base2
-from .wheel import build_wheel, wheel_primes
+from .wheel import build_wheel, check_moduli, wheel_primes
 
 __all__ = [
     "SearchConfig",
@@ -91,8 +91,8 @@ class PlanError(ValueError):
 
 SearchConfig = namedtuple(
     "SearchConfig",
-    "pattern n nu sieve_bound space_exp wheel_limit excluded_wheel_primes checkpoint_interval",
-    defaults=(1, None, None, None, frozenset(), 900.0),
+    "pattern n nu sieve_bound space_exp wheel checkpoint_interval",
+    defaults=(1, None, None, None, 900.0),
 )
 
 # xs: x values found this run, sorted; None unless kept
@@ -143,49 +143,48 @@ CHAIN_GROWTH = 4
 
 def _resolve_plan(cfg: SearchConfig):
     """The run's sieve plan: the one depth B its segments are sieved to,
-    the primes up to it, and the wheel.
+    the primes up to it, and the wheel's primes.
 
-    The config's sieve_bound, or 2^floor(log2(n)/space_exp), is taken
-    literally as B.  Else B comes from `_cost_depth` below LADDER_TOP,
-    with the wheel unless wheel_limit fixes it, and from `_floor_depth`
-    at or above it.  Otherwise the wheel is the config's wheel_limit or
-    `_wheel_modulus`'s choice for x_top = `pattern.x_max(n)`, the
-    largest x in range.  The primes the planner reads are the plan's,
-    so they are listed once.  Raises PlanError for space_exp <= 2 or
-    B < 2.
+    The config's sieve_bound, capped at max(2, isqrt(n)), or
+    2^floor(log2(n)/space_exp), is taken literally as B.  Else B comes
+    from `_cost_depth` below LADDER_TOP, with the wheel unless the
+    config's wheel fixes it, and from `_floor_depth` at or above it.
+    Otherwise the wheel is the config's or `_wheel_moduli`'s choice for
+    x_top = `pattern.x_max(n)`, the largest x in range.  The primes the
+    planner reads are the plan's, so they are listed once.  Raises
+    PlanError for space_exp <= 2 or B < 2.
     """
     pattern, n = cfg.pattern, cfg.n
     x_top = pattern.x_max(n)
-    wheel_limit, primes = cfg.wheel_limit, None
+    moduli, primes = cfg.wheel, None
     if cfg.sieve_bound is not None:
-        B = int(cfg.sieve_bound)
+        # a prime past isqrt(n) strikes only values the boundary window owns
+        B = min(int(cfg.sieve_bound), max(2, math.isqrt(n)))
     elif cfg.space_exp is not None:
         if not cfg.space_exp > 2:
             raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
         B = 1 << int(math.log2(n) / cfg.space_exp)
     elif n < LADDER_TOP:
-        B, primes, wheel_limit = _cost_depth(cfg, x_top)
+        B, primes, moduli = _cost_depth(cfg, x_top)
     else:
         B, primes = _floor_depth(cfg, x_top)
     if B < 2:
         raise PlanError(f"sieve bound B={B} below 2")
     if primes is None:
         primes = primes_upto(B)
-    if wheel_limit is None:
-        rows = pattern.k * len(primes)
-        wheel_limit = _wheel_modulus(pattern, x_top, rows, cfg.excluded_wheel_primes)
-    return make_plan(B, wheel_limit, primes)
+    if moduli is None:
+        moduli = _wheel_moduli(pattern, x_top, pattern.k * len(primes))
+    return make_plan(B, moduli, primes)
 
 
 def _floor_depth(cfg, x_top):
     """B and the primes up to it for n >= LADDER_TOP, where a shallower
     B could leave a value no certifier covers: the first sieve prime up
     to 2^floor(log2(n)/3) where the predicted live share reaches
-    LIVE_FLOOR, else that bound, past the primes of a reference wheel
-    budgeted x_top // 2^floor(log2(n)/3)."""
+    LIVE_FLOOR, else that bound, past the config's wheel primes or else
+    those of a reference wheel budgeted x_top // 2^floor(log2(n)/3)."""
     space = 1 << int(math.log2(cfg.n) / 3)
-    budget = max(2, x_top // space) if cfg.wheel_limit is None else cfg.wheel_limit
-    skip = set(wheel_primes(budget, cfg.excluded_wheel_primes))
+    skip = set(cfg.wheel or wheel_primes(max(2, x_top // space)))
     listed = []
 
     def sieve_primes():
@@ -200,19 +199,19 @@ def _floor_depth(cfg, x_top):
 
 
 def _cost_depth(cfg, x_top):
-    """(B, the primes up to B, the wheel modulus) by predicted cost, for
+    """(B, the primes up to B, the wheel's primes) by predicted cost, for
     n < LADDER_TOP, where every depth gives the same verdicts (the
     README's planner paragraph gives the model).  The walk stops at the
     first sieve prime whose rows cost more than the strong tests spared
     the survivors it strikes, per segment of x_top // W bytes; B is the
     prime before it.  The sqrt end wins if its rows cost no more than
     the stop plus k gates and k certificates per predicted true tuple; a
-    bound on pi(isqrt(n)) rules it out unlisted.  Unless wheel_limit
-    fixes W, W starts at the wheel for one prime's rows, the largest,
-    and B and W are chosen in turn until W repeats.
+    bound on pi(isqrt(n)) rules it out unlisted.  Unless the config's
+    wheel fixes it, the wheel starts at the one for one prime's rows,
+    the largest, and B and the wheel are chosen in turn until the wheel
+    repeats.
     """
     pattern, n, k = cfg.pattern, cfg.n, cfg.pattern.k
-    excluded = cfg.excluded_wheel_primes
     root = max(2, math.isqrt(n))
     bits = n.bit_length()
     test = TEST_BYTES * bits * -(-bits // 30)
@@ -233,7 +232,7 @@ def _cost_depth(cfg, x_top):
             yield len(read) - 1, p, w, r
 
     def choose(moduli):
-        """B and how many read primes are up to it, on wheel `moduli`."""
+        """B and how many read primes are up to it, on the wheel `moduli`."""
         L = x_top // math.prod(moduli)
         rows, live = 0, 1.0
         for i, p, w, r in walk():
@@ -257,28 +256,26 @@ def _cost_depth(cfg, x_top):
         i = max(i, 1)
         return read[i - 1], i
 
-    if cfg.wheel_limit is not None:
-        W = cfg.wheel_limit
-        B, count = choose(set(wheel_primes(W, excluded)))
-    else:
-        W, seen = _wheel_modulus(pattern, x_top, k, excluded), set()
-        while W not in seen:
-            seen.add(W)
-            B, count = choose(set(wheel_primes(W, excluded)))
-            W = _wheel_modulus(pattern, x_top, k * count, excluded)
-            if B == root:
-                break  # a smaller wheel only makes a stop's tests dearer
-    return B, read[:count], W
+    moduli, seen = cfg.wheel or _wheel_moduli(pattern, x_top, k), set()
+    while moduli not in seen:  # the config's wheel is chosen once
+        seen.add(moduli)
+        B, count = choose(moduli)
+        if not cfg.wheel:
+            moduli = _wheel_moduli(pattern, x_top, k * count)
+        if B == root:
+            break  # a smaller wheel only makes a stop's tests dearer
+    return B, read[:count], moduli
 
 
-def _wheel_modulus(pattern, x_top, rows, excluded) -> int:
-    """The wheel modulus W that the per-row cost model picks for segments
-    of about x_top // W bytes sieved by `rows` (prime, form) rows.
+def _wheel_moduli(pattern, x_top, rows) -> tuple:
+    """The wheel's primes that the per-row cost model picks for segments
+    of about x_top // W bytes sieved by `rows` (prime, form) rows, W
+    being their product.
 
     A row costs about ROW_BYTES struck bytes, so a segment of L bytes
-    costs ROW_BYTES * rows + L.  Prime q, taken in order 2, 3, 5, ...
-    past the excluded ones, joins the wheel while its acc(q) residues
-    out of q cost less than one segment without it:
+    costs ROW_BYTES * rows + L.  Prime q, taken in order 2, 3, 5, ...,
+    joins the wheel while its acc(q) residues out of q cost less than
+    one segment without it:
     acc(q) * (ROW_BYTES * rows + L // q) < ROW_BYTES * rows + L, or
     while L > SEGMENT_MAX, which bounds a segment's buffer.  The first
     prime always joins, as a wheel needs one modulus.  Each prime taken
@@ -286,16 +283,15 @@ def _wheel_modulus(pattern, x_top, rows, excluded) -> int:
     few dozen primes at most.
     """
     fixed = ROW_BYTES * rows
-    W = 1
+    moduli, W = [], 1
     for q in iter_primes(WIDE_MAX):
-        if q in excluded:
-            continue
         L = x_top // W
-        if (W > 1 and L <= SEGMENT_MAX
+        if (moduli and L <= SEGMENT_MAX
                 and acceptable_residues(pattern, q).popcount * (fixed + L // q) >= fixed + L):
             break
+        moduli.append(q)
         W *= q
-    return W
+    return tuple(moduli)
 
 
 def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
@@ -332,12 +328,11 @@ def _config_digest(cfg: SearchConfig, plan) -> str:
 
     blob = "|".join(
         [
-            "tsckpt4",
+            "tsckpt5",
             format_pattern(cfg.pattern),
             f"n={cfg.n}",
             f"B={plan.B}",
-            f"wl={plan.wheel_limit}",
-            "excl=" + ",".join(map(str, sorted(cfg.excluded_wheel_primes))),
+            "wheel=" + ",".join(map(str, plan.moduli)),
         ]
     )
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -396,7 +391,7 @@ def make_context(cfg: SearchConfig) -> SimpleNamespace:
     which the sieve alone proves a tuple."""
     pattern, n = cfg.pattern, cfg.n
     plan = _resolve_plan(cfg)
-    wheel = build_wheel(pattern, plan.wheel_limit, cfg.excluded_wheel_primes)
+    wheel = build_wheel(pattern, plan.moduli)
     table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
     cut = max(plan.B, max(wheel.moduli))
     # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
@@ -566,6 +561,8 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     # every sieve-path value v has cut < v <= n, so this bounds them all
     if cfg.n > WIDE_MAX:
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
+    if cfg.wheel is not None:
+        cfg = cfg._replace(wheel=check_moduli(cfg.wheel))
     pattern, n = cfg.pattern, cfg.n
     if pattern.x_max(n) < pattern.min_x():
         # no x has every value in [2, n], so nothing can be prime

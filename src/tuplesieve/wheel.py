@@ -12,10 +12,15 @@ which makes ranges of positions and checkpoints well defined.
 import math
 
 from .apsieve import iter_primes
-from .arith import check_wide, modinv
+from .arith import WIDE_MAX, modinv
 from .pattern import acceptable_residues
+from .primality import is_prime
 
-__all__ = ["Wheel", "WheelError", "build_wheel", "wheel_primes"]
+__all__ = ["Wheel", "WheelError", "build_wheel", "check_moduli", "wheel_primes"]
+
+# the largest wheel modulus p, whose residue mask holds p bits and whose
+# residue list up to p entries; the planner's wheels stop below 50
+MODULUS_MAX = 1 << 16
 
 
 class WheelError(ValueError):
@@ -28,20 +33,16 @@ class Wheel:
     def __init__(self, moduli_masks):
         if not moduli_masks:
             raise WheelError("wheel needs at least one modulus")
-        self.moduli = []
-        self.masks = []
-        w = 1
+        self.moduli = tuple(p for p, _ in moduli_masks)
+        self.masks = [mask for _, mask in moduli_masks]
         for p, mask in moduli_masks:
             if mask.modulus != p:
                 raise WheelError(f"mask modulus {mask.modulus} != {p}")
             if mask.popcount == 0:
                 raise WheelError(f"modulus {p} has no acceptable residues")
-            self.moduli.append(p)
-            self.masks.append(mask)
-            w *= p
         if len(set(self.moduli)) != len(self.moduli):
             raise WheelError("moduli must be distinct")
-        self.W = w
+        self.W = w = math.prod(self.moduli)
         # e_m = (W/m) * ((W/m)^-1 mod m): 1 mod m, 0 mod every other modulus
         self.basis = [w // p * modinv(w // p % p, p) % w for p in self.moduli]
         self.accept = [m.acceptable() for m in self.masks]
@@ -77,15 +78,12 @@ class Wheel:
             yield r
 
 
-def wheel_primes(limit: int, excluded=frozenset()) -> list:
-    """The greedy wheel's moduli: primes 2, 3, 5, ... in order, skipping
-    `excluded`, taken while their product stays <= limit."""
+def wheel_primes(limit: int) -> list:
+    """Primes 2, 3, 5, ... in order, taken while their product stays <= limit."""
     primes = []
     w = 1
     # a prime above limit never fits the product
     for p in iter_primes(limit):
-        if p in excluded:
-            continue
         if w * p > limit:
             break
         primes.append(p)
@@ -93,16 +91,18 @@ def wheel_primes(limit: int, excluded=frozenset()) -> list:
     return primes
 
 
-def build_wheel(pattern, limit: int, excluded=frozenset()) -> Wheel:
-    """Greedy wheel for a pattern over `wheel_primes(limit, excluded)`.
+def check_moduli(moduli) -> tuple:
+    """A wheel given as input, as its ascending tuple of primes; raises
+    WheelError unless the moduli are non-empty, distinct, primes up to
+    MODULUS_MAX, and their product is at most WIDE_MAX."""
+    moduli = tuple(sorted(moduli))
+    if not (moduli and len(set(moduli)) == len(moduli) and math.prod(moduli) <= WIDE_MAX
+            and all(p <= MODULUS_MAX and is_prime(p) for p in moduli)):
+        raise WheelError(f"wheel ({','.join(map(str, moduli))}) is not distinct primes "
+                         "up to 2^16 with a product below 2^127")
+    return moduli
 
-    Dropping a poorly filtering prime (one that excludes few residues)
-    is the caller's call via `excluded`; nothing is dropped implicitly.
-    """
-    check_wide(limit, "wheel limit")
-    if limit < 2:
-        raise WheelError(f"wheel limit {limit} admits no prime modulus")
-    moduli = wheel_primes(limit, frozenset(excluded))
-    if not moduli:
-        raise WheelError(f"no usable wheel prime under limit {limit}")
+
+def build_wheel(pattern, moduli) -> Wheel:
+    """The pattern's wheel over the prime moduli, in the order given."""
     return Wheel([(p, acceptable_residues(pattern, p)) for p in moduli])

@@ -18,7 +18,7 @@ from tuplesieve.cli import main
 from tuplesieve.pattern import chain_pattern, make_pattern
 from tuplesieve.primality import _MR_LADDER, LADDER_TOP, TableCapacityError, is_prime, sprp_base2
 from tuplesieve.search import SearchConfig, find_pattern_primes, run_striped, smallest_chain
-from tuplesieve.wheel import build_wheel
+from tuplesieve.wheel import build_wheel, wheel_primes
 
 from conftest import CORPUS, naive_pattern_xs, sieve_table
 
@@ -31,7 +31,7 @@ def report(num, name, t0, detail=""):
 def test_criterion_1_worked_example_fidelity(capsys):
     t0 = time.perf_counter()
     rc = main(["search", "--pattern", "x,x+2,x+6,x+8", "--n", "1000",
-               "--wheel-limit", "210"])
+               "--wheel", "2,3,5,7"])
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.strip().splitlines()
@@ -50,15 +50,17 @@ def test_criterion_1_worked_example_fidelity(capsys):
 
 def test_criterion_2_residue_counts():
     t0 = time.perf_counter()
-    twin_wheel = build_wheel(TWIN_PATTERN, 10**10)
+    twin_wheel = build_wheel(TWIN_PATTERN, wheel_primes(10**10))
     assert twin_wheel.W == 6469693230
     assert twin_wheel.residue_count() == 214708725
 
-    quad_wheel = build_wheel(QUAD_PATTERN, 200560490130)
+    quad_wheel = build_wheel(QUAD_PATTERN, wheel_primes(200560490130))
     assert quad_wheel.W == 200560490130
     assert quad_wheel.residue_count() == 472665375
 
-    cunn_wheel = build_wheel(chain_pattern("first", 15), 2 * 10**16, excluded={31})
+    # the paper's chain wheel: 47# with 31 left out
+    cunn_wheel = build_wheel(chain_pattern("first", 15),
+                             (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47))
     assert cunn_wheel.W == 19835154277048110
     assert cunn_wheel.residue_count() == 12841500672
     elapsed = time.perf_counter() - t0
@@ -126,7 +128,7 @@ def test_criterion_6_checkpoint_determinism(tmp_path):
     t0 = time.perf_counter()
     n = 10**8
     # W = 30030 leaves 189 residues, so stopping after 90 interrupts the run
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=4, space_exp=3.0, wheel_limit=30030)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=4, space_exp=3.0, wheel=(2, 3, 5, 7, 11, 13))
     uninterrupted = run_striped(cfg)
 
     ck = tmp_path / "quad.ckpt"

@@ -41,8 +41,8 @@ def test_iter_primes_sieves_the_first_block_once(monkeypatch):
 
 
 def test_plan_explicit_bound():
-    plan = make_plan(20, 210)
-    assert (plan.B, plan.wheel_limit) == (20, 210)
+    plan = make_plan(20, [2, 3, 5, 7])
+    assert (plan.B, plan.moduli) == (20, (2, 3, 5, 7))
     assert plan.primes == (2, 3, 5, 7, 11, 13, 17, 19)
     assert plan.sieve_primes([2, 3, 5, 7]) == [11, 13, 17, 19]
 
@@ -72,9 +72,9 @@ def test_live_fraction_stops_at_floor():
 
 
 def test_sieve_primes_keeps_excluded_wheel_prime():
-    # a prime dropped from the wheel still gets sieved
-    plan = make_plan(64, 10**6 // 64)
-    s = plan.sieve_primes([2, 3, 5, 7, 13])  # 11 skipped by the wheel
+    # a prime left out of the wheel still gets sieved
+    plan = make_plan(64, (2, 3, 5, 7, 13))
+    s = plan.sieve_primes(plan.moduli)  # 11 skipped by the wheel
     assert 11 in s
     assert s == sorted(set(plan.primes) - {2, 3, 5, 7, 13})
 

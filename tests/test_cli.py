@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tuplesieve.cli import _config_kw, build_parser, main
@@ -12,7 +16,7 @@ def run_cli(capsys, *argv):
 def test_search_quadruplets(capsys):
     rc, out, _ = run_cli(
         capsys, "search", "--pattern", "x,x+2,x+6,x+8", "--n", "1000",
-        "--wheel-limit", "210",
+        "--wheel", "2,3,5,7",
     )
     assert rc == 0
     lines = out.strip().splitlines()
@@ -37,7 +41,7 @@ def test_search_unsorted_same_set(capsys):
     # W = 210 splits the search over 3 residues, so the stream is out of order
     rc, out, _ = run_cli(
         capsys, "search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000", "--unsorted",
-        "--wheel-limit", "210",
+        "--wheel", "2,3,5,7",
     )
     assert rc == 0
     lines = out.strip().splitlines()
@@ -114,14 +118,16 @@ def test_capacity_error_exit_code(capsys):
 
 
 WIDE = str(2**127)  # one past the widest supported value
+# the primes up to 101, whose product is the first primorial past 2^127
+TOO_WIDE_WHEEL = "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61,67,71,73,79,83,89,97,101"
 
 
 @pytest.mark.parametrize("argv", [
     ["search", "--pattern", "x,x+2", "--n", WIDE],
     ["twins", "--x", WIDE],
-    ["search", "--pattern", "x,x+2", "--n", "1000", "--wheel-limit", "-5"],
+    ["search", "--pattern", "x,x+2", "--n", "1000", "--wheel", TOO_WIDE_WHEEL],
     ["search", "--pattern", f"{WIDE}x+1", "--n", "1000"],
-], ids=["n", "twins-x", "wheel-limit", "multiplier"])
+], ids=["n", "twins-x", "wheel", "multiplier"])
 def test_out_of_width_input_exit_code(capsys, argv):
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 2
@@ -165,8 +171,7 @@ def test_early_abort_left_to_planner(capsys):
     # where sieving stops is the planner's call unless a bound is given
     argv = ["search", "--pattern", "x,x+2", "--n", "100"]
     kw = _config_kw(build_parser().parse_args(argv))
-    assert set(kw) == {"nu", "sieve_bound", "space_exp", "wheel_limit",
-                       "excluded_wheel_primes"}
+    assert set(kw) == {"nu", "sieve_bound", "space_exp", "wheel"}
     assert (kw["sieve_bound"], kw["space_exp"]) == (None, None)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--no-early-abort"])
@@ -193,19 +198,48 @@ def test_chains_progress_on_stderr(capsys):
     # wheel 2*3*...*17 leaves 22275 residues for x, 2x+1
     rc, out, err = run_cli(
         capsys, "chains", "--kind", "first", "--length", "2", "--cap", "100000",
-        "--sieve-bound", "20", "--wheel-limit", "510510", "--progress",
+        "--sieve-bound", "20", "--wheel", "2,3,5,7,11,13,17", "--progress",
     )
     assert rc == 0 and out.splitlines()[-1] == "count=1171"
     assert err == "progress: 10000 residues\nprogress: 20000 residues\n"
 
 
-def test_wheel_limit_help_names_x_range_budget(capsys):
+def test_wheel_help_names_x_range_budget(capsys):
     with pytest.raises(SystemExit):
         main(["search", "--help"])
     text = " ".join(capsys.readouterr().out.split())
+    assert "--wheel P,..." in text and "e.g. 2,3,5,7" in text
     assert "saves more segment bytes over the x range than its sieve rows cost" in text
     assert "at most 2^22 bytes" in text
     assert "x_top/B" not in text and "n/B" not in text
+    # one wheel flag: the product budget and the exclusion set are gone
+    assert "--wheel-limit" not in text and "--exclude-wheel-prime" not in text
+
+
+@pytest.mark.parametrize("wheel", ["", "0", "4", "2,2", "2,x", TOO_WIDE_WHEEL],
+                         ids=["empty", "zero", "four", "repeat", "text", "too-wide"])
+def test_bad_wheel_exit_code_without_traceback(wheel):
+    # the command line in a process of its own: exit code 2 and an error line
+    src = str(Path(__file__).parents[1] / "src")
+    out = subprocess.run([sys.executable, "-I", "-c",
+                          f"import sys; sys.path.insert(0, {src!r}); "
+                          "from tuplesieve.cli import main; sys.exit(main())",
+                          "search", "--pattern", "x,x+2", "--n", "1000", "--wheel", wheel],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    # text is argparse's to refuse, integers the search's
+    parsed = wheel not in ("", "2,x")
+    assert out.stderr.startswith("error: wheel (") == parsed
+    assert ("argument --wheel: invalid prime_list value" in out.stderr) != parsed
+
+
+def test_wheel_left_out_prime_same_chain(capsys):
+    # 7 is sieved, not in the wheel: the README's length-6 chain all the same
+    argv = ["chains", "--kind", "first", "--length", "6", "--cap", "10000", "--smallest"]
+    rc, out, err = run_cli(capsys, *argv, "--wheel", "2,3,5,11,13")
+    assert (rc, out, err) == (0, "89 89 179 359 719 1439 2879\ncount=1\n", "")
 
 
 def test_twins_x_too_small_exit_code(capsys):
@@ -216,7 +250,7 @@ def test_twins_x_too_small_exit_code(capsys):
 
 # README examples, byte for byte
 GOLDEN = [
-    (["search", "--pattern", "x,x+2,x+6,x+8", "--n", "1000", "--wheel-limit", "210"],
+    (["search", "--pattern", "x,x+2,x+6,x+8", "--n", "1000", "--wheel", "2,3,5,7"],
      "5 5 7 11 13\n11 11 13 17 19\n101 101 103 107 109\n191 191 193 197 199\n"
      "821 821 823 827 829\ncount=5\n"),
     (["twins", "--x", "100000"], "count=1224\nsum=1.6727995848277415\n"),

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import subprocess
 import sys
@@ -17,10 +18,11 @@ from tuplesieve.pattern import (
     ResidueMask,
     admissible,
     chain_pattern,
+    format_pattern,
     make_pattern,
     parse_pattern,
 )
-from tuplesieve.wheel import build_wheel, wheel_primes
+from tuplesieve.wheel import WheelError, build_wheel, wheel_primes
 from tuplesieve.search import (
     CheckpointError,
     PlanError,
@@ -71,12 +73,12 @@ def test_boundary_window_matches_scan(forms, cut, extra):
 
 
 def test_find_quadruplets_1000():
-    cfg = SearchConfig(pattern=QUAD, n=1000, wheel_limit=210)
+    cfg = SearchConfig(pattern=QUAD, n=1000, wheel=(2, 3, 5, 7))
     assert find_pattern_primes(cfg) == [5, 11, 101, 191, 821]
 
 
 def test_find_quadruplets_5050():
-    cfg = SearchConfig(pattern=QUAD, n=5050, sieve_bound=20, wheel_limit=210)
+    cfg = SearchConfig(pattern=QUAD, n=5050, sieve_bound=20, wheel=(2, 3, 5, 7))
     got = find_pattern_primes(cfg)
     assert 1481 in got
     assert got == [5, 11, 101, 191, 821, 1481, 1871, 2081, 3251, 3461]
@@ -108,8 +110,8 @@ def test_progress_every_10000_residues():
     # wheel 2*3*...*17 leaves 22275 twin residues
     for nu in (1, 2):
         seen = []
-        res = search(TWIN, 10**5, wheel_limit=510510, sieve_bound=20, progress=seen.append,
-                     nu=nu)
+        res = search(TWIN, 10**5, wheel=(2, 3, 5, 7, 11, 13, 17), sieve_bound=20,
+                     progress=seen.append, nu=nu)
         assert seen == [10000, 20000]
         assert res.count == 1224
 
@@ -209,7 +211,7 @@ def test_emission_order_boundary_first():
 
 def test_checkpoint_interrupt_resume_bitwise(tmp_path):
     # c=3 and W = 2310 give QUAD at 10^6 21 residues, so 9 of them interrupt the run
-    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0, wheel_limit=2310)
+    cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
@@ -225,7 +227,7 @@ def test_checkpoint_interrupt_resume_bitwise(tmp_path):
 def test_checkpoint_interrupt_resume_default_plan(tmp_path):
     # the default plan sieves QUAD at 10^8 to sqrt(n) over the 3 residues of W = 210
     cfg = SearchConfig(pattern=QUAD, n=10**8, nu=1)
-    assert build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count() == 3
+    assert build_wheel(QUAD, search_mod._resolve_plan(cfg).moduli).residue_count() == 3
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=1)
@@ -242,10 +244,10 @@ def test_kill_resume_at_every_position(tmp_path, nu, monkeypatch):
     # c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues; stop after each but the
     # last, and resume under another worker count
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 3)
-    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0, wheel_limit=2310)
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
     other = cfg._replace(nu=nu % 3 + 1)
     full = run_striped(cfg)
-    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
+    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).moduli).residue_count()
     assert last == 21
     # a run that keeps no x list must checkpoint and resume the same way
     for keep_xs in (True, False):
@@ -288,6 +290,12 @@ def test_checkpoint_digest_mismatch(tmp_path):
     other = SearchConfig(pattern=QUAD, n=10**6 + 2, nu=2)
     with pytest.raises(CheckpointError, match="digest"):
         run_striped(other, checkpoint_path=str(ck))
+    # the same B on another wheel walks other residues
+    plan = search_mod._resolve_plan(cfg)
+    wheel = plan.moduli[:-1] + (plan.moduli[-1] + 2,)
+    assert search_mod._resolve_plan(cfg._replace(wheel=wheel)).B == plan.B
+    with pytest.raises(CheckpointError, match="digest"):
+        run_striped(cfg._replace(wheel=wheel), checkpoint_path=str(ck))
     # the worker count is not part of the configuration: any count resumes
     resumed = run_striped(SearchConfig(pattern=QUAD, n=10**6, nu=1), checkpoint_path=str(ck))
     assert resumed.resumed and resumed.completed
@@ -295,9 +303,24 @@ def test_checkpoint_digest_mismatch(tmp_path):
     assert (resumed.count, resumed.recip_sum.hex()) == (full.count, full.recip_sum.hex())
 
 
+def test_checkpoint_with_wheel_budget_digest_refused(tmp_path):
+    # the digest once held the wheel budget and the excluded primes; a
+    # file written that way for this very plan is refused as a mismatch
+    ck = tmp_path / "run.ckpt"
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
+    run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
+    text = ck.read_text().splitlines()
+    B = search_mod._resolve_plan(cfg).B
+    old = f"tsckpt4|{format_pattern(QUAD)}|n={cfg.n}|B={B}|wl=2310|excl="
+    text[1] = "digest " + hashlib.sha256(old.encode()).hexdigest()
+    ck.write_text("\n".join(text) + "\n")
+    with pytest.raises(CheckpointError, match="digest mismatch"):
+        run_striped(cfg, checkpoint_path=str(ck))
+
+
 def test_checkpoint_corrupt_file(tmp_path):
     ck = tmp_path / "run.ckpt"
-    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel_limit=2310)
+    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
     run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
     text = ck.read_text().splitlines()
     assert text[0] == "TSCKPT v4" and text[2] == "position 2"
@@ -319,7 +342,7 @@ def test_checkpoint_corrupt_file(tmp_path):
         with pytest.raises(CheckpointError, match="bad checkpoint header"):
             run_striped(cfg, checkpoint_path=str(ck))
     # a position that is missing, negative, past the end or not an integer
-    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).wheel_limit).residue_count()
+    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).moduli).residue_count()
     for bad in ([], ["position -1"], [f"position {last + 1}"], ["position 2.5"]):
         ck.write_text("\n".join(text[:2] + bad + text[3:]) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
@@ -343,13 +366,13 @@ def test_completed_checkpoint_resume_is_noop(tmp_path):
 
 def test_tiny_n_boundary_only():
     # n=14 leaves no residue in range: everything comes from the scan
-    cfg = SearchConfig(pattern=QUAD, n=14, wheel_limit=210)
+    cfg = SearchConfig(pattern=QUAD, n=14, wheel=(2, 3, 5, 7))
     res = run_striped(cfg)
     assert res.xs == [5]
     assert res.boundary_count == 1
     assert res.count == res.boundary_count
     # at n=30 the first residue fits, so x=11 arrives via the sieve path
-    res = run_striped(SearchConfig(pattern=QUAD, n=30, wheel_limit=210))
+    res = run_striped(SearchConfig(pattern=QUAD, n=30, wheel=(2, 3, 5, 7)))
     assert res.xs == [5, 11]
     assert (res.boundary_count, res.count) == (1, 2)
 
@@ -361,7 +384,7 @@ def test_boundary_cut_inside_a_segment(table_1e5):
     pattern = parse_pattern("x,2x-1")
     want = naive_pattern_xs(pattern.forms, 1000, table_1e5)
     assert len(want) == 21
-    for plan in ({}, {"sieve_bound": 31, "wheel_limit": 6}):
+    for plan in ({}, {"sieve_bound": 31, "wheel": (2, 3)}):
         res = run_striped(SearchConfig(pattern=pattern, n=1000, **plan))
         assert res.xs == want
         assert res.count == len(want)
@@ -369,8 +392,7 @@ def test_boundary_cut_inside_a_segment(table_1e5):
     # x,6x+1 (values 5 and 31), whose largest value is past (B+1)^2:
     # the boundary window owns it all the same
     pattern = parse_pattern("x,6x+1")
-    res = run_striped(SearchConfig(pattern=pattern, n=1000, sieve_bound=3, wheel_limit=42,
-                                   excluded_wheel_primes=frozenset({5})))
+    res = run_striped(SearchConfig(pattern=pattern, n=1000, sieve_bound=3, wheel=(2, 3, 7)))
     assert res.xs == naive_pattern_xs(pattern.forms, 1000, table_1e5)
     assert res.count == len(res.xs) and 5 in res.xs
 
@@ -387,11 +409,13 @@ _SIEVE = st.one_of(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(pattern=_PATTERN, n=st.integers(100, 3 * 10**4), sieve=_SIEVE,
-       wheel_limit=st.sampled_from([None, 2, 6, 30, 210]), nu=st.integers(1, 3))
-def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel_limit, nu):
+       wheel=st.sampled_from([None, (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7),
+                              (3,), (2, 5), (2, 3, 7), (3, 5, 7, 11)]),
+       nu=st.integers(1, 3))
+def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel, nu):
     if sieve == "sqrt":
         sieve = {"sieve_bound": math.isqrt(n)}
-    cfg = SearchConfig(pattern=pattern, n=n, nu=nu, wheel_limit=wheel_limit, **sieve)
+    cfg = SearchConfig(pattern=pattern, n=n, nu=nu, wheel=wheel, **sieve)
     seen = []
     res = run_striped(cfg, on_tuple=lambda x, vals: seen.append((x, vals)))
     want = naive_pattern_xs(pattern.forms, n, table_1e5)
@@ -405,7 +429,7 @@ def test_plan_sqrt_for_twins_and_quads_at_1e8():
     for pattern in (TWIN, QUAD):
         plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=10**8))
         # the cost model stops at 11: its rows cost more than its residues save
-        assert (plan.B, plan.wheel_limit) == (10**4, 210)
+        assert (plan.B, plan.moduli) == (10**4, (2, 3, 5, 7))
         assert plan.primes == tuple(primes_upto(10**4))
         assert len(plan.primes) == 1229
 
@@ -420,18 +444,18 @@ X = make_pattern([(1, 0)])
 def test_plan_power_of_two_rule():
     plan = _plan(X, 2**30, space_exp=3)
     # one form and 172 primes: even 11, which keeps 10 of its 11 residues, pays for its rows
-    assert (plan.B, plan.wheel_limit) == (1024, 2310)
+    assert (plan.B, plan.moduli) == (1024, (2, 3, 5, 7, 11))
     assert plan.primes == tuple(primes_upto(1024))
 
 
 def test_plan_sqrt_mode():
     plan = _plan(X, 10**8, sieve_bound=10**4)
-    assert (plan.B, plan.wheel_limit, len(plan.primes)) == (10**4, 210, 1229)
+    assert (plan.B, plan.moduli, len(plan.primes)) == (10**4, (2, 3, 5, 7), 1229)
     # the wheel follows the x range, not n: segments of 256x+1 are 256
     # times shorter than n / W, so fewer primes pay for their rows
     steep = make_pattern([(256, 1)])
-    assert _plan(steep, 10**8, sieve_bound=10**4).wheel_limit == 6
-    assert search_mod._wheel_modulus(steep, 10**8, 1229, frozenset()) == 210
+    assert _plan(steep, 10**8, sieve_bound=10**4).moduli == (2, 3)
+    assert search_mod._wheel_moduli(steep, 10**8, 1229) == (2, 3, 5, 7)
 
 
 def test_plan_errors():
@@ -443,14 +467,14 @@ def test_plan_errors():
         _plan(X, 100, sieve_bound=1)
 
 
-def _cost_depth(pattern, n, W, limit=2**12):
+def _cost_depth(pattern, n, moduli, limit=2**12):
     """The largest prime below the first sieve prime, past a wheel of
-    modulus W, whose rows cost more than the strong tests it spares the
-    survivors it strikes, per segment of x_top // W bytes."""
-    moduli = build_wheel(pattern, W).moduli
+    the primes `moduli` with product W, whose rows cost more than the
+    strong tests it spares the survivors it strikes, per segment of
+    x_top // W bytes."""
     bits = n.bit_length()
     test = search_mod.TEST_BYTES * bits * -(-bits // 30)
-    segment = pattern.x_max(n) // W
+    segment = pattern.x_max(n) // math.prod(moduli)
     before = 1.0
     for p, frac in live_fractions(pattern, [p for p in primes_upto(limit) if p not in moduli]):
         rows = sum(a % p != 0 for a, _ in pattern.forms)
@@ -460,12 +484,13 @@ def _cost_depth(pattern, n, W, limit=2**12):
     raise AssertionError(f"no stop up to {limit}")
 
 
-def _floor_depth(pattern, n):
+def _floor_depth(pattern, n, moduli=None):
     """The depth above LADDER_TOP: the first prime up to 2^floor(log2(n)/3),
-    wheel primes of a reference wheel budgeted x_top // 2^floor(log2(n)/3)
-    left out, where the predicted live share is at most LIVE_FLOOR."""
+    the wheel's primes `moduli` or else those of a reference wheel
+    budgeted x_top // 2^floor(log2(n)/3) left out, where the predicted
+    live share is at most LIVE_FLOOR."""
     space = 1 << int(math.log2(n) / 3)
-    moduli = build_wheel(pattern, pattern.x_max(n) // space).moduli
+    moduli = moduli or wheel_primes(pattern.x_max(n) // space)
     primes = [p for p in primes_upto(2**12) if p not in moduli]
     return next(p for p, frac in live_fractions(pattern, primes)
                 if frac <= search_mod.LIVE_FLOOR)
@@ -493,10 +518,11 @@ def test_plan_chain_window_depth_cut(monkeypatch):
     assert cfg.n == chain_pattern("first", 9).max_value(2**27)
     # 163's nine rows cost more than the 36-bit tests it spares the
     # survivors of 3352-byte segments; 1033 with an older rule
-    assert plan.B == _cost_depth(cfg.pattern, cfg.n, plan.wheel_limit) == 157
+    assert plan.B == _cost_depth(cfg.pattern, cfg.n, plan.moduli) == 157
     assert plan.primes == tuple(primes_upto(157))
     # chains keep 2 of 11 and 4 of 13 residues, so both primes pay for their rows
-    assert build_wheel(cfg.pattern, plan.wheel_limit).W == plan.wheel_limit == 30030
+    assert plan.moduli == (2, 3, 5, 7, 11, 13)
+    assert build_wheel(cfg.pattern, plan.moduli).W == 30030
     assert [p.B for _, p in plans] == [13, 17, 23, 29, 59, 47, 89, 157, 157]
     # the sqrt end, 185363 in the last window, was ruled out by a bound:
     # no prime past the 4096 block was listed (none at all once the
@@ -515,7 +541,7 @@ def test_plan_length_15_chain_lists_few_primes(monkeypatch):
     plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
     assert max(asked) <= 2**12
     assert len(plan.primes) < 200
-    assert plan.B == _cost_depth(chain, n, plan.wheel_limit)
+    assert plan.B == _cost_depth(chain, n, plan.moduli)
 
 
 def test_plan_quads_1e17_within_table_budget(monkeypatch):
@@ -526,7 +552,7 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
     monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
     plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
     # 2^18 with the rule this replaced; sample residues ran 23 % faster here
-    assert plan.B == _cost_depth(QUAD, 10**17, plan.wheel_limit, 2**17) == 95707
+    assert plan.B == _cost_depth(QUAD, 10**17, plan.moduli, 2**17) == 95707
     assert max(asked) <= 2**24
 
 
@@ -534,13 +560,13 @@ def test_plan_census_targets_unchanged():
     # the plans of twins(10**8) and quads(10**8): sqrt mode, 1229 primes, W = 210
     for pattern, n, B in ((TWIN, 10**8 + 1, 10**4), (QUAD, 10**8 - 1, 9999)):
         plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=n))
-        assert (plan.B, plan.wheel_limit) == (B, 210)
+        assert (plan.B, plan.moduli) == (B, (2, 3, 5, 7))
         assert plan.primes == tuple(primes_upto(10**4))
     # a stop is charged for certifying the true tuples: uncharged, quads at
     # 10^10 would stop at 23879, where quads(10**10) took 62-66 s against
     # 4.4-5.1 s at the sqrt end
     plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**10))
-    assert (plan.B, plan.wheel_limit) == (10**5, 30030)
+    assert (plan.B, plan.moduli) == (10**5, (2, 3, 5, 7, 11, 13))
 
 
 def test_plan_at_ladder_top_keeps_floor_depth():
@@ -551,9 +577,13 @@ def test_plan_at_ladder_top_keeps_floor_depth():
     for chain, n, B in ((c15, top, 461), (c15, c15.max_value(3 * 10**20), 461),
                         (c17, c17.max_value(2759832934171386593519), 311)):
         assert _plan(chain, n).B == _floor_depth(chain, n) == B
+    # a given wheel's primes are the ones the floor rule leaves out
+    paper = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47)
+    for wheel, B in (((2, 3, 5, 7), 29), (paper, 929)):
+        assert _plan(c15, top, wheel=wheel).B == _floor_depth(c15, top, wheel) == B
     # one below it, the cost rule sieves deeper here
     below = _plan(c15, top - 1)
-    assert below.B == _cost_depth(c15, top - 1, below.wheel_limit) == 1447
+    assert below.B == _cost_depth(c15, top - 1, below.moduli) == 1447
 
 
 @settings(max_examples=40, deadline=None,
@@ -575,26 +605,27 @@ def test_plan_record_chains_cap_segments(length, x):
     chain = chain_pattern("first", length)
     n = chain.max_value(x)
     plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
-    assert chain.x_max(n) // build_wheel(chain, plan.wheel_limit).W <= search_mod.SEGMENT_MAX
+    assert chain.x_max(n) // build_wheel(chain, plan.moduli).W <= search_mod.SEGMENT_MAX
 
 
-def test_wheel_modulus_caps_segments():
+def test_wheel_moduli_caps_segments():
     # twins at 2^48 sieve 2 x 1077871 rows a segment: the cost model alone
     # stops at 17#, whose 5.5e8-byte segments SEGMENT_MAX does not allow
     x_top = TWIN.x_max(2**48)
-    W = search_mod._wheel_modulus(TWIN, x_top, 2 * 1077871, frozenset())
-    assert W == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23
+    moduli = search_mod._wheel_moduli(TWIN, x_top, 2 * 1077871)
+    assert moduli == (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    W = math.prod(moduli)
     assert x_top // W <= search_mod.SEGMENT_MAX < x_top // (W // 23)
 
 
 def _budget_wheel_plan(make_plan, pattern, n):
-    """make_plan with the wheel budget max(2, x_top // B_s) in place of
-    the cost model's wheel; B_s is isqrt(n) exactly when B is."""
+    """make_plan with the primes of the wheel budget max(2, x_top // B_s)
+    in place of the cost model's wheel; B_s is isqrt(n) exactly when B is."""
     root = max(2, math.isqrt(n))
 
-    def plan(B, wheel_limit, primes):
+    def plan(B, moduli, primes):
         space = root if B == root else 1 << int(math.log2(n) / 3)
-        return make_plan(B, max(2, pattern.x_max(n) // space), primes)
+        return make_plan(B, wheel_primes(max(2, pattern.x_max(n) // space)), primes)
 
     return plan
 
@@ -632,7 +663,7 @@ def test_default_wheel_matches_budget_wheel(pattern, n, nu, chunk):
     # most its own cut, max(B, largest wheel prime)
     for res, plans in ((new, new_plans), (old, old_plans)):
         assert len(plans) <= 1
-        cut = max(plans[0].B, wheel_primes(plans[0].wheel_limit)[-1]) if plans else 0
+        cut = max(plans[0].B, plans[0].moduli[-1]) if plans else 0
         assert res.boundary_count == sum(pattern.min_value(x) <= cut for x in res.xs)
 
 
@@ -652,12 +683,11 @@ RECORDS = [
     # (type, required fields, default fields as today's values)
     (Pattern, dict(forms=((1, 0), (1, 2))), {}),
     (ResidueMask, dict(modulus=3, bits=0b110), {}),
-    (SievePlan, dict(B=20, wheel_limit=210, primes=(2, 3, 5)), {}),
+    (SievePlan, dict(B=20, moduli=(2, 3, 5, 7), primes=(2, 3, 5)), {}),
     (SieveSegment, dict(r=11, W=210, bits=bytearray(b"\x01\x00"), applied=4),
      dict(aborted=False)),
     (SearchConfig, dict(pattern=QUAD, n=10**4),
-     dict(nu=1, sieve_bound=None, space_exp=None, wheel_limit=None,
-          excluded_wheel_primes=frozenset(), checkpoint_interval=900.0)),
+     dict(nu=1, sieve_bound=None, space_exp=None, wheel=None, checkpoint_interval=900.0)),
     (SearchResult, dict(xs=None, count=2, recip_sum=0.5, boundary_count=0, completed=True),
      dict(resumed=False)),
     (TupleCensus, dict(bound=10, count=2, recip_sum=0.5), {}),
@@ -692,16 +722,63 @@ def test_plan_explicit_overrides_win():
     assert plan_of(SearchConfig(pattern=chain, n=n, sieve_bound=math.isqrt(n))).B == math.isqrt(n)
     assert plan_of(SearchConfig(pattern=chain, n=n, space_exp=3.0)).B == 1 << int(math.log2(n) / 3)
     assert plan_of(SearchConfig(pattern=QUAD, n=10**8, space_exp=3.0)).B == 2**8
-    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, wheel_limit=30)).wheel_limit == 30
+    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, wheel=(2, 3, 5))).moduli == (2, 3, 5)
+    assert plan_of(SearchConfig(pattern=QUAD, n=10**8, wheel=(2, 3, 7))).moduli == (2, 3, 7)
 
 
 def test_excluded_wheel_prime_same_output():
+    # a wheel with 5 left out: 5 is sieved instead, and the output stays
     n = 10**5
-    base = find_pattern_primes(SearchConfig(pattern=QUAD, n=n))
-    skipped = find_pattern_primes(
-        SearchConfig(pattern=QUAD, n=n, excluded_wheel_primes=frozenset({5}))
-    )
-    assert base == skipped
+    cfg = SearchConfig(pattern=QUAD, n=n, wheel=(2, 3, 7))
+    plan = search_mod._resolve_plan(cfg)
+    assert 5 in plan.sieve_primes(plan.moduli)
+    base, skipped = run_striped(SearchConfig(pattern=QUAD, n=n)), run_striped(cfg)
+    assert base.xs == skipped.xs
+    assert (base.count, base.recip_sum.hex()) == (skipped.count, skipped.recip_sum.hex())
+
+
+TOO_WIDE = tuple(primes_upto(101))  # 101# is the first primorial past 2^127
+
+
+@pytest.mark.parametrize("wheel", [(), (0,), (4,), (2, 2), TOO_WIDE],
+                         ids=["empty", "zero", "four", "repeat", "too-wide"])
+def test_bad_wheel_rejected_before_planning(wheel, monkeypatch):
+    def no_plan(cfg):
+        raise _Planned
+
+    monkeypatch.setattr(search_mod, "_resolve_plan", no_plan)
+    # n = 3 leaves no x in range, n = 1000 a run; neither gets to plan
+    for n in (3, 1000):
+        with pytest.raises(WheelError):
+            run_striped(SearchConfig(pattern=TWIN, n=n, wheel=wheel))
+
+
+def test_wheel_override_is_sorted():
+    res = run_striped(SearchConfig(pattern=QUAD, n=10**4, wheel=[7, 2, 5, 3]))
+    assert res.xs == find_pattern_primes(SearchConfig(pattern=QUAD, n=10**4))
+    ctx = search_mod.make_context(SearchConfig(pattern=QUAD, n=10**4, wheel=(2, 3, 5, 7)))
+    assert ctx.plan.moduli == ctx.wheel.moduli == (2, 3, 5, 7)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_explicit_sieve_bound_capped_at_isqrt(name, table_1e5):
+    # a prime past isqrt(n) strikes only values the boundary window owns,
+    # so B = 10^5 lists no such prime and answers as B = isqrt(n) does
+    pattern = make_pattern(CORPUS[name])
+    for n in (3, 10, 100, 1000, 5000):
+        root = max(2, math.isqrt(n))
+        deep = SearchConfig(pattern=pattern, n=n, sieve_bound=10**5)
+        plan = search_mod._resolve_plan(deep)
+        assert plan.B == root
+        assert plan.primes == tuple(primes_upto(root))
+        res = run_striped(deep)
+        want = naive_pattern_xs(pattern.forms, n, table_1e5)
+        assert res.xs == want and res.count == len(want)
+        assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
+        shallow = run_striped(SearchConfig(pattern=pattern, n=n, sieve_bound=root))
+        assert (shallow.xs, shallow.recip_sum.hex()) == (res.xs, res.recip_sum.hex())
+    # 13 s and 934 MB before the cap: a table of the primes up to 10^8
+    assert _plan(X, 100, sieve_bound=10**8).primes == (2, 3, 5, 7)
 
 
 def test_smallest_chain_first_kind():

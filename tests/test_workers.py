@@ -36,8 +36,8 @@ def merged(parts):
 
 
 CASES = [
-    SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel_limit=2310),
-    SearchConfig(pattern=TWIN_PATTERN, n=10**5, wheel_limit=30030),
+    SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11)),
+    SearchConfig(pattern=TWIN_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11, 13)),
     SearchConfig(pattern=chain_pattern("first", 3), n=10**6),
 ]
 
@@ -80,7 +80,7 @@ def test_process_count_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(search_mod.os, "fork", counting_fork)
     # QUAD at 10^5 over W = 30030: 189 positions of 4 bytes, one round
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=30030, nu=10**6)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11, 13), nu=10**6)
     want = run_striped(cfg._replace(nu=1))
     assert forks == []
     res = run_striped(cfg)
@@ -100,7 +100,7 @@ def test_process_count_capped_at_cpu_affinity(monkeypatch):
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(search_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert search_mod._cpu_limit() == 1
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=30030, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11, 13), nu=2)
     res = run_striped(cfg)
     assert forks == []
     assert res.xs == run_striped(cfg._replace(nu=1)).xs
@@ -123,7 +123,7 @@ def announce(*args):
     print(pid, flush=True)
     return pid, fd
 s._fork_range = announce
-twins(10**11, nu=2, wheel_limit=9699690)
+twins(10**11, nu=2, wheel=(2, 3, 5, 7, 11, 13, 17, 19))
 """
     proc = subprocess.Popen([sys.executable, "-I", "-c", code], stdout=subprocess.PIPE, text=True)
     try:
@@ -173,7 +173,7 @@ def _patch_segment(monkeypatch, in_child, in_parent=None):
 
 
 def test_child_error_reraised_with_type_and_message(two_cpus, monkeypatch):
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=2310, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11), nu=2)
 
     def fail(r):
         raise TableCapacityError(f"no certifier for residue {r}")
@@ -194,7 +194,7 @@ def test_child_error_reraised_with_type_and_message(two_cpus, monkeypatch):
 
 
 def test_child_without_result_is_an_error(two_cpus, monkeypatch):
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=2310, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11), nu=2)
     _patch_segment(monkeypatch, lambda r: os._exit(7))
     with pytest.raises(RuntimeError, match="without a result .exit code 7"):
         run_striped(cfg)
@@ -202,7 +202,7 @@ def test_child_without_result_is_an_error(two_cpus, monkeypatch):
 
 
 def test_parent_error_kills_and_reaps_children(two_cpus, monkeypatch):
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=2310, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11), nu=2)
 
     def fail(r):
         raise ValueError("parent failed")
@@ -217,7 +217,7 @@ def test_parent_error_kills_and_reaps_children(two_cpus, monkeypatch):
 
 def test_interrupt_while_waiting_reaps_children(two_cpus, monkeypatch):
     # the parent's range is done and it waits on a child when ^C arrives
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel_limit=2310, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11), nu=2)
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
@@ -237,7 +237,7 @@ def test_interrupt_while_waiting_reaps_children(two_cpus, monkeypatch):
 
 
 def test_stop_after_residues_reaps_children(two_cpus, tmp_path):
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel_limit=2310, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11), nu=2)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
     assert not part.completed
@@ -251,7 +251,7 @@ def test_stop_after_residues_reaps_children(two_cpus, tmp_path):
 
 def test_output_file_resumes_without_loss(two_cpus, tmp_path):
     # a run stopped mid-way, with lines written past its checkpoint, then resumed
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel_limit=2310, nu=2)
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11), nu=2)
     full = run_striped(cfg)
     ck, dest = tmp_path / "run.ckpt", tmp_path / "out.txt"
     for stop in (1, 9, 20):
