@@ -9,9 +9,10 @@ large a wheel to take is `search._resolve_plan`'s choice; this module
 lists the primes (`make_plan`) and counts what each strikes (`strikes`,
 `live_fractions`).
 
-Where each prime's strikes start depends on r only through one product,
-so the inverses behind it are computed once per run (`start_table`) and
-every segment reuses them.
+One lazy generator, `root_rows`, tells every reader where each form
+vanishes mod p: the start table, `strikes`, `pattern.acceptable_residues`
+and `search.boundary_tuples`.  The rows do not depend on r, so a run
+lists them once (`start_table`) and every segment reuses them.
 """
 
 import math
@@ -19,7 +20,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
-from itertools import compress
+from itertools import combinations, compress
 
 from .arith import modinv
 
@@ -27,6 +28,7 @@ __all__ = [
     "SievePlan",
     "make_plan",
     "SieveSegment",
+    "root_rows",
     "start_table",
     "sieve_segment",
     "survivors",
@@ -97,16 +99,31 @@ def make_plan(B: int, moduli, primes=None) -> SievePlan:
                      primes=tuple(primes_upto(B) if primes is None else primes))
 
 
+def root_rows(pattern, primes, W: int = 1):
+    """Yield (p, W^-1 mod p, s_1, s_2, ...) for each p in `primes`, in order:
+    s_i = W^-1 * (-b * a^-1) mod p for each form a*x + b, in form order,
+    whose multiplier p does not divide (such a form never vanishes mod p);
+    at W = 1 the s_i are the roots.  The one place that inverts a
+    multiplier; reads the lazy `primes` no further than asked.  Raises
+    NotInvertibleError when p divides W."""
+    forms = [(a, -b) for a, b in pattern.forms]
+    for p in primes:
+        winv = 1 if W == 1 else modinv(W % p, p)
+        # a form with a = 1 has root -b and needs no inverse
+        yield (p, winv, *[winv * (c if a == 1 else c * pow(a, -1, p)) % p
+                          for a, c in forms if a % p])
+
+
 def strikes(pattern, primes):
     """Yield (p, w(p), rows) for each p in `primes`: w(p) counts the
-    distinct roots -b * a^-1 mod p over the forms a*x + b with p not
-    dividing a, and rows counts those forms, the rows p adds to a
-    segment's sieve.  `primes` may be lazy, and is read no further than
-    the consumer asks."""
-    for p in primes:
-        # a form with a = 1 has root -b and needs no inverse
-        roots = [(-b if a == 1 else -b * pow(a, -1, p)) % p for a, b in pattern.forms if a % p]
-        yield p, len(set(roots)), len(roots)
+    distinct roots in p's row of `root_rows`, and rows its entries, the
+    rows p adds to a segment's sieve.  Lazy, as `root_rows` is.  Forms
+    a*x + b and c*x + d share a root mod p only if p divides a*d - b*c,
+    never 0 for distinct coprime forms: past the largest, no set is needed."""
+    top = max((abs(a * d - b * c) for (a, b), (c, d) in combinations(pattern.forms, 2)), default=0)
+    for row in root_rows(pattern, primes):
+        roots = row[2:]
+        yield row[0], len(roots) if row[0] > top else len(set(roots)), len(roots)
 
 
 def live_fractions(pattern, primes):
@@ -129,22 +146,10 @@ SieveSegment.__doc__ = """One wheel residue's candidates: byte j of `bits` stand
 
 
 def start_table(pattern, W: int, sieve_primes) -> tuple:
-    """Per-prime start data for sieving the progressions r + j*W.
-
-    One flat row per prime, in the order given:
-    (p, W^-1 mod p, s_1, s_2, ...), with s_i = W^-1 * (-b * a^-1) mod p
-    for each form a*x + b whose multiplier p does not divide.  The row
-    depends on the pattern, W and p but not on the residue r, so one
-    table serves every segment of a run.  Raises NotInvertibleError
-    when p divides W.  W^-1 is the row's one `modinv`; a form with a = 1
-    has root -b and needs no inverse.
-    """
-    table = []
-    for p in sieve_primes:
-        winv = modinv(W % p, p)
-        table.append((p, winv, *[winv * (-b if a == 1 else -b * pow(a, -1, p)) % p
-                                 for a, b in pattern.forms if a % p]))
-    return tuple(table)
+    """The rows of `root_rows(pattern, sieve_primes, W)`, listed: they
+    depend on W but not on the residue r, so one table serves every
+    segment sieving the progressions r + j*W of a run."""
+    return tuple([*root_rows(pattern, sieve_primes, W)])  # tuple() of a generator resizes
 
 
 def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:

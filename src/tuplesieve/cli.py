@@ -9,8 +9,9 @@ the lines to the file as found and sorts it once the run completes; with
 --checkpoint, a resumed run cuts the file back to the length its
 checkpoint recorded and appends from there.  Then comes a
 `count=` summary; censuses add `sum=`.  Exit status is 0 on success, 2
-on configuration errors (a flag the subcommand cannot honour among
-them), 3 when no certifier covers a value (`TableCapacityError`).
+on configuration errors (a flag the subcommand cannot honour, or an --out
+or --checkpoint path it cannot write, found before the search), 3 when no
+certifier covers a value (`TableCapacityError`), 141 when stdout closes.
 """
 
 import argparse
@@ -86,7 +87,11 @@ def _run(args, fn, *a, listing=True, **kw):
     if args.out:
         # a checkpointed run appends: the search cuts the file back to the
         # length its checkpoint recorded, or to 0 when it starts afresh
-        with open(args.out, "w" if args.checkpoint is None else "a") as out:
+        try:
+            out = open(args.out, "w" if args.checkpoint is None else "a")
+        except OSError as e:
+            raise ValueError(f"cannot write --out: {e}") from None
+        with out:
             if args.checkpoint is not None:
                 kw["output"] = out
             res = fn(*a, on_tuple=lambda x, vals: out.write(_line(x, vals)), **kw)
@@ -175,7 +180,13 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # a shell's status for a SIGPIPE death; /dev/null takes what is left to flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except TableCapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -1,16 +1,16 @@
 """Patterns of linear forms a*x + b and their per-prime acceptable residues.
 
 A pattern hits at x when every form evaluates to a prime.  For each prime
-p the residues x mod p that force some form to 0 mod p are excluded; the
-remainder are the acceptable residues, stored as a bit mask.
+p the roots `apsieve.root_rows` lists, the residues x mod p that force a
+form to 0 mod p, are excluded; the rest are the acceptable residues.
 """
 
 from collections import namedtuple
 from math import gcd
 import re
 
-from .apsieve import primes_upto
-from .arith import WIDE_MAX, check_wide, modinv
+from .apsieve import primes_upto, root_rows
+from .arith import WIDE_MAX, check_wide
 
 __all__ = [
     "Pattern",
@@ -85,19 +85,12 @@ class ResidueMask(namedtuple("ResidueMask", "modulus bits")):
 
     __slots__ = ()
 
-    def is_acceptable(self, x: int) -> bool:
-        return bool(self.bits >> (x % self.modulus) & 1)
-
     def acceptable(self) -> list:
         return [x for x in range(self.modulus) if self.bits >> x & 1]
 
     @property
     def popcount(self) -> int:
         return bin(self.bits).count("1")
-
-    def bit_string(self) -> str:
-        """'001'-style string, character index = residue."""
-        return "".join("1" if self.bits >> x & 1 else "0" for x in range(self.modulus))
 
 
 def make_pattern(forms) -> Pattern:
@@ -161,18 +154,10 @@ def format_pattern(pattern: Pattern) -> str:
 
 
 def acceptable_residues(pattern: Pattern, p: int) -> ResidueMask:
-    """Mask of residues mod prime p at which no form vanishes mod p.
-
-    Forms whose multiplier is divisible by p never vanish (their offset
-    is coprime to the multiplier, hence to p) and contribute nothing.
-    """
-    bits = (1 << p) - 1
-    for a, b in pattern.forms:
-        if a % p == 0:
-            continue
-        x = (-b * modinv(a, p)) % p if p > 1 else 0
-        bits &= ~(1 << x)
-    return ResidueMask(p, bits)
+    """Mask of residues mod prime p at which no form vanishes mod p: the
+    p low bits less the roots in p's row of `root_rows`."""
+    roots = set(next(root_rows(pattern, (p,)))[2:])
+    return ResidueMask(p, (1 << p) - 1 - sum(1 << x for x in roots))
 
 
 def admissible(pattern: Pattern) -> bool:
@@ -180,10 +165,7 @@ def admissible(pattern: Pattern) -> bool:
 
     Primes above k exclude at most k < p residues, so they cannot fail.
     """
-    for p in primes_upto(pattern.k):
-        if acceptable_residues(pattern, p).popcount == 0:
-            return False
-    return True
+    return all(acceptable_residues(pattern, p).popcount for p in primes_upto(pattern.k))
 
 
 def chain_pattern(kind: str, length: int) -> Pattern:

@@ -54,6 +54,7 @@ from .apsieve import (
     live_fractions,
     make_plan,
     primes_upto,
+    root_rows,
     sieve_segment,
     start_table,
     strikes,
@@ -302,7 +303,7 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
     form is at least 2 to the last where the least form is <= cut and
     the largest <= n.  A byte sieve over that window clears, for every
     prime q <= sqrt(max f), each form's multiples of q other than q
-    itself.
+    itself, from that form's root mod q (`root_rows`).
     """
     x0 = pattern.min_x()
     stop = min(cut, n)  # past n even the smallest form is out of range
@@ -311,11 +312,10 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
         return []
     size = x1 - x0 + 1
     live = bytearray([1]) * size
-    for q in primes_upto(math.isqrt(pattern.max_value(x1))):
-        for a, b in pattern.forms:
-            if a % q == 0:
-                continue  # gcd(a, b) = 1, so q never divides a*x + b
-            j = (-b * pow(a, -1, q) - x0) % q
+    for q, _, *roots in root_rows(pattern, primes_upto(math.isqrt(pattern.max_value(x1)))):
+        # a form that q divides has no root: gcd(a, b) = 1, so q never divides a*x + b
+        for (a, b), s in zip([(a, b) for a, b in pattern.forms if a % q], roots):
+            j = (s - x0) % q
             if a * (x0 + j) + b == q:
                 j += q  # the value is q itself, a prime
             if j < size:
@@ -575,6 +575,11 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
     if checkpoint_path is not None:
         digest = _config_digest(cfg, ctx.plan)
+        try:  # fail now, not at the first write after the search
+            open(tmp := f"{checkpoint_path}.tmp", "w").close()
+            os.remove(tmp)
+        except OSError as e:
+            raise CheckpointError(f"cannot write checkpoint: {e}") from None
     if resumed:
         position, count, units, written = _read_checkpoint(checkpoint_path, digest, last)
     if output is not None:

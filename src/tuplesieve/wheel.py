@@ -18,8 +18,8 @@ from .primality import is_prime
 
 __all__ = ["Wheel", "WheelError", "build_wheel", "check_moduli", "wheel_primes"]
 
-# the largest wheel modulus p, whose residue mask holds p bits and whose
-# residue list up to p entries; the planner's wheels stop below 50
+# the largest wheel modulus p: the wheel lists up to p residues for it, which
+# `acceptable_residues` finds by a p-bit mask; the planner's wheels stop below 50
 MODULUS_MAX = 1 << 16
 
 
@@ -28,24 +28,20 @@ class WheelError(ValueError):
 
 
 class Wheel:
-    """Position-indexed residues mod W, with a cursor for one walk."""
+    """Position-indexed residues mod W, with a cursor for one walk, built
+    from (prime modulus, its acceptable residues ascending) pairs."""
 
-    def __init__(self, moduli_masks):
-        if not moduli_masks:
+    def __init__(self, moduli_residues):
+        if not moduli_residues:
             raise WheelError("wheel needs at least one modulus")
-        self.moduli = tuple(p for p, _ in moduli_masks)
-        self.masks = [mask for _, mask in moduli_masks]
-        for p, mask in moduli_masks:
-            if mask.modulus != p:
-                raise WheelError(f"mask modulus {mask.modulus} != {p}")
-            if mask.popcount == 0:
-                raise WheelError(f"modulus {p} has no acceptable residues")
+        self.moduli, self.accept = zip(*moduli_residues)
+        if not all(self.accept):
+            raise WheelError("every modulus needs an acceptable residue")
         if len(set(self.moduli)) != len(self.moduli):
             raise WheelError("moduli must be distinct")
         self.W = w = math.prod(self.moduli)
         # e_m = (W/m) * ((W/m)^-1 mod m): 1 mod m, 0 mod every other modulus
         self.basis = [w // p * modinv(w // p % p, p) % w for p in self.moduli]
-        self.accept = [m.acceptable() for m in self.masks]
         self._count = math.prod(map(len, self.accept))
         self.position = 0
 
@@ -105,4 +101,4 @@ def check_moduli(moduli) -> tuple:
 
 def build_wheel(pattern, moduli) -> Wheel:
     """The pattern's wheel over the prime moduli, in the order given."""
-    return Wheel([(p, acceptable_residues(pattern, p)) for p in moduli])
+    return Wheel([(p, acceptable_residues(pattern, p).acceptable()) for p in moduli])

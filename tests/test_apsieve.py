@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tuplesieve.apsieve import (
@@ -9,8 +9,10 @@ from tuplesieve.apsieve import (
     live_fractions,
     make_plan,
     primes_upto,
+    root_rows,
     sieve_segment,
     start_table,
+    strikes,
     survivors,
 )
 from tuplesieve.arith import NotInvertibleError, modinv
@@ -257,3 +259,63 @@ def test_start_table_matches_two_inverse_table(forms, W, primes):
     if len(coprime) < len(primes):
         with pytest.raises(NotInvertibleError):
             start_table(pattern, W, primes)
+
+
+def _primes_forever():
+    """Every prime, ascending, by trial division: a stream with no end."""
+    p = 1
+    while True:
+        p += 1
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            yield p
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # multipliers up to 60 take in multiples of 2, 3 and 5, whose rows drop forms
+    forms=st.lists(st.tuples(st.integers(1, 60), st.integers(-100, 100)),
+                   min_size=1, max_size=6, unique=True),
+    wheel=st.lists(st.sampled_from(primes_upto(50)), max_size=4, unique=True),
+    primes=st.lists(st.sampled_from(primes_upto(200)), max_size=30, unique=True),
+)
+def test_root_rows_match_brute_force(forms, wheel, primes):
+    forms = [(a, b) for a, b in forms if math.gcd(a, b) == 1]
+    assume(forms)
+    pattern = make_pattern(forms)
+    W = math.prod(wheel)  # 1 for an empty wheel
+    primes = [p for p in primes if p not in wheel]
+    rows = list(root_rows(pattern, primes, W))
+    assert [row[0] for row in rows] == primes
+    for p, winv, *starts in rows:
+        assert winv * W % p == 1 % p and 0 <= winv < p
+        kept = [(a, b) for a, b in forms if a % p]  # in form order
+        assert len(starts) == len(kept)
+        for s, (a, b) in zip(starts, kept):
+            assert 0 <= s < p and (a * (s * W % p) + b) % p == 0
+    assert start_table(pattern, W, primes) == tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    forms=st.lists(st.tuples(st.integers(1, 60), st.integers(-100, 100)),
+                   min_size=1, max_size=6, unique=True),
+    primes=st.lists(st.sampled_from(primes_upto(200)), max_size=30, unique=True),
+)
+# past |a*d - b*c| (2 for twins, 8 for quadruplets) no two roots can coincide
+@example(forms=[(1, 0), (1, 2)], primes=[2, 3, 5, 7])
+@example(forms=[(1, 0), (1, 2), (1, 6), (1, 8)], primes=[2, 3, 5, 7, 11])
+def test_strikes_match_brute_force(forms, primes):
+    forms = [(a, b) for a, b in forms if math.gcd(a, b) == 1]
+    assume(forms)
+    want = [(p, sum(any((a * x + b) % p == 0 for a, b in forms) for x in range(p)),
+             sum(a % p != 0 for a, _ in forms)) for p in primes]
+    assert list(strikes(make_pattern(forms), primes)) == want
+
+
+def test_first_row_and_strike_read_one_prime():
+    # the planner stops reading where its cost walk stops: nothing is listed ahead
+    stream = _primes_forever()
+    assert next(root_rows(QUAD, stream)) == (2, 1, 0, 0, 0, 0)
+    assert next(strikes(QUAD, stream)) == (3, 2, 4)
+    assert next(root_rows(QUAD, stream, 12)) == (5, 3, 0, 4, 2, 1)  # 12 * 3 = 1 mod 5
+    assert next(stream) == 7

@@ -7,6 +7,13 @@ import pytest
 from tuplesieve.cli import _config_kw, build_parser, main
 
 
+def cli_argv(*argv):
+    """The command line run in a process of its own."""
+    src = str(Path(__file__).parents[1] / "src")
+    return [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {src!r}); "
+            "from tuplesieve.cli import main; sys.exit(main())", *argv]
+
+
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
@@ -220,11 +227,7 @@ def test_wheel_help_names_x_range_budget(capsys):
                          ids=["empty", "zero", "four", "repeat", "text", "too-wide"])
 def test_bad_wheel_exit_code_without_traceback(wheel):
     # the command line in a process of its own: exit code 2 and an error line
-    src = str(Path(__file__).parents[1] / "src")
-    out = subprocess.run([sys.executable, "-I", "-c",
-                          f"import sys; sys.path.insert(0, {src!r}); "
-                          "from tuplesieve.cli import main; sys.exit(main())",
-                          "search", "--pattern", "x,x+2", "--n", "1000", "--wheel", wheel],
+    out = subprocess.run(cli_argv("search", "--pattern", "x,x+2", "--n", "1000", "--wheel", wheel),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 2
     assert out.stdout == ""
@@ -358,3 +361,36 @@ def test_census_out_file_sorted(tmp_path, capsys):
     xs = [int(ln.split()[0]) for ln in dest.read_text().splitlines()]
     assert len(xs) == 61
     assert xs == sorted(xs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--pattern", "x,x+2", "--n", "10000000"],
+    ["search", "--pattern", "x,x+2", "--n", "10000000", "--unsorted"],
+    ["search", "--pattern", "x,x+2", "--n", "10000000", "--unsorted", "--workers", "2"],
+    ["twins", "--x", "10000000", "--unsorted"],
+], ids=["sorted", "unsorted", "two-workers", "census"])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the reader takes one line and closes the pipe, as `| head -n 1` does
+    proc = subprocess.Popen(cli_argv(*argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"3 3 5\n"
+    proc.stdout.close()
+    # stderr ends only when every process holding it has, forked workers included
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=120) == 141
+
+
+@pytest.mark.parametrize("flag, where, error", [
+    ("--out", "dir", "error: cannot write --out: [Errno 21]"),
+    ("--out", "missing/tuples.txt", "error: cannot write --out: [Errno 2]"),
+    ("--checkpoint", "missing/ck", "error: cannot write checkpoint: [Errno 2]"),
+    ("--checkpoint", "dir", "error: cannot read checkpoint: [Errno 21]"),
+], ids=["out-directory", "out-missing-directory", "checkpoint-missing-directory",
+        "checkpoint-directory"])
+def test_unwritable_path_exits_2_before_the_search(tmp_path, flag, where, error):
+    (tmp_path / "dir").mkdir()
+    # the census of 10^10 takes longer than the timeout: the error must come first
+    out = subprocess.run(cli_argv("twins", "--x", "10000000000", flag, str(tmp_path / where)),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith(error) and out.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]

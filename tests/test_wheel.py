@@ -4,7 +4,7 @@ import math
 import pytest
 
 from tuplesieve.apsieve import primes_upto
-from tuplesieve.pattern import ResidueMask, chain_pattern, make_pattern
+from tuplesieve.pattern import chain_pattern, make_pattern
 from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
 from tuplesieve.wheel import MODULUS_MAX, Wheel, WheelError, build_wheel, check_moduli, wheel_primes
 
@@ -50,12 +50,12 @@ def test_check_moduli_sorts_and_rejects():
 
 def test_crt_combines_2_and_3():
     # 1 mod 2 with 2 mod 3 is 5 mod 6
-    w = Wheel([(2, ResidueMask(2, 0b10)), (3, ResidueMask(3, 0b100))])
+    w = Wheel([(2, [1]), (3, [2])])
     assert list(w) == [5]
 
 
 def test_single_modulus_wheel():
-    w = Wheel([(3, ResidueMask(3, 0b100))])
+    w = Wheel([(3, [2])])
     assert list(w) == [2]
 
 
@@ -128,9 +128,8 @@ def _crt_walk(wheel):
     """The walk order, computed without the wheel's basis: acceptable
     residues per modulus, the lowest modulus varying fastest, each tuple
     combined by stepwise CRT."""
-    accept = [m.acceptable() for m in wheel.masks]
     out = []
-    for digits in itertools.product(*reversed(accept)):
+    for digits in itertools.product(*reversed(wheel.accept)):
         r, m = 0, 1
         for p, d in zip(reversed(wheel.moduli), digits):
             r += m * ((d - r) * pow(m, -1, p) % p)
@@ -227,4 +226,4 @@ def test_cursor_validation():
 
 def test_empty_mask_rejected():
     with pytest.raises(WheelError):
-        Wheel([(3, ResidueMask(3, 0))])
+        Wheel([(3, [])])
