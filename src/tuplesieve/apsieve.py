@@ -47,7 +47,7 @@ def primes_upto(n: int) -> list:
     t[0] = t[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if t[p]:
-            t[p * p :: p] = b"\x00" * ((n - p * p) // p + 1)
+            t[p * p :: p] = bytearray((n - p * p) // p + 1)
     return list(compress(range(n + 1), t))
 
 
@@ -163,17 +163,37 @@ def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
     form one subtract-mod for the first index j0 and strides of p from
     there.  Forms whose multiplier p divides have no entry in the row:
     their values are never 0 mod p.
+
+    With L bytes and q, rem = divmod(L, p), a stride from j0 < p holds
+    q + 1 bytes if j0 < rem, else q.  Two zero bytearrays of those
+    lengths are struck from, as they are: a value that is not a
+    bytearray would be copied into one first.  Rows ascend by p, so the
+    pair starts at the first row's lengths and shrinks in place only
+    when q falls; a row whose q exceeds them grows them again.  Empty
+    strides, which rows past L have, are skipped: assigning one costs
+    more than the test.
     """
-    # floor division by W is monotone, so this j_max is the least over the forms
-    j_max = (pattern.x_max(n) - r) // W
-    bits = bytearray([1]) * max(0, j_max + 1)
+    # floor division by W is monotone, so this length is the least over the forms
+    L = max(0, (pattern.x_max(n) - r) // W + 1)
+    bits = bytearray([1]) * L
+    if not (L and table):
+        return SieveSegment(r, W, bits, applied=len(table))
+    q = L // table[0][0]
+    long, short = bytearray(q + 1), bytearray(q)
     for row in table:
         p = row[0]
+        q, rem = divmod(L, p)
+        if q > len(short):
+            long, short = bytearray(q + 1), bytearray(q)
+        elif q < len(short):
+            del long[q + 1:], short[q:]
         t = r * row[1]
         for s in row[2:]:
             j0 = (s - t) % p
-            if j0 <= j_max:
-                bits[j0::p] = b"\x00" * ((j_max - j0) // p + 1)
+            if j0 < rem:
+                bits[j0::p] = long
+            elif q:
+                bits[j0::p] = short
     return SieveSegment(r, W, bits, applied=len(table))
 
 

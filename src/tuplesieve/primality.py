@@ -60,12 +60,10 @@ def _strong_test(N: int, base: int, d: int, s: int) -> bool:
 
 
 def _split_even(N):
-    d = N - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    return d, s
+    """(d, s) with d odd and d * 2^s = N - 1, for odd N >= 3: s is the
+    index of the lowest set bit of N - 1, which (N-1) & (1-N) isolates."""
+    s = ((N - 1) & (1 - N)).bit_length() - 1
+    return (N - 1) >> s, s
 
 
 def sprp_base2(N: int) -> bool:

@@ -14,7 +14,9 @@ of x finds those first.  On the sieve path a segment's survivors come
 out ascending, CHUNK bytes of it at a time, and two bisects split each
 chunk's: those the boundary window owns are dropped, those whose
 largest value is below (B+1)^2 are proved tuples by the sieve alone,
-and the rest go through the SPRP gate and the certified test.  The
+and the rest go through the SPRP gate one form at a time (each form's
+values of the x every form before it passed), then the certified test
+on the x that passed them all.  The
 proved prefix and the tested tuples make one ascending list per chunk,
 accounted in one step: its length goes to the count, and the list, the
 pattern's forms and n go to one exact-sum call, which builds each
@@ -119,8 +121,9 @@ PROGRESS_EVERY = 10000
 # fork cost little, and bound the x values a round holds before merging
 ROUND_BYTES = 1 << 24
 # the cost of one (segment, prime, form) row of the sieve, counted in
-# segment bytes: a row takes about 0.6 us in CPython, and a byte,
-# allocated, struck and read out, some tens of ns at most
+# segment bytes: a row takes about 0.35 us in CPython (it strikes from
+# a zero buffer the segment keeps), a struck byte about 1.7 ns, and a
+# segment byte, allocated, struck and read out, some tens of ns at most
 ROW_BYTES = 30
 # the cost of a base-2 strong test in segment bytes, per bit and per
 # 30-bit digit of the value: about 0.1 us each in CPython (2.4 us at 27
@@ -319,7 +322,7 @@ def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
             if a * (x0 + j) + b == q:
                 j += q  # the value is q itself, a prime
             if j < size:
-                live[j::q] = bytes(len(range(j, size, q)))
+                live[j::q] = bytearray(len(range(j, size, q)))
     return list(compress(range(x0, x1 + 1), live))
 
 
@@ -428,13 +431,16 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True, parent: int | None = Non
         for start in range(0, len(seg.bits), CHUNK):
             xs = survivors(seg, start, start + CHUNK)
             # the boundary window owns those up to x_cut
-            a, b = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
-            ok = xs[a:b]  # proved by the sieve alone
-            for x in xs[b:]:
-                vals = pattern.evaluate(x)
-                # cheap probable-prime gates first, then certified tests
-                if all(sprp_base2(v) for v in vals) and all(is_prime(v, B) for v in vals):
-                    ok.append(x)
+            i, j = bisect_right(xs, x_cut), bisect_right(xs, x_proved)
+            ok = xs[i:j]  # proved by the sieve alone
+            # the base-2 gate one form at a time, each on the x the forms
+            # before it passed; only those passing every form are certified
+            rest = xs[j:]
+            for a, b in forms:
+                if not rest:
+                    break
+                rest = [x for x in rest if sprp_base2(a * x + b)]
+            ok += [x for x in rest if all(is_prime(v, B) for v in pattern.evaluate(x))]
             count += len(ok)
             recip.add_group(ok, forms, n)
             if keep:

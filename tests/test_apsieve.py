@@ -219,6 +219,56 @@ def test_strike_set_matches_brute_force(pattern, r, W, n, primes, floor):
     assert seg.applied == len(primes) and not seg.aborted
 
 
+def _exact_n(pattern, r, W, length):
+    """A bound n whose segment at residue r holds exactly `length` bytes:
+    the largest value at the last candidate, or one below the first's.
+    Every multiplier is >= 1, so the largest value grows with x."""
+    return pattern.max_value(r + (length - 1) * W) if length else pattern.max_value(r) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # multipliers up to 64 take in multiples of the sieve primes, whose rows drop forms
+    forms=st.lists(st.tuples(st.integers(1, 64), st.integers(-64, 64)),
+                   min_size=1, max_size=4, unique=True),
+    W=st.integers(1, 210),
+    data=st.data(),
+)
+def test_sieve_segment_matches_brute_force(forms, W, data):
+    forms = [(a, b) for a, b in forms if math.gcd(a, b) == 1]
+    assume(forms)
+    pattern = make_pattern(forms)
+    r = data.draw(st.integers(0, W - 1), label="r")
+    primes = sorted(data.draw(st.lists(st.sampled_from([p for p in primes_upto(100) if W % p]),
+                                       max_size=8, unique=True), label="primes"))
+    first = primes[0] if primes else 2
+    # empty, one byte, shorter than the first prime, three of a prime's
+    # strides, or anywhere up to past the largest prime
+    length = data.draw(st.one_of(
+        st.sampled_from([0, 1, *(3 * p for p in primes)]),
+        st.integers(0, first - 1),
+        st.integers(0, 320),
+    ), label="length")
+    table = start_table(pattern, W, primes)
+    seg = sieve_segment(pattern, r, W, _exact_n(pattern, r, W, length), table)
+    struck = _struck_by(pattern, r, W, length, primes)
+    assert seg.bits == bytes(j not in struck for j in range(length))
+    assert seg.applied == len(primes)
+    # the kernel's buffers follow the rows, in whatever order they come
+    assert sieve_segment(pattern, r, W, _exact_n(pattern, r, W, length), table[::-1]).bits == seg.bits
+
+
+def test_sieve_segment_rows_out_of_order():
+    # 11 after 101 needs longer buffers than the first row's; 53 after 13 shorter ones
+    primes = [11, 13, 17, 19, 23, 53, 101]
+    shuffled = [101, 11, 53, 13, 23, 17, 19]
+    n = _exact_n(QUAD, 11, 210, 500)
+    want = sieve_segment(QUAD, 11, 210, n, start_table(QUAD, 210, primes))
+    got = sieve_segment(QUAD, 11, 210, n, start_table(QUAD, 210, shuffled))
+    assert len(got.bits) == 500 and got.bits == want.bits
+    assert {j for j in range(500) if not got.bits[j]} == _struck_by(QUAD, 11, 210, 500, primes)
+
+
 def test_start_table_rows():
     # 2 and 3 divide every multiplier, so their rows carry no starts
     rows = start_table(CHERNICK, 385, [2, 3, 13])

@@ -42,6 +42,16 @@ def test_sprp_catches_every_prime_and_only_base2_pseudoprimes(table_1e5):
     assert pseudo == [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281, 74665, 80581, 85489, 88357, 90751]
 
 
+def test_split_of_n_minus_1():
+    # random odd N of every width, and N - 1 a power of two (d = 1)
+    rng = random.Random(1729)
+    values = [rng.randrange(3, 1 << rng.randrange(2, 128)) | 1 for _ in range(2000)]
+    values += [(1 << s) + 1 for s in range(1, 127)]
+    for N in values:
+        d, s = primality._split_even(N)
+        assert d % 2 == 1 and d << s == N - 1, N
+
+
 def test_is_prime_worked_examples():
     assert is_prime(1481, 19)
     assert not is_prime(851, 19)  # 23 * 37

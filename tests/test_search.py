@@ -781,6 +781,38 @@ def test_explicit_sieve_bound_capped_at_isqrt(name, table_1e5):
     assert _plan(X, 100, sieve_bound=10**8).primes == (2, 3, 5, 7)
 
 
+def test_gate_tests_each_form_once_per_untested_survivor(monkeypatch):
+    # a shallow sieve leaves composites for the base-2 gate, form by form
+    pattern = chain_pattern("first", 4)
+    cfg = SearchConfig(pattern=pattern, n=pattern.max_value(10**6), sieve_bound=13)
+    x_proved = search_mod.make_context(cfg).x_proved
+    listed, gated, evaluated = [], [], []
+    survivors, sprp, evaluate = search_mod.survivors, search_mod.sprp_base2, Pattern.evaluate
+
+    def listing(*args):
+        xs = survivors(*args)
+        listed.extend(xs)
+        return xs
+
+    monkeypatch.setattr(search_mod, "survivors", listing)
+    monkeypatch.setattr(search_mod, "sprp_base2", lambda v: gated.append(v) or sprp(v))
+    monkeypatch.setattr(Pattern, "evaluate", lambda self, x: evaluated.append(x) or evaluate(self, x))
+    xs = find_pattern_primes(cfg)
+    # the values the per-x short circuit gated, and the x passing every form
+    want, passed = [], []
+    for x in (x for x in listed if x > x_proved):
+        for v in evaluate(pattern, x):
+            want.append(v)
+            if not sprp(v):
+                break
+        else:
+            passed.append(x)
+    assert len(gated) == len(want) > 1000 and sorted(gated) == sorted(want)
+    assert evaluated == passed and len(passed) < len(listed) // 10
+    monkeypatch.undo()
+    assert xs == find_pattern_primes(SearchConfig(pattern=pattern, n=cfg.n))
+
+
 def test_smallest_chain_first_kind():
     # complete chains: unextendable in either direction
     assert smallest_chain("first", 1, 100) == 13
