@@ -9,10 +9,12 @@ large a wheel to take is `search._resolve_plan`'s choice; this module
 lists the primes (`make_plan`) and counts what each strikes (`strikes`,
 `live_fractions`).
 
-One lazy generator, `root_rows`, tells every reader where each form
+One lazy iterator, `root_rows`, tells every reader where each form
 vanishes mod p: the start table, `strikes`, `pattern.acceptable_residues`
 and `search.boundary_tuples`.  The rows do not depend on r, so a run
-lists them once (`start_table`) and every segment reuses them.
+lists them once (`start_table`) and every segment reuses them.  Past
+`root_bound` a row's size and distinct roots are known without it, so
+`strikes` counts those primes instead.
 """
 
 import math
@@ -20,7 +22,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, islice
 
 from .arith import modinv
 
@@ -28,6 +30,7 @@ __all__ = [
     "SievePlan",
     "make_plan",
     "SieveSegment",
+    "root_bound",
     "root_rows",
     "start_table",
     "sieve_segment",
@@ -75,7 +78,7 @@ def iter_primes(limit: int):
     while lo < limit:
         hi = min(hi, limit)
         ps = primes_upto(hi)
-        yield from ps[bisect_right(ps, lo):]
+        yield from islice(ps, bisect_right(ps, lo), None)  # no copy of the block
         lo, hi = hi, 4 * hi
 
 
@@ -99,31 +102,83 @@ def make_plan(B: int, moduli, primes=None) -> SievePlan:
                      primes=tuple(primes_upto(B) if primes is None else primes))
 
 
+# the most primes `root_rows` lists a column of at a time
+ROW_BLOCK = 1024
+
+
+def root_bound(pattern) -> int:
+    """P* = max(largest multiplier, largest |a*d - b*c| over two forms
+    a*x + b and c*x + d).  A prime past it divides no multiplier, and
+    separates every two forms' roots (they share one mod p only if p
+    divides a*d - b*c, never 0 for distinct coprime forms), so its row
+    has k distinct entries."""
+    forms = pattern.forms
+    return max(max(a for a, _ in forms),
+               max((abs(a * d - b * c) for (a, b), (c, d) in combinations(forms, 2)), default=0))
+
+
 def root_rows(pattern, primes, W: int = 1):
     """Yield (p, W^-1 mod p, s_1, s_2, ...) for each p in `primes`, in order:
     s_i = W^-1 * (-b * a^-1) mod p for each form a*x + b, in form order,
     whose multiplier p does not divide (such a form never vanishes mod p);
     at W = 1 the s_i are the roots.  The one place that inverts a
-    multiplier; reads the lazy `primes` no further than asked.  Raises
-    NotInvertibleError when p divides W."""
+    multiplier.  Raises NotInvertibleError when p divides W.
+
+    A list or tuple of primes is built ROW_BLOCK primes at a time.  A
+    block whose primes all exceed every multiplier gives each form a
+    root mod each p, so it is built by columns: one W^-1 per prime, one
+    comprehension per form, and `zip` makes the rows.  Any other block,
+    and any other iterable, is built row by row; a lazy `primes` is read
+    no further than asked.
+    """
+    return chain.from_iterable(_row_blocks(pattern, primes, W))
+
+
+def _row_blocks(pattern, primes, W):
+    """The rows of `root_rows`, one iterable per block of primes."""
     forms = [(a, -b) for a, b in pattern.forms]
-    for p in primes:
+    top = max(a for a, _ in forms)
+
+    def row(p):
         winv = 1 if W == 1 else modinv(W % p, p)
         # a form with a = 1 has root -b and needs no inverse
-        yield (p, winv, *[winv * (c if a == 1 else c * pow(a, -1, p)) % p
-                          for a, c in forms if a % p])
+        return (p, winv, *[winv * (c if a == 1 else c * pow(a, -1, p)) % p
+                           for a, c in forms if a % p])
+
+    if not isinstance(primes, (list, tuple)):
+        yield map(row, primes)
+        return
+    for i in range(0, len(primes), ROW_BLOCK):
+        block = primes[i:i + ROW_BLOCK]
+        if min(block) <= top:
+            yield map(row, block)
+            continue
+        try:
+            winvs = [pow(W, -1, p) for p in block]
+        except ValueError:  # a p divides W: raise as the row path does
+            winvs = [modinv(W % p, p) for p in block]
+        yield zip(block, winvs, *[[w * c % p for p, w in zip(block, winvs)] if a == 1 else
+                                  [w * c * pow(a, -1, p) % p for p, w in zip(block, winvs)]
+                                  for a, c in forms])
 
 
 def strikes(pattern, primes):
     """Yield (p, w(p), rows) for each p in `primes`: w(p) counts the
     distinct roots in p's row of `root_rows`, and rows its entries, the
-    rows p adds to a segment's sieve.  Lazy, as `root_rows` is.  Forms
-    a*x + b and c*x + d share a root mod p only if p divides a*d - b*c,
-    never 0 for distinct coprime forms: past the largest, no set is needed."""
-    top = max((abs(a * d - b * c) for (a, b), (c, d) in combinations(pattern.forms, 2)), default=0)
-    for row in root_rows(pattern, primes):
-        roots = row[2:]
-        yield row[0], len(roots) if row[0] > top else len(set(roots)), len(roots)
+    rows p adds to a segment's sieve.  A p past `root_bound` has k of
+    each, so it is counted, not derived; every p is tested on its own,
+    in the order given, and read only when its row is asked for."""
+    k, top = pattern.k, root_bound(pattern)
+    # one lazy row stream for the primes up to the bound, fed one at a time
+    fed = []
+    rows = root_rows(pattern, iter(fed.pop, None))
+    for p in primes:
+        if p > top:
+            yield p, k, k
+        else:
+            fed.append(p)
+            roots = next(rows)[2:]
+            yield p, len(set(roots)), len(roots)
 
 
 def live_fractions(pattern, primes):
@@ -149,7 +204,7 @@ def start_table(pattern, W: int, sieve_primes) -> tuple:
     """The rows of `root_rows(pattern, sieve_primes, W)`, listed: they
     depend on W but not on the residue r, so one table serves every
     segment sieving the progressions r + j*W of a run."""
-    return tuple([*root_rows(pattern, sieve_primes, W)])  # tuple() of a generator resizes
+    return tuple(root_rows(pattern, sieve_primes, W))
 
 
 def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:

@@ -39,10 +39,11 @@ def modinv(a: int, m: int) -> int:
     Raises NotInvertibleError when gcd(a, m) != 1; callers that sieve
     by a prime dividing a form's multiplier must handle that case.
     """
-    if m < 2:
-        raise ValueError(f"modulus m={m} must be >= 2")
-    check_wide(a, "a")
-    check_wide(m, "m")
+    if not 0 <= a <= WIDE_MAX >= m >= 2:  # one of these raises
+        if m < 2:
+            raise ValueError(f"modulus m={m} must be >= 2")
+        check_wide(a, "a")
+        check_wide(m, "m")
     try:
         return pow(a, -1, m)
     except ValueError:

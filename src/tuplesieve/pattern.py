@@ -6,6 +6,7 @@ form to 0 mod p, are excluded; the rest are the acceptable residues.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from math import gcd
 import re
 
@@ -90,7 +91,7 @@ class ResidueMask(namedtuple("ResidueMask", "modulus bits")):
 
     @property
     def popcount(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
 
 def make_pattern(forms) -> Pattern:
@@ -153,6 +154,9 @@ def format_pattern(pattern: Pattern) -> str:
     return ",".join(parts)
 
 
+# the planner asks each wheel candidate's mask once per wheel it tries,
+# and the wheel and `admissible` ask again: each is derived once
+@lru_cache(maxsize=256)
 def acceptable_residues(pattern: Pattern, p: int) -> ResidueMask:
     """Mask of residues mod prime p at which no form vanishes mod p: the
     p low bits less the roots in p's row of `root_rows`."""

@@ -48,7 +48,7 @@ import sys
 import time
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import compress
+from itertools import chain, compress, islice, repeat
 from types import SimpleNamespace
 
 from .apsieve import (
@@ -56,6 +56,7 @@ from .apsieve import (
     live_fractions,
     make_plan,
     primes_upto,
+    root_bound,
     root_rows,
     sieve_segment,
     start_table,
@@ -222,17 +223,19 @@ def _cost_depth(cfg, x_top):
     # (prime, form) pairs with the prime dividing the multiplier: at most
     # the multiplier's bit length less one per form
     dropped = sum(a.bit_length() - 1 for a, _ in pattern.forms)
-    # the primes read so far, ascending, with w(p) and the rows of each:
-    # parallel lists of shared ints, not a tuple per prime
+    # the primes read so far, ascending, and w(p) and the rows of those up
+    # to `root_bound`: past it both are k, so only the primes are kept
+    top = root_bound(pattern)
     read, ws, rs = [], [], []
-    stream = strikes(pattern, iter_primes(min(root, SQRT_BOUND_MAX)))
+    primes = iter_primes(min(root, SQRT_BOUND_MAX))
 
     def walk():
-        yield from zip(range(len(read)), read, ws, rs)
-        for p, w, r in stream:
+        yield from zip(range(len(read)), read, chain(ws, repeat(k)), chain(rs, repeat(k)))
+        for p, w, r in strikes(pattern, primes):
             read.append(p)
-            ws.append(w)
-            rs.append(r)
+            if p <= top:
+                ws.append(w)
+                rs.append(r)
             yield len(read) - 1, p, w, r
 
     def choose(moduli):
@@ -254,7 +257,12 @@ def _cost_depth(cfg, x_top):
             stop_cost = ROW_BYTES * rows + L * test * (live + tuples * k * (1 + CERT_TESTS))
             beyond = (root / math.log(root) if root >= 17 else 0) - i - len(moduli)
             if ROW_BYTES * (rows + k * beyond - dropped) < stop_cost:
-                rows += sum(r for j, q, _, r in walk() if j >= i and q not in moduli)
+                for _, q, _, _ in walk():  # read the rows up to root_bound, then the primes
+                    if q > top:
+                        break
+                read.extend(primes)
+                rows += sum(r for q, r in zip(islice(read, i, None), chain(rs[i:], repeat(k)))
+                            if q not in moduli)
                 if ROW_BYTES * rows <= stop_cost:
                     return root, len(read)
         i = max(i, 1)
@@ -268,7 +276,8 @@ def _cost_depth(cfg, x_top):
             moduli = _wheel_moduli(pattern, x_top, k * count)
         if B == root:
             break  # a smaller wheel only makes a stop's tests dearer
-    return B, read[:count], moduli
+    del read[count:]
+    return B, read, moduli
 
 
 def _wheel_moduli(pattern, x_top, rows) -> tuple:

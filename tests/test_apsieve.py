@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,7 @@ from tuplesieve.apsieve import (
     live_fractions,
     make_plan,
     primes_upto,
+    root_bound,
     root_rows,
     sieve_segment,
     start_table,
@@ -369,3 +371,62 @@ def test_first_row_and_strike_read_one_prime():
     assert next(strikes(QUAD, stream)) == (3, 2, 4)
     assert next(root_rows(QUAD, stream, 12)) == (5, 3, 0, 4, 2, 1)  # 12 * 3 = 1 mod 5
     assert next(stream) == 7
+
+
+def _strikes_brute_force(pattern, primes):
+    return [(p, sum(any((a * x + b) % p == 0 for a, b in pattern.forms) for x in range(p)),
+             sum(a % p != 0 for a, _ in pattern.forms)) for p in primes]
+
+
+@pytest.mark.parametrize("pattern,bound,largest", [
+    # multipliers up to 256, offsets past 2^33, |a*d - b*c| = 2^j - 2^i up to 255
+    (chain_pattern("first", 9).shifted(2**25), 256, 256),
+    (make_pattern([(11, -14)]), 11, 11),
+    (make_pattern(CORPUS["twin"]), 2, 1),
+    (make_pattern(CORPUS["chernick"]), 18, 18),
+])
+def test_strikes_and_table_straddle_root_bound(pattern, bound, largest):
+    assert root_bound(pattern) == bound
+    assert max(a for a, _ in pattern.forms) == largest
+    primes = primes_upto(4 * bound + 40)
+    shuffled = primes[:]
+    random.Random(bound).shuffle(shuffled)
+    # largest first, so the first blocks lie past every multiplier, then mixed
+    for order in (primes, shuffled, primes[::-1]):
+        assert list(strikes(pattern, order)) == _strikes_brute_force(pattern, order)
+        for W in (1, 30, 30030):
+            coprime = [p for p in order if W % p]
+            want = _start_table_two_inverses(pattern, W, coprime)
+            assert start_table(pattern, W, coprime) == want
+            assert tuple(root_rows(pattern, iter(coprime), W)) == want
+    # on both sides of the bound, a prime is read only when its count is asked for
+    stream = _primes_forever()
+    counted = strikes(pattern, stream)
+    assert [next(counted) for _ in range(3)] == _strikes_brute_force(pattern, [2, 3, 5])
+    assert next(stream) == 7
+
+
+def test_start_table_columns_raise_not_invertible():
+    # every prime exceeds the multipliers, so 13, which divides W, is in a column block
+    with pytest.raises(NotInvertibleError):
+        start_table(QUAD, 30030, [17, 19, 13, 23])
+    with pytest.raises(NotInvertibleError):
+        start_table(make_pattern([(11, -14)]), 30030, [101, 13])
+    with pytest.raises(NotInvertibleError):
+        next(root_rows(QUAD, [7], 210))
+
+
+def test_root_rows_read_a_stream_one_prime_per_row():
+    stream = _primes_forever()
+    rows = root_rows(QUAD, stream)
+    assert [next(rows)[0] for _ in range(5)] == [2, 3, 5, 7, 11]
+    assert next(stream) == 13
+
+
+def test_start_table_blocks_past_row_block():
+    # 1223 rows past the multipliers: two column blocks, equal to the table
+    # built with an inverse per form, and 13 | W raises from the second block
+    primes = primes_upto(10**4)[6:]
+    assert start_table(QUAD, 30030, primes) == _start_table_two_inverses(QUAD, 30030, primes)
+    with pytest.raises(NotInvertibleError):
+        start_table(QUAD, 30030, primes + [13])

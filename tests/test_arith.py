@@ -68,3 +68,16 @@ def test_modinv_inverts():
         assert 0 < u < m
         assert a * u % m == 1
         done += 1
+
+
+def test_modinv_errors_in_check_order():
+    # the fast path's one comparison fails over to the same checks, in the same order
+    with pytest.raises(ValueError, match=r"^modulus m=1 must be >= 2$"):
+        modinv(WIDE_MAX + 1, 1)
+    with pytest.raises(OverflowError, match=r"^a=-1 outside \[0, 2\^127\)$"):
+        modinv(-1, WIDE_MAX + 1)
+    with pytest.raises(OverflowError, match=r"^m=\d+ outside \[0, 2\^127\)$"):
+        modinv(3, WIDE_MAX + 1)
+    with pytest.raises(NotInvertibleError, match=r"^gcd\(6, 9\) = 3, not invertible$"):
+        modinv(6, 9)
+    assert modinv(WIDE_MAX - 1, WIDE_MAX) == WIDE_MAX - 1  # both at the top of the width

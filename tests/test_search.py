@@ -569,6 +569,59 @@ def test_plan_census_targets_unchanged():
     assert (plan.B, plan.moduli) == (10**5, (2, 3, 5, 7, 11, 13))
 
 
+def test_plan_derives_no_root_row_past_root_bound(monkeypatch):
+    import tuplesieve.apsieve as apsieve
+
+    asked = []
+    rows = apsieve.root_rows
+
+    def counted(pattern, primes, W=1):
+        return rows(pattern, (asked.append(p) or p for p in primes), W)
+
+    monkeypatch.setattr(apsieve, "root_rows", counted)
+    plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**8))
+    assert (plan.B, len(plan.primes)) == (10**4, 1229)
+    # past max |a*d - b*c| = 8 every prime is counted with k roots, not derived
+    assert apsieve.root_bound(QUAD) == 8
+    assert asked == [2, 3, 5, 7]
+
+
+def test_plan_keeps_counts_up_to_a_prime_root_bound():
+    # P* = |6 * (-166) - 227 * 1| = 1223 is a sieved prime whose row has
+    # three entries but two distinct roots; a later wheel's walk must
+    # read those counts again, not k
+    pattern = make_pattern([(6, 227), (1, -166), (3, 236)])
+    assert search_mod.root_bound(pattern) == 1223
+    plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=6 * 10**14))
+    assert (plan.B, plan.moduli, len(plan.primes)) == (169097, (2, 3, 5, 7, 11, 13, 17, 19, 23), 15421)
+
+
+def test_run_derives_each_residue_mask_once(monkeypatch):
+    import tuplesieve.pattern as pattern_mod
+
+    asked = []
+    rows = pattern_mod.root_rows
+
+    def counted(pattern, primes, W=1):
+        asked.append((pattern, *primes))
+        return rows(pattern, primes, W)
+
+    monkeypatch.setattr(pattern_mod, "root_rows", counted)
+    # a pattern no other test asks about: admissible, the wheel choice
+    # (tried on two or three wheels) and the wheel each read one mask per prime
+    chain = chain_pattern("first", 7).shifted(987654321)
+    assert run_striped(SearchConfig(pattern=chain, n=chain.max_value(10**6))).completed
+    assert asked and len(asked) == len(set(asked))
+
+
+def test_plan_twins_1e12_sqrt_end():
+    # 78498 primes to 10^6 on 17#: the walk derives one root row, that of 2,
+    # and plans in about half the time it took while it derived every row
+    plan = search_mod._resolve_plan(SearchConfig(pattern=TWIN, n=10**12))
+    assert (plan.B, plan.moduli) == (10**6, (2, 3, 5, 7, 11, 13, 17))
+    assert len(plan.primes) == 78498 and plan.primes[-1] == 999983
+
+
 def test_plan_at_ladder_top_keeps_floor_depth():
     # from LADDER_TOP on, a value that a deeper sieve strikes could be a
     # base-2 pseudoprime no certifier covers: B stays the floor rule's
