@@ -15,6 +15,13 @@ and `search.boundary_tuples`.  The rows do not depend on r, so a run
 lists them once (`start_table`) and every segment reuses them.  Past
 `root_bound` a row's size and distinct roots are known without it, so
 `strikes` counts those primes instead.
+
+A row of the table is applied to a segment in one of two ways: by
+strides, one slice assignment per entry, or as a mask (`mask_rows`),
+one shift and one AND of an int that holds the segment as bits.
+`search` chooses which rows are masks, once per run; `sieve_segment`
+applies the masks first, writes the segment out as bytes, and strikes
+the other rows after.
 """
 
 import math
@@ -22,7 +29,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, compress
 
 from .arith import modinv
 
@@ -33,6 +40,8 @@ __all__ = [
     "root_bound",
     "root_rows",
     "start_table",
+    "mask_rows",
+    "mask_bytes",
     "sieve_segment",
     "survivors",
     "primes_upto",
@@ -43,25 +52,51 @@ __all__ = [
 
 
 def primes_upto(n: int) -> list:
-    """Primes <= n by a byte sieve."""
-    if n < 2:
-        return []
-    t = bytearray([1]) * (n + 1)
-    t[0] = t[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if t[p]:
-            t[p * p :: p] = bytearray((n - p * p) // p + 1)
-    return list(compress(range(n + 1), t))
+    """Primes <= n, listed from `iter_primes`'s blocks."""
+    return list(chain.from_iterable(_prime_blocks(n)))
 
 
 # the first block of `iter_primes`
 _FIRST_BLOCK = 1024
 
 
+def _sieve_block(lo: int, hi: int, divisors) -> list:
+    """The primes in [lo, hi], lo >= 2: a byte sieve striking each d in
+    `divisors` at its multiples from max(d*d, lo) on.  `divisors` must
+    hold every prime up to isqrt(hi); a composite among them strikes
+    only composites."""
+    t = bytearray([1]) * (hi - lo + 1)
+    for d in divisors:
+        j = max(d * d, -(-lo // d) * d) - lo
+        t[j::d] = bytes(len(range(j, len(t), d)))
+    return list(compress(range(lo, hi + 1), t))
+
+
 @cache
 def _first_primes() -> tuple:
     """The primes up to _FIRST_BLOCK, sieved on the first call only."""
-    return tuple(primes_upto(_FIRST_BLOCK))
+    return tuple(_sieve_block(2, _FIRST_BLOCK, range(2, math.isqrt(_FIRST_BLOCK) + 1)))
+
+
+def _prime_blocks(limit: int):
+    """The primes <= limit, ascending, one list per block: the first
+    block up to 1024, then blocks (lo, 4*lo].  A block is sieved only by
+    the primes up to the square root of its end, which a second, lazy
+    `iter_primes` lists."""
+    first = _first_primes()
+    yield first[:bisect_right(first, limit)]
+    if limit <= _FIRST_BLOCK:
+        return
+    roots = iter_primes(math.isqrt(limit))
+    base, pending = [], next(roots, None)
+    lo, hi = _FIRST_BLOCK + 1, 4 * _FIRST_BLOCK
+    while lo <= limit:
+        hi = min(hi, limit)
+        while pending is not None and pending * pending <= hi:
+            base.append(pending)
+            pending = next(roots, None)
+        yield _sieve_block(lo, hi, base)
+        lo, hi = hi + 1, 4 * hi
 
 
 def iter_primes(limit: int):
@@ -70,16 +105,10 @@ def iter_primes(limit: int):
     A consumer that stops after the first few primes pays only for the
     block it stopped in, not for a sieve up to limit.  The first block,
     the primes up to 1024, is sieved once per process: the planner
-    reads it several times for every run.
+    reads it several times for every run.  Each later block is sieved
+    by the primes up to the square root of its end alone.
     """
-    first = _first_primes()
-    yield from first[:bisect_right(first, limit)]
-    lo, hi = _FIRST_BLOCK, 4 * _FIRST_BLOCK
-    while lo < limit:
-        hi = min(hi, limit)
-        ps = primes_upto(hi)
-        yield from islice(ps, bisect_right(ps, lo), None)  # no copy of the block
-        lo, hi = hi, 4 * hi
+    return chain.from_iterable(_prime_blocks(limit))
 
 
 class SievePlan(namedtuple("SievePlan", "B moduli primes")):
@@ -203,23 +232,60 @@ SieveSegment.__doc__ = """One wheel residue's candidates: byte j of `bits` stand
 def start_table(pattern, W: int, sieve_primes) -> tuple:
     """The rows of `root_rows(pattern, sieve_primes, W)`, listed: they
     depend on W but not on the residue r, so one table serves every
-    segment sieving the progressions r + j*W of a run."""
+    segment sieving the progressions r + j*W of a run.  A row that
+    `mask_rows` turns into a mask is applied by one shift and one AND
+    instead of its strides."""
     return tuple(root_rows(pattern, sieve_primes, W))
 
 
-def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
+def mask_bytes(p: int, L: int) -> int:
+    """The bytes of a `mask_rows` mask of period p for L bytes."""
+    return (p * -(-L // p) + 2 * p + 7) // 8
+
+
+def mask_rows(rows, L: int) -> tuple:
+    """(p, W^-1 mod p, M) for each row (p, W^-1 mod p, s_1, ...) of a
+    start table.  M is an int of ceil(L/p) + 2 periods of p bits: bit b
+    is 0 where b = -s_i (mod p) for some entry, else 1.  One M serves
+    every segment of at most L bytes in the run (see `sieve_segment`).
+    One period is doubled until it is long enough, and the periods past
+    that are shifted out at the low end, which keeps the phase."""
+    masks = []
+    for p, winv, *starts in rows:
+        M = (1 << p) - 1 - sum({1 << (-s % p) for s in starts})
+        size, need = p, p * (-(-L // p) + 2)
+        while size < need:
+            M |= M << size
+            size += size
+        masks.append((p, winv, M >> (size - need)))
+    return tuple(masks)
+
+
+# the bytes "0" and "1" of a binary numeral to a segment's 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def sieve_segment(pattern, r: int, W: int, n: int, table, masks=()) -> SieveSegment:
     """Sieve the candidates x(j) = r + j*W <= `pattern.x_max(n)` by a
     start table.
 
     table is `start_table(pattern, W, primes)`, with W and the primes as
-    `search._resolve_plan` sized them, and every row of it is applied.
+    `search._resolve_plan` sized them, and masks is `mask_rows` of other
+    rows of that table, built for at least this segment's length L.
+    Every row of both is applied, and `applied` counts them all.
     Form i is divisible by p at x(j) exactly when j = s_i - r*W^-1
-    (mod p), so each row costs one multiply for the segment, then per
-    form one subtract-mod for the first index j0 and strides of p from
-    there.  Forms whose multiplier p divides have no entry in the row:
+    (mod p).  Forms whose multiplier p divides have no entry in a row:
     their values are never 0 mod p.
 
-    With L bytes and q, rem = divmod(L, p), a stride from j0 < p holds
+    Mask rows first.  The segment starts as the int v = 2^L - 1, byte j
+    standing for bit L-1-j, and each mask M clears its row's bytes at
+    once: v &= M >> ((1 - L - r*W^-1) mod p), which moves M's zero bits
+    -s_i (mod p) to bits L-1-j for j = s_i - r*W^-1.  v is then written
+    out once as L binary digits, translated to bytes 0 and 1.
+
+    Stride rows after: each costs one multiply for the segment, then
+    per form one subtract-mod for the first index j0 and strides of p
+    from there.  With q, rem = divmod(L, p), a stride from j0 < p holds
     q + 1 bytes if j0 < rem, else q.  Two zero bytearrays of those
     lengths are struck from, as they are: a value that is not a
     bytearray would be copied into one first.  Rows ascend by p, so the
@@ -230,9 +296,16 @@ def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
     """
     # floor division by W is monotone, so this length is the least over the forms
     L = max(0, (pattern.x_max(n) - r) // W + 1)
-    bits = bytearray([1]) * L
+    applied = len(masks) + len(table)
+    if L and masks:
+        v, c = (1 << L) - 1, 1 - L
+        for p, winv, M in masks:
+            v &= M >> ((c - r * winv) % p)
+        bits = bytearray(format(v, f"0{L}b"), "ascii").translate(_BIT_BYTES)
+    else:
+        bits = bytearray([1]) * L
     if not (L and table):
-        return SieveSegment(r, W, bits, applied=len(table))
+        return SieveSegment(r, W, bits, applied=applied)
     q = L // table[0][0]
     long, short = bytearray(q + 1), bytearray(q)
     for row in table:
@@ -249,7 +322,7 @@ def sieve_segment(pattern, r: int, W: int, n: int, table) -> SieveSegment:
                 bits[j0::p] = long
             elif q:
                 bits[j0::p] = short
-    return SieveSegment(r, W, bits, applied=len(table))
+    return SieveSegment(r, W, bits, applied=applied)
 
 
 _LIVE = re.compile(b"\x01")

@@ -55,6 +55,8 @@ from .apsieve import (
     iter_primes,
     live_fractions,
     make_plan,
+    mask_bytes,
+    mask_rows,
     primes_upto,
     root_bound,
     root_rows,
@@ -132,8 +134,22 @@ ROW_BYTES = 30
 TEST_BYTES = 5
 # a certificate, `is_prime` past the gate, costs about ten strong tests
 CERT_TESTS = 10
-# the longest segment the wheel choice allows, in bytes
+# the longest segment the wheel choice allows, in bytes; also the most
+# bytes a run's masks may hold (`_mask_split`)
 SEGMENT_MAX = 1 << 22
+# what the segment kernel pays, in ns, for `_mask_split` to choose between
+# a row's strides and its mask.  Timed on the kernel alone (Python 3.11,
+# 2 vCPUs): a stride row about 0.15-0.19 us on top of its struck bytes,
+# at about 0.85-1.2 ns each (chain windows of 3353 bytes, twins at
+# 476191); one mask's shift and AND 0.18 us at 3353 bits and 16.7 us at
+# 476k; writing the segment out from its int 1.5-2 ns a candidate;
+# building a mask, once per run, 4-10 us in the length-9 hunt's windows
+ROW_NS = 150
+BYTE_NS = 1
+MASK_NS = 60
+BIT_NS = 0.035
+CONV_NS = 2
+BUILD_NS = 6000
 # segment bytes read out and accounted at a time, which bounds the
 # survivor and term lists
 CHUNK = 1 << 16
@@ -396,15 +412,57 @@ def _read_checkpoint(path, digest, last):
         raise CheckpointError(f"corrupt checkpoint file: {e}") from None
 
 
+def _mask_split(pattern, table, L: int, segments: int) -> tuple:
+    """(masks, stride rows): the rows of a start table that pay as masks
+    in a run of `segments` segments of at most L bytes, as `mask_rows`,
+    and the others, in table order.
+
+    A row of e entries costs e * (ROW_NS + L/p * BYTE_NS) by strides and
+    MASK_NS + L * BIT_NS as a mask.  Read in table order (ascending p),
+    a row becomes a mask while that saves time and the masks' bytes stay
+    within SEGMENT_MAX.  Past the largest multiplier every row has k
+    entries, so the saving only falls with p, and the first row there
+    that saves nothing ends the scan.  The masks are kept only if, over
+    the run, their savings sum to more than writing each segment out
+    from its int, CONV_NS * L, and building each mask once, BUILD_NS;
+    else every row strikes by strides.
+    """
+    if L <= 0:
+        return (), table
+    top = max(a for a, _ in pattern.forms)
+    mask_ns = MASK_NS + L * BIT_NS
+    rows, saving, room = [], 0.0, SEGMENT_MAX
+    for row in table:
+        p = row[0]
+        gain = (len(row) - 2) * (ROW_NS + L / p * BYTE_NS) - mask_ns
+        if gain <= 0:
+            if p > top:
+                break
+            continue
+        room -= mask_bytes(p, L)
+        if room < 0:
+            break
+        rows.append(row)
+        saving += gain
+    if segments * (saving - CONV_NS * L) <= BUILD_NS * len(rows):
+        return (), table
+    masked = {row[0] for row in rows}
+    return mask_rows(rows, L), tuple([row for row in table if row[0] not in masked])
+
+
 def make_context(cfg: SearchConfig) -> SimpleNamespace:
     """Plan the run and build what its ranges share: the pattern and n,
-    the plan, the wheel, the start table, the cut of the boundary window
-    (every tuple with a value <= cut has x <= x_cut) and x_proved, up to
-    which the sieve alone proves a tuple."""
+    the plan, the wheel, the start table split into masks and stride
+    rows (`_mask_split`, for the wheel's residues, whose segments hold
+    at most x_top // W + 1 bytes), the cut of the boundary window (every
+    tuple with a value <= cut has x <= x_cut) and x_proved, up to which
+    the sieve alone proves a tuple."""
     pattern, n = cfg.pattern, cfg.n
     plan = _resolve_plan(cfg)
     wheel = build_wheel(pattern, plan.moduli)
     table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
+    masks, table = _mask_split(pattern, table, pattern.x_max(n) // wheel.W + 1,
+                               wheel.residue_count())
     cut = max(plan.B, max(wheel.moduli))
     # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
     x_cut = max((cut - b) // a for a, b in pattern.forms)
@@ -412,7 +470,7 @@ def make_context(cfg: SearchConfig) -> SimpleNamespace:
     # value of x is below it exactly when x <= x_proved
     x_proved = max(x_cut, pattern.x_max((plan.B + 1) ** 2 - 1))
     return SimpleNamespace(pattern=pattern, n=n, plan=plan, wheel=wheel, table=table,
-                           cut=cut, x_cut=x_cut, x_proved=x_proved)
+                           masks=masks, cut=cut, x_cut=x_cut, x_proved=x_proved)
 
 
 def run_range(ctx, lo: int, hi: int, keep: bool = True, parent: int | None = None) -> tuple:
@@ -426,7 +484,7 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True, parent: int | None = Non
     A forked worker passes its parent's pid, and exits between two
     segments once it has been re-parented: nothing would read it.
     """
-    pattern, n, wheel, table = ctx.pattern, ctx.n, ctx.wheel, ctx.table
+    pattern, n, wheel, table, masks = ctx.pattern, ctx.n, ctx.wheel, ctx.table, ctx.masks
     forms, W, B, x_cut, x_proved = pattern.forms, wheel.W, ctx.plan.B, ctx.x_cut, ctx.x_proved
     count = 0
     recip = KahanBuckets()
@@ -436,7 +494,7 @@ def run_range(ctx, lo: int, hi: int, keep: bool = True, parent: int | None = Non
         if parent is not None and os.getppid() != parent:
             os._exit(1)
         r = wheel.next_residue()
-        seg = sieve_segment(pattern, r, W, n, table)
+        seg = sieve_segment(pattern, r, W, n, table, masks)
         for start in range(0, len(seg.bits), CHUNK):
             xs = survivors(seg, start, start + CHUNK)
             # the boundary window owns those up to x_cut

@@ -1,14 +1,17 @@
 import math
 import random
+from itertools import islice
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tuplesieve.apsieve import (
     iter_primes,
     live_fractions,
     make_plan,
+    mask_bytes,
+    mask_rows,
     primes_upto,
     root_bound,
     root_rows,
@@ -36,12 +39,40 @@ def test_iter_primes_sieves_the_first_block_once(monkeypatch):
 
     first = list(iter_primes(5000))
     asked = []
-    listed = apsieve.primes_upto
-    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
-    # a second call lists the same primes, and sieves only the blocks past 1024
-    assert list(iter_primes(5000)) == first == primes_upto(5000)
+    sieve = apsieve._sieve_block
+    monkeypatch.setattr(apsieve, "_sieve_block",
+                        lambda lo, hi, ds: asked.append((lo, hi, list(ds))) or sieve(lo, hi, ds))
+    # a second call lists the same primes, and sieves only the blocks past 1024,
+    # each by the primes up to the square root of its end
+    assert list(iter_primes(5000)) == first
     assert list(iter_primes(1000)) == primes_upto(1000)
-    assert asked == [4096, 5000]
+    assert asked == [(1025, 4096, primes_upto(64)), (4097, 5000, primes_upto(70))]
+    assert first == _naive_primes(5000)
+
+
+def _naive_primes(n):
+    """The primes up to n by trial division."""
+    return [m for m in range(2, n + 1) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.one_of(
+    st.integers(-3, 70000),
+    # both sides of the block edges
+    st.sampled_from([1024, 4096, 16384, 65536]).flatmap(lambda e: st.integers(e - 2, e + 2)),
+))
+@example(limit=65536)
+def test_prime_sieve_matches_trial_division(limit):
+    want = _naive_primes(limit)
+    assert primes_upto(limit) == list(iter_primes(limit)) == want
+
+
+def test_iter_primes_reads_lazily_past_the_sieved_blocks():
+    # past 2^20 the blocks' own sieving primes come from a second, lazy listing
+    ps = list(iter_primes(2**22 + 5))
+    assert ps[-1] == 4194301 and len(ps) == 295947  # pi(2^22 + 5), as sympy counts it
+    # a limit near 2^127 sieves nothing past the block a consumer stops in
+    assert list(islice(iter_primes(2**127 - 1), 200))[-1] == 1223
 
 
 def test_plan_explicit_bound():
@@ -258,6 +289,71 @@ def test_sieve_segment_matches_brute_force(forms, W, data):
     assert seg.applied == len(primes)
     # the kernel's buffers follow the rows, in whatever order they come
     assert sieve_segment(pattern, r, W, _exact_n(pattern, r, W, length), table[::-1]).bits == seg.bits
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    # multipliers up to 64 take in multiples of the sieve primes, whose rows
+    # drop forms; close offsets give rows with repeated roots
+    forms=st.lists(st.tuples(st.integers(1, 64), st.integers(-12, 12)),
+                   min_size=1, max_size=5, unique=True),
+    W=st.sampled_from([1, 2, 6, 30, 210, 11, 77]),
+    data=st.data(),
+)
+def test_mask_rows_match_stride_rows(forms, W, data):
+    pattern = make_pattern([(a, b) for a, b in forms if math.gcd(a, b) == 1] or [(1, 0)])
+    assume(admissible(pattern))
+    primes = sorted(data.draw(st.lists(st.sampled_from([p for p in primes_upto(60) if W % p]),
+                                       min_size=1, max_size=8, unique=True), label="primes"))
+    table = start_table(pattern, W, primes)
+    # each row to a mask or to strides, the strides kept in table order
+    pick = data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)), label="masks")
+    r = data.draw(st.integers(0, 3 * W), label="r")
+    # empty, one byte, shorter than a prime, or longer than every period
+    length = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, primes[-1] - 1),
+                                 st.integers(0, 400)), label="length")
+    # masks built for this segment or for a longer one, as a run's shortest residue sees them
+    span = length + data.draw(st.sampled_from([0, 0, 1, 2, 59, 200]), label="span")
+    masks = mask_rows([row for row, m in zip(table, pick) if m], span)
+    strides = tuple(row for row, m in zip(table, pick) if not m)
+    n = _exact_n(pattern, r, W, length)
+    want = sieve_segment(pattern, r, W, n, table)
+    got = sieve_segment(pattern, r, W, n, strides, masks)
+    assert type(got.bits) is bytearray and len(got.bits) == length
+    assert got.bits == want.bits
+    assert got.bits == bytes(j not in _struck_by(pattern, r, W, length, primes) for j in range(length))
+    assert got.applied == want.applied == len(table)
+
+
+def test_mask_rows_periods():
+    # x, x+2, x+6, x+8 mod 7 at W = 1: roots 0, 5, 1, 6, so bits 0, 2, 6 and 1
+    # of each period are clear; ceil(20/7) + 2 = 5 periods, written high bit first
+    (p, winv, M), = mask_rows(start_table(QUAD, 1, [7]), 20)
+    assert (p, winv) == (7, 1)
+    assert M == int("0111000" * 5, 2) and mask_bytes(7, 20) == 5 == (M.bit_length() + 7) // 8
+    # a row that drops every form clears nothing: four periods of 2 bits
+    assert mask_rows(start_table(CHERNICK, 1, [2]), 3) == ((2, 1, 0xFF),)
+
+
+@pytest.mark.parametrize("pattern, W, primes", [
+    # x, x+6 share their root mod 2 and mod 3
+    (make_pattern([(1, 0), (1, 6)]), 1, [2, 3, 5, 7]),
+    (make_pattern([(1, 0), (1, 6)]), 7, [2, 3, 5]),
+    # 2 and 3 divide every multiplier, so their rows have no entries
+    (CHERNICK, 1, [2, 3, 5, 7, 11]),
+    (CHERNICK, 385, [2, 3, 13, 17]),
+    # the chain's multipliers 1, 2, 4, ... drop forms from 2's row only
+    (SECOND_5, 1, [2, 3, 5, 7]),
+])
+def test_mask_rows_repeated_and_dropped_entries(pattern, W, primes):
+    table = start_table(pattern, W, primes)
+    for r in range(2 * W):
+        for length in (0, 1, 5, 97):
+            n = _exact_n(pattern, r, W, length)
+            want = sieve_segment(pattern, r, W, n, table).bits
+            for split in range(len(table) + 1):
+                got = sieve_segment(pattern, r, W, n, table[split:], mask_rows(table[:split], length + 3))
+                assert got.bits == want and got.applied == len(table)
 
 
 def test_sieve_segment_rows_out_of_order():

@@ -501,8 +501,9 @@ def test_plan_chain_window_depth_cut(monkeypatch):
 
     plans, asked = [], []
     resolve = search_mod._resolve_plan
-    listed = apsieve.primes_upto
-    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
+    sieve = apsieve._sieve_block
+    # the end of every block of primes sieved
+    monkeypatch.setattr(apsieve, "_sieve_block", lambda lo, hi, ds: asked.append(hi) or sieve(lo, hi, ds))
 
     def record(cfg):
         plan = resolve(cfg)
@@ -534,8 +535,9 @@ def test_plan_length_15_chain_lists_few_primes(monkeypatch):
     import tuplesieve.apsieve as apsieve
 
     asked = []
-    listed = apsieve.primes_upto
-    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
+    sieve = apsieve._sieve_block
+    # the end of every block of primes sieved
+    monkeypatch.setattr(apsieve, "_sieve_block", lambda lo, hi, ds: asked.append(hi) or sieve(lo, hi, ds))
     chain = chain_pattern("first", 15)
     n = chain.max_value(10**20)
     plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
@@ -548,8 +550,9 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
     import tuplesieve.apsieve as apsieve
 
     asked = []
-    listed = apsieve.primes_upto
-    monkeypatch.setattr(apsieve, "primes_upto", lambda n: asked.append(n) or listed(n))
+    sieve = apsieve._sieve_block
+    # the end of every block of primes sieved
+    monkeypatch.setattr(apsieve, "_sieve_block", lambda lo, hi, ds: asked.append(hi) or sieve(lo, hi, ds))
     plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
     # 2^18 with the rule this replaced; sample residues ran 23 % faster here
     assert plan.B == _cost_depth(QUAD, 10**17, plan.moduli, 2**17) == 95707
@@ -876,6 +879,13 @@ def test_smallest_chain_first_kind():
     assert smallest_chain("first", 6, 10**4) == 89
 
 
+def test_smallest_chain_a005602():
+    # OEIS A005602, the least first-kind chains of lengths 10 and 12; each
+    # answer's window sieves its segments by masks
+    assert smallest_chain("first", 10, 10**11) == 26089808579
+    assert smallest_chain("first", 12, 10**12) == 554688278429
+
+
 def test_smallest_chain_second_kind():
     assert smallest_chain("second", 1, 100) == 11
     assert smallest_chain("second", 2, 100) == 7
@@ -961,3 +971,75 @@ def test_smallest_chain_windows_cover_each_x_once(monkeypatch, kind, length, cap
     assert all(lo <= hi for lo, hi in covered)
     # each window is four times wider than the last, but for the cap
     assert [hi for _, hi in covered[:-1]] == [2**(11 + 2 * i) for i in range(len(covered) - 1)]
+
+
+def _window_9():
+    """The length-9 hunt's last window, (2^25, 2^27], as `smallest_chain` searches it."""
+    chain = chain_pattern("first", 9)
+    return SearchConfig(pattern=chain.shifted(2**25 + 1), n=chain.max_value(2**27))
+
+
+def test_mask_split_chain_window_takes_every_row():
+    ctx = search_mod.make_context(_window_9())
+    # 32 segments of 3353 bytes on W = 30030, sieved to B = 157: 31 rows of 9 entries
+    assert (ctx.plan.B, ctx.wheel.W) == (157, 30030)
+    assert len(ctx.masks) == 31 and ctx.table == ()
+    assert [p for p, _, _ in ctx.masks] == ctx.plan.sieve_primes(ctx.wheel.moduli)
+
+
+@pytest.mark.parametrize("pattern, n", [(TWIN, 10**8 + 1), (QUAD, 10**8 - 1)])
+def test_mask_split_census_takes_none(pattern, n):
+    ctx = search_mod.make_context(SearchConfig(pattern=pattern, n=n))
+    assert ctx.masks == () and len(ctx.table) == 1225
+    read = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for row in tuple.__iter__(self):
+                read.append(row[0])
+                yield row
+
+    L = pattern.x_max(n) // ctx.wheel.W + 1
+    masks, rows = search_mod._mask_split(pattern, Counted(ctx.table), L, ctx.wheel.residue_count())
+    # 476191-byte segments: the first rows would pay as masks, but not for
+    # writing the segment out from its int; the scan stops at the first
+    # row that does not pay
+    assert masks == () and rows == ctx.table
+    assert 0 < len(read) < 40 and read == [p for p, *_ in ctx.table[:len(read)]]
+
+
+def test_mask_split_pays_for_building_the_masks():
+    # the length-9 hunt's window (2^17, 2^19] is one segment of 13108
+    # bytes: its 14 rows would save less there than building their masks
+    chain = chain_pattern("first", 9)
+    ctx = search_mod.make_context(SearchConfig(pattern=chain.shifted(2**17 + 1),
+                                               n=chain.max_value(2**19)))
+    assert ctx.wheel.residue_count() == 1 and len(ctx.table) == 14 and ctx.masks == ()
+    # the same rows over ten such segments are masks
+    L = ctx.pattern.x_max(ctx.n) // ctx.wheel.W + 1
+    masks, rows = search_mod._mask_split(ctx.pattern, ctx.table, L, 10)
+    assert len(masks) == 14 and rows == ()
+
+
+def test_mask_split_length_15_target_within_budget(monkeypatch):
+    chain = chain_pattern("first", 15)
+    cfg = SearchConfig(pattern=chain, n=chain.max_value(90616211958465842219))
+
+    def mask_bytes(ctx):
+        L = chain.x_max(cfg.n) // ctx.wheel.W + 1
+        held = sum((M.bit_length() + 7) // 8 for _, _, M in ctx.masks)
+        assert held <= sum(search_mod.mask_bytes(p, L) for p, _, _ in ctx.masks)
+        return held
+
+    ctx = search_mod.make_context(cfg)
+    # 297835-byte segments on 41#: the small primes' rows are masks, the rest strides
+    assert ctx.masks and ctx.table
+    assert len(ctx.masks) + len(ctx.table) == len(ctx.plan.sieve_primes(ctx.wheel.moduli))
+    assert max(p for p, _, _ in ctx.masks) < min(row[0] for row in ctx.table)
+    assert mask_bytes(ctx) <= search_mod.SEGMENT_MAX
+    # a smaller budget binds, and the masks stay within it
+    monkeypatch.setattr(search_mod, "SEGMENT_MAX", 10**6)
+    small = search_mod.make_context(cfg)
+    assert 0 < len(small.masks) < len(ctx.masks)
+    assert mask_bytes(small) <= 10**6
+    assert small.masks == ctx.masks[:len(small.masks)]

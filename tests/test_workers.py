@@ -163,11 +163,11 @@ def _patch_segment(monkeypatch, in_child, in_parent=None):
     in_parent(r) in this process, before sieving."""
     parent, real = os.getpid(), search_mod.sieve_segment
 
-    def segment(pattern, r, W, n, table):
+    def segment(pattern, r, *args, **kwargs):
         hook = in_parent if os.getpid() == parent else in_child
         if hook is not None:
             hook(r)
-        return real(pattern, r, W, n, table)
+        return real(pattern, r, *args, **kwargs)
 
     monkeypatch.setattr(search_mod, "sieve_segment", segment)
 
