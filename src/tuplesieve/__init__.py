@@ -18,7 +18,8 @@ imported from its own module (`tuplesieve.apps`, `tuplesieve.search`,
 from .apps import quads, smallest_chain, twins
 from .pattern import PatternError, parse_pattern
 from .primality import TableCapacityError
-from .search import CheckpointError, PlanError, SearchConfig, find_pattern_primes, run_striped
+from .plan import PlanError
+from .search import CheckpointError, SearchConfig, find_pattern_primes, run_striped
 from .wheel import WheelError
 
 __version__ = "0.1.0"

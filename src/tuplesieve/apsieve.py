@@ -5,9 +5,9 @@ One segment covers a single wheel residue r: byte j of the segment
 stands for the candidate x(j) = r + j*W, and stays 1 only if no sieve
 prime divides any form value there.  The segment runs up to
 `Pattern.x_max(n)`, the largest x in range.  How deep to sieve and how
-large a wheel to take is `search._resolve_plan`'s choice; this module
-lists the primes (`make_plan`) and counts what each strikes (`strikes`,
-`live_fractions`).
+large a wheel to take is the planner's choice (plan.py); this module
+lists the primes (`primes_upto`, `iter_primes`) and counts what each
+strikes (`strikes`, `live_fractions`).
 
 One lazy iterator, `root_rows`, tells every reader where each form
 vanishes mod p: the start table, `strikes`, `pattern.acceptable_residues`
@@ -19,7 +19,7 @@ lists them once (`start_table`) and every segment reuses them.  Past
 A row of the table is applied to a segment in one of two ways: by
 strides, one slice assignment per entry, or as a mask (`mask_rows`),
 one shift and one AND of an int that holds the segment as bits.
-`search` chooses which rows are masks, once per run; `sieve_segment`
+The planner chooses which rows are masks, once per run; `sieve_segment`
 applies the masks first, writes the segment out as bytes, and strikes
 the other rows after.
 """
@@ -34,8 +34,6 @@ from itertools import chain, combinations, compress
 from .arith import modinv
 
 __all__ = [
-    "SievePlan",
-    "make_plan",
     "SieveSegment",
     "root_bound",
     "root_rows",
@@ -109,26 +107,6 @@ def iter_primes(limit: int):
     by the primes up to the square root of its end alone.
     """
     return chain.from_iterable(_prime_blocks(limit))
-
-
-class SievePlan(namedtuple("SievePlan", "B moduli primes")):
-    """Sieve bound B, the wheel's primes (ascending) and the primes <= B,
-    as `search._resolve_plan` chose them.  A prime <= B left out of the
-    wheel is one of the `sieve_primes`."""
-
-    __slots__ = ()
-
-    def sieve_primes(self, wheel_moduli) -> list:
-        skip = set(wheel_moduli)
-        return [p for p in self.primes if p not in skip]
-
-
-def make_plan(B: int, moduli, primes=None) -> SievePlan:
-    """The plan for sieve bound B and the wheel's primes `moduli`, with
-    the primes up to B: `primes` if the caller already listed them, else
-    sieved here.  `search._resolve_plan` chooses both."""
-    return SievePlan(B=B, moduli=tuple(moduli),
-                     primes=tuple(primes_upto(B) if primes is None else primes))
 
 
 # the most primes `root_rows` lists a column of at a time
@@ -225,7 +203,7 @@ def live_fractions(pattern, primes):
 SieveSegment = namedtuple("SieveSegment", "r W bits applied aborted", defaults=(False,))
 SieveSegment.__doc__ = """One wheel residue's candidates: byte j of `bits` stands for
     x(j) = r + j*W and is 1 while no sieve prime divides a form value
-    there.  `search._resolve_plan` bounds its length by choosing W, and
+    there.  The planner bounds its length by choosing W, and
     `survivors` reads it out a slice of bytes at a time."""
 
 
@@ -270,8 +248,8 @@ def sieve_segment(pattern, r: int, W: int, n: int, table, masks=()) -> SieveSegm
     start table.
 
     table is `start_table(pattern, W, primes)`, with W and the primes as
-    `search._resolve_plan` sized them, and masks is `mask_rows` of other
-    rows of that table, built for at least this segment's length L.
+    the planner sized them, and masks is `mask_rows` of other rows of
+    that table, built for at least this segment's length L.
     Every row of both is applied, and `applied` counts them all.
     Form i is divisible by p at x(j) exactly when j = s_i - r*W^-1
     (mod p).  Forms whose multiplier p divides have no entry in a row:

@@ -21,7 +21,8 @@ import sys
 from .apps import chain_search, quads, search, smallest_chain, twins
 from .pattern import PatternError, parse_pattern
 from .primality import TableCapacityError
-from .search import CheckpointError, PlanError
+from .plan import PlanError
+from .search import CheckpointError
 from .wheel import WheelError
 
 
@@ -43,8 +44,9 @@ def _add_search_options(p, with_pattern=True):
                        help="space exponent c > 2; sieve bound becomes 2^floor(log2(n)/c)")
     p.add_argument("--wheel", type=prime_list, metavar="P,...",
                    help="the wheel's primes, e.g. 2,3,5,7 (default: primes 2, 3, 5, ... "
-                        "while each saves more segment bytes over the x range than its "
-                        "sieve rows cost, and until segments hold at most 2^22 bytes)")
+                        "while the segment bytes each saves over the x range cost more than "
+                        "its sieve rows, both priced in ns, and until segments hold at most "
+                        "2^22 bytes)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
                    help="sieve the residues in NU processes (at most the CPU count)")
     p.add_argument("--checkpoint", metavar="FILE", help="write (and resume from) this checkpoint file")

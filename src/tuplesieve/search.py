@@ -1,11 +1,9 @@
 """End-to-end pattern search: wheel residues -> AP sieve -> probable-prime
 filter -> certified prime tests -> tuple stream.
 
-The planner (`_resolve_plan`) is the one place that sizes a run: from
-the input it fixes one sieve depth B, to which every segment is sieved,
-and the wheel, chosen by what a sieve row costs in CPython against a
-segment byte (`_wheel_moduli`).  `make_context` builds the rest once:
-the wheel, the start table and the two cuts below.
+`make_context` has the run sized by the planner (plan.py: the depth B,
+the wheel and which start-table rows are masks) and builds the rest
+once: the wheel, the start table and the two cuts below.
 
 Tuples containing a prime at or below the cut (B or the largest wheel
 prime) never reach the sieve path (the wheel excludes their residue or
@@ -48,34 +46,22 @@ import sys
 import time
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import chain, compress, islice, repeat
+from itertools import compress
 from types import SimpleNamespace
 
-from .apsieve import (
-    iter_primes,
-    live_fractions,
-    make_plan,
-    mask_bytes,
-    mask_rows,
-    primes_upto,
-    root_bound,
-    root_rows,
-    sieve_segment,
-    start_table,
-    strikes,
-    survivors,
-)
+from . import plan as planner
+from .apsieve import primes_upto, root_rows, sieve_segment, start_table, survivors
 from .arith import WIDE_MAX
 from .kahan import KahanBuckets
-from .pattern import Pattern, acceptable_residues, admissible, chain_pattern, format_pattern
-from .primality import LADDER_TOP, is_prime, sprp_base2
-from .wheel import build_wheel, check_moduli, wheel_primes
+from .pattern import Pattern, admissible, chain_pattern, format_pattern
+from .plan import make_plan  # by name: the traced benchmark wraps `search.make_plan`
+from .primality import is_prime, sprp_base2
+from .wheel import build_wheel, check_moduli
 
 __all__ = [
     "SearchConfig",
     "SearchResult",
     "CheckpointError",
-    "PlanError",
     "boundary_tuples",
     "find_pattern_primes",
     "make_context",
@@ -88,10 +74,6 @@ CHECKPOINT_MAGIC = "TSCKPT v4"
 
 
 class CheckpointError(RuntimeError):
-    pass
-
-
-class PlanError(ValueError):
     pass
 
 
@@ -111,45 +93,11 @@ SearchResult = namedtuple(
 )
 
 
-# budget for the plan's prime tables below LADDER_TOP: the cost walk
-# lists no prime past it, so sieving to sqrt(n) needs isqrt(n) <= it
-SQRT_BOUND_MAX = 2**24
-# for n >= LADDER_TOP only: the predicted share of live segment bytes at
-# which sieving stops.  A shallower depth there could leave a value that
-# a deeper sieve strikes and no certifier covers, so cost is not asked
-LIVE_FLOOR = 1 / 4096
 # residues between two progress reports; rounds end at its multiples
 PROGRESS_EVERY = 10000
 # segment bytes one process sieves in a round: rounds that long make a
 # fork cost little, and bound the x values a round holds before merging
 ROUND_BYTES = 1 << 24
-# the cost of one (segment, prime, form) row of the sieve, counted in
-# segment bytes: a row takes about 0.35 us in CPython (it strikes from
-# a zero buffer the segment keeps), a struck byte about 1.7 ns, and a
-# segment byte, allocated, struck and read out, some tens of ns at most
-ROW_BYTES = 30
-# the cost of a base-2 strong test in segment bytes, per bit and per
-# 30-bit digit of the value: about 0.1 us each in CPython (2.4 us at 27
-# bits, 7.7 us at 37, 13 us at 60), against 0.02 us for a byte
-TEST_BYTES = 5
-# a certificate, `is_prime` past the gate, costs about ten strong tests
-CERT_TESTS = 10
-# the longest segment the wheel choice allows, in bytes; also the most
-# bytes a run's masks may hold (`_mask_split`)
-SEGMENT_MAX = 1 << 22
-# what the segment kernel pays, in ns, for `_mask_split` to choose between
-# a row's strides and its mask.  Timed on the kernel alone (Python 3.11,
-# 2 vCPUs): a stride row about 0.15-0.19 us on top of its struck bytes,
-# at about 0.85-1.2 ns each (chain windows of 3353 bytes, twins at
-# 476191); one mask's shift and AND 0.18 us at 3353 bits and 16.7 us at
-# 476k; writing the segment out from its int 1.5-2 ns a candidate;
-# building a mask, once per run, 4-10 us in the length-9 hunt's windows
-ROW_NS = 150
-BYTE_NS = 1
-MASK_NS = 60
-BIT_NS = 0.035
-CONV_NS = 2
-BUILD_NS = 6000
 # segment bytes read out and accounted at a time, which bounds the
 # survivor and term lists
 CHUNK = 1 << 16
@@ -160,167 +108,6 @@ CHUNK = 1 << 16
 # a smaller g pays more often.  Over hunts of lengths 5-9 of both kinds
 # to 10^9, g = 4 took the least time (g = 6 tied within the noise)
 CHAIN_GROWTH = 4
-
-
-def _resolve_plan(cfg: SearchConfig):
-    """The run's sieve plan: the one depth B its segments are sieved to,
-    the primes up to it, and the wheel's primes.
-
-    The config's sieve_bound, capped at max(2, isqrt(n)), or
-    2^floor(log2(n)/space_exp), is taken literally as B.  Else B comes
-    from `_cost_depth` below LADDER_TOP, with the wheel unless the
-    config's wheel fixes it, and from `_floor_depth` at or above it.
-    Otherwise the wheel is the config's or `_wheel_moduli`'s choice for
-    x_top = `pattern.x_max(n)`, the largest x in range.  The primes the
-    planner reads are the plan's, so they are listed once.  Raises
-    PlanError for space_exp <= 2 or B < 2.
-    """
-    pattern, n = cfg.pattern, cfg.n
-    x_top = pattern.x_max(n)
-    moduli, primes = cfg.wheel, None
-    if cfg.sieve_bound is not None:
-        # a prime past isqrt(n) strikes only values the boundary window owns
-        B = min(int(cfg.sieve_bound), max(2, math.isqrt(n)))
-    elif cfg.space_exp is not None:
-        if not cfg.space_exp > 2:
-            raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
-        B = 1 << int(math.log2(n) / cfg.space_exp)
-    elif n < LADDER_TOP:
-        B, primes, moduli = _cost_depth(cfg, x_top)
-    else:
-        B, primes = _floor_depth(cfg, x_top)
-    if B < 2:
-        raise PlanError(f"sieve bound B={B} below 2")
-    if primes is None:
-        primes = primes_upto(B)
-    if moduli is None:
-        moduli = _wheel_moduli(pattern, x_top, pattern.k * len(primes))
-    return make_plan(B, moduli, primes)
-
-
-def _floor_depth(cfg, x_top):
-    """B and the primes up to it for n >= LADDER_TOP, where a shallower
-    B could leave a value no certifier covers: the first sieve prime up
-    to 2^floor(log2(n)/3) where the predicted live share reaches
-    LIVE_FLOOR, else that bound, past the config's wheel primes or else
-    those of a reference wheel budgeted x_top // 2^floor(log2(n)/3)."""
-    space = 1 << int(math.log2(cfg.n) / 3)
-    skip = set(cfg.wheel or wheel_primes(max(2, x_top // space)))
-    listed = []
-
-    def sieve_primes():
-        for p in iter_primes(space):
-            listed.append(p)
-            if p not in skip:
-                yield p
-
-    live = live_fractions(cfg.pattern, sieve_primes())
-    B = next((p for p, frac in live if frac <= LIVE_FLOOR), None)
-    return B or space, listed
-
-
-def _cost_depth(cfg, x_top):
-    """(B, the primes up to B, the wheel's primes) by predicted cost, for
-    n < LADDER_TOP, where every depth gives the same verdicts (the
-    README's planner paragraph gives the model).  The walk stops at the
-    first sieve prime whose rows cost more than the strong tests spared
-    the survivors it strikes, per segment of x_top // W bytes; B is the
-    prime before it.  The sqrt end wins if its rows cost no more than
-    the stop plus k gates and k certificates per predicted true tuple; a
-    bound on pi(isqrt(n)) rules it out unlisted.  Unless the config's
-    wheel fixes it, the wheel starts at the one for one prime's rows,
-    the largest, and B and the wheel are chosen in turn until the wheel
-    repeats.
-    """
-    pattern, n, k = cfg.pattern, cfg.n, cfg.pattern.k
-    root = max(2, math.isqrt(n))
-    bits = n.bit_length()
-    test = TEST_BYTES * bits * -(-bits // 30)
-    # (prime, form) pairs with the prime dividing the multiplier: at most
-    # the multiplier's bit length less one per form
-    dropped = sum(a.bit_length() - 1 for a, _ in pattern.forms)
-    # the primes read so far, ascending, and w(p) and the rows of those up
-    # to `root_bound`: past it both are k, so only the primes are kept
-    top = root_bound(pattern)
-    read, ws, rs = [], [], []
-    primes = iter_primes(min(root, SQRT_BOUND_MAX))
-
-    def walk():
-        yield from zip(range(len(read)), read, chain(ws, repeat(k)), chain(rs, repeat(k)))
-        for p, w, r in strikes(pattern, primes):
-            read.append(p)
-            if p <= top:
-                ws.append(w)
-                rs.append(r)
-            yield len(read) - 1, p, w, r
-
-    def choose(moduli):
-        """B and how many read primes are up to it, on the wheel `moduli`."""
-        L = x_top // math.prod(moduli)
-        rows, live = 0, 1.0
-        for i, p, w, r in walk():
-            if p in moduli:
-                continue
-            if ROW_BYTES * r > L * live * w / p * test:
-                break
-            rows += r
-            live *= 1 - w / p
-        else:
-            return min(root, SQRT_BOUND_MAX), len(read)
-        if root <= SQRT_BOUND_MAX:
-            # the share left at isqrt(n), by Mertens's product
-            tuples = live * (math.log(p) / math.log(root)) ** k
-            stop_cost = ROW_BYTES * rows + L * test * (live + tuples * k * (1 + CERT_TESTS))
-            beyond = (root / math.log(root) if root >= 17 else 0) - i - len(moduli)
-            if ROW_BYTES * (rows + k * beyond - dropped) < stop_cost:
-                for _, q, _, _ in walk():  # read the rows up to root_bound, then the primes
-                    if q > top:
-                        break
-                read.extend(primes)
-                rows += sum(r for q, r in zip(islice(read, i, None), chain(rs[i:], repeat(k)))
-                            if q not in moduli)
-                if ROW_BYTES * rows <= stop_cost:
-                    return root, len(read)
-        i = max(i, 1)
-        return read[i - 1], i
-
-    moduli, seen = cfg.wheel or _wheel_moduli(pattern, x_top, k), set()
-    while moduli not in seen:  # the config's wheel is chosen once
-        seen.add(moduli)
-        B, count = choose(moduli)
-        if not cfg.wheel:
-            moduli = _wheel_moduli(pattern, x_top, k * count)
-        if B == root:
-            break  # a smaller wheel only makes a stop's tests dearer
-    del read[count:]
-    return B, read, moduli
-
-
-def _wheel_moduli(pattern, x_top, rows) -> tuple:
-    """The wheel's primes that the per-row cost model picks for segments
-    of about x_top // W bytes sieved by `rows` (prime, form) rows, W
-    being their product.
-
-    A row costs about ROW_BYTES struck bytes, so a segment of L bytes
-    costs ROW_BYTES * rows + L.  Prime q, taken in order 2, 3, 5, ...,
-    joins the wheel while its acc(q) residues out of q cost less than
-    one segment without it:
-    acc(q) * (ROW_BYTES * rows + L // q) < ROW_BYTES * rows + L, or
-    while L > SEGMENT_MAX, which bounds a segment's buffer.  The first
-    prime always joins, as a wheel needs one modulus.  Each prime taken
-    shrinks L, and at L = 0 the inequality fails, so the loop reads a
-    few dozen primes at most.
-    """
-    fixed = ROW_BYTES * rows
-    moduli, W = [], 1
-    for q in iter_primes(WIDE_MAX):
-        L = x_top // W
-        if (moduli and L <= SEGMENT_MAX
-                and acceptable_residues(pattern, q).popcount * (fixed + L // q) >= fixed + L):
-            break
-        moduli.append(q)
-        W *= q
-    return tuple(moduli)
 
 
 def boundary_tuples(pattern: Pattern, cut: int, n: int) -> list:
@@ -412,64 +199,26 @@ def _read_checkpoint(path, digest, last):
         raise CheckpointError(f"corrupt checkpoint file: {e}") from None
 
 
-def _mask_split(pattern, table, L: int, segments: int) -> tuple:
-    """(masks, stride rows): the rows of a start table that pay as masks
-    in a run of `segments` segments of at most L bytes, as `mask_rows`,
-    and the others, in table order.
-
-    A row of e entries costs e * (ROW_NS + L/p * BYTE_NS) by strides and
-    MASK_NS + L * BIT_NS as a mask.  Read in table order (ascending p),
-    a row becomes a mask while that saves time and the masks' bytes stay
-    within SEGMENT_MAX.  Past the largest multiplier every row has k
-    entries, so the saving only falls with p, and the first row there
-    that saves nothing ends the scan.  The masks are kept only if, over
-    the run, their savings sum to more than writing each segment out
-    from its int, CONV_NS * L, and building each mask once, BUILD_NS;
-    else every row strikes by strides.
-    """
-    if L <= 0:
-        return (), table
-    top = max(a for a, _ in pattern.forms)
-    mask_ns = MASK_NS + L * BIT_NS
-    rows, saving, room = [], 0.0, SEGMENT_MAX
-    for row in table:
-        p = row[0]
-        gain = (len(row) - 2) * (ROW_NS + L / p * BYTE_NS) - mask_ns
-        if gain <= 0:
-            if p > top:
-                break
-            continue
-        room -= mask_bytes(p, L)
-        if room < 0:
-            break
-        rows.append(row)
-        saving += gain
-    if segments * (saving - CONV_NS * L) <= BUILD_NS * len(rows):
-        return (), table
-    masked = {row[0] for row in rows}
-    return mask_rows(rows, L), tuple([row for row in table if row[0] not in masked])
-
-
 def make_context(cfg: SearchConfig) -> SimpleNamespace:
     """Plan the run and build what its ranges share: the pattern and n,
-    the plan, the wheel, the start table split into masks and stride
-    rows (`_mask_split`, for the wheel's residues, whose segments hold
-    at most x_top // W + 1 bytes), the cut of the boundary window (every
-    tuple with a value <= cut has x <= x_cut) and x_proved, up to which
-    the sieve alone proves a tuple."""
+    the plan, the wheel, the segment length L = x_top // W + 1 (that of
+    residue 0, which no other residue's exceeds), the start table split
+    into masks and stride rows (`plan.mask_split`), the cut of the
+    boundary window (every tuple with a value <= cut has x <= x_cut) and
+    x_proved, up to which the sieve alone proves a tuple."""
     pattern, n = cfg.pattern, cfg.n
-    plan = _resolve_plan(cfg)
+    plan = make_plan(*planner.resolve_plan(cfg))
     wheel = build_wheel(pattern, plan.moduli)
+    L = pattern.x_max(n) // wheel.W + 1
     table = start_table(pattern, wheel.W, plan.sieve_primes(wheel.moduli))
-    masks, table = _mask_split(pattern, table, pattern.x_max(n) // wheel.W + 1,
-                               wheel.residue_count())
+    masks, table = planner.mask_split(pattern, table, L, wheel.residue_count())
     cut = max(plan.B, max(wheel.moduli))
     # min_value(x) <= cut exactly when x <= x_cut, since every a >= 1
     x_cut = max((cut - b) // a for a, b in pattern.forms)
     # a value below (B+1)^2 with no prime factor <= B is prime, and every
     # value of x is below it exactly when x <= x_proved
     x_proved = max(x_cut, pattern.x_max((plan.B + 1) ** 2 - 1))
-    return SimpleNamespace(pattern=pattern, n=n, plan=plan, wheel=wheel, table=table,
+    return SimpleNamespace(pattern=pattern, n=n, plan=plan, wheel=wheel, L=L, table=table,
                            masks=masks, cut=cut, x_cut=x_cut, x_proved=x_proved)
 
 
@@ -643,7 +392,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                             boundary_count=0, completed=True)
 
     ctx = make_context(cfg)
-    wheel, last = ctx.wheel, ctx.wheel.residue_count()
+    last = ctx.wheel.residue_count()
     position = count = units = written = 0
     resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
     if checkpoint_path is not None:
@@ -668,7 +417,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
             on_tuple(x, pattern.evaluate(x))
 
     procs = min(cfg.nu, _cpu_limit())
-    per_proc = max(1, ROUND_BYTES // (pattern.x_max(n) // wheel.W + 1))
+    per_proc = max(1, ROUND_BYTES // ctx.L)
     keep = keep_xs or on_tuple is not None
     last_checkpoint = time.monotonic()
     completed = True

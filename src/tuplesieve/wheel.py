@@ -11,15 +11,14 @@ which makes ranges of positions and checkpoints well defined.
 
 import math
 
-from .apsieve import iter_primes
 from .arith import WIDE_MAX, modinv
 from .pattern import acceptable_residues
 from .primality import is_prime
 
-__all__ = ["Wheel", "WheelError", "build_wheel", "check_moduli", "wheel_primes"]
+__all__ = ["Wheel", "WheelError", "build_wheel", "check_moduli"]
 
 # the largest wheel modulus p: the wheel lists up to p residues for it, which
-# `acceptable_residues` finds by a p-bit mask; the planner's wheels stop below 50
+# `acceptable_residues` finds by a p-bit mask; the wheels plan.py chooses stay far below it
 MODULUS_MAX = 1 << 16
 
 
@@ -72,19 +71,6 @@ class Wheel:
     def __iter__(self):
         while (r := self.next_residue()) is not None:
             yield r
-
-
-def wheel_primes(limit: int) -> list:
-    """Primes 2, 3, 5, ... in order, taken while their product stays <= limit."""
-    primes = []
-    w = 1
-    # a prime above limit never fits the product
-    for p in iter_primes(limit):
-        if w * p > limit:
-            break
-        primes.append(p)
-        w *= p
-    return primes
 
 
 def check_moduli(moduli) -> tuple:

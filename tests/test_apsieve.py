@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tuplesieve.apsieve import (
     iter_primes,
     live_fractions,
-    make_plan,
     mask_bytes,
     mask_rows,
     primes_upto,
@@ -22,6 +21,7 @@ from tuplesieve.apsieve import (
 )
 from tuplesieve.arith import NotInvertibleError, modinv
 from tuplesieve.pattern import admissible, chain_pattern, make_pattern
+from tuplesieve.plan import make_plan
 
 from conftest import CORPUS, naive_pattern_xs
 

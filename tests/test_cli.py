@@ -216,7 +216,8 @@ def test_wheel_help_names_x_range_budget(capsys):
         main(["search", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     assert "--wheel P,..." in text and "e.g. 2,3,5,7" in text
-    assert "saves more segment bytes over the x range than its sieve rows cost" in text
+    assert ("the segment bytes each saves over the x range cost more than its sieve rows, "
+            "both priced in ns") in text
     assert "at most 2^22 bytes" in text
     assert "x_top/B" not in text and "n/B" not in text
     # one wheel flag: the product budget and the exclusion set are gone

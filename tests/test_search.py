@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import tuplesieve.plan as plan_mod
 import tuplesieve.search as search_mod
 from tuplesieve.apps import TupleCensus, quads, search
-from tuplesieve.apsieve import SievePlan, SieveSegment, live_fractions, primes_upto
+from tuplesieve.apsieve import SieveSegment, live_fractions, primes_upto, root_bound
 from tuplesieve.arith import WIDE_MAX
 from tuplesieve.pattern import (
     Pattern,
@@ -22,10 +23,11 @@ from tuplesieve.pattern import (
     make_pattern,
     parse_pattern,
 )
-from tuplesieve.wheel import WheelError, build_wheel, wheel_primes
+from tuplesieve.plan import PlanError, SievePlan, make_plan, wheel_primes
+from tuplesieve.primality import LADDER_TOP
+from tuplesieve.wheel import WheelError, build_wheel
 from tuplesieve.search import (
     CheckpointError,
-    PlanError,
     SearchConfig,
     SearchResult,
     boundary_tuples,
@@ -38,6 +40,11 @@ from conftest import CORPUS, boundary_scan, naive_pattern_xs, sieve_table
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
+
+
+def _resolve(cfg):
+    """The run's plan, as `make_context` makes it."""
+    return make_plan(*plan_mod.resolve_plan(cfg))
 
 
 def test_boundary_quadruplet_wheel_cut():
@@ -145,7 +152,7 @@ def test_bound_past_width_rejected_before_planning(monkeypatch):
     def no_plan(cfg):
         raise _Planned
 
-    monkeypatch.setattr(search_mod, "_resolve_plan", no_plan)
+    monkeypatch.setattr(plan_mod, "resolve_plan", no_plan)
     seen = []
 
     def on_tuple(x, vals):
@@ -227,7 +234,7 @@ def test_checkpoint_interrupt_resume_bitwise(tmp_path):
 def test_checkpoint_interrupt_resume_default_plan(tmp_path):
     # the default plan sieves QUAD at 10^8 to sqrt(n) over the 3 residues of W = 210
     cfg = SearchConfig(pattern=QUAD, n=10**8, nu=1)
-    assert build_wheel(QUAD, search_mod._resolve_plan(cfg).moduli).residue_count() == 3
+    assert build_wheel(QUAD, _resolve(cfg).moduli).residue_count() == 3
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
     part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=1)
@@ -247,7 +254,7 @@ def test_kill_resume_at_every_position(tmp_path, nu, monkeypatch):
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
     other = cfg._replace(nu=nu % 3 + 1)
     full = run_striped(cfg)
-    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).moduli).residue_count()
+    last = build_wheel(QUAD, _resolve(cfg).moduli).residue_count()
     assert last == 21
     # a run that keeps no x list must checkpoint and resume the same way
     for keep_xs in (True, False):
@@ -291,9 +298,9 @@ def test_checkpoint_digest_mismatch(tmp_path):
     with pytest.raises(CheckpointError, match="digest"):
         run_striped(other, checkpoint_path=str(ck))
     # the same B on another wheel walks other residues
-    plan = search_mod._resolve_plan(cfg)
+    plan = _resolve(cfg)
     wheel = plan.moduli[:-1] + (plan.moduli[-1] + 2,)
-    assert search_mod._resolve_plan(cfg._replace(wheel=wheel)).B == plan.B
+    assert _resolve(cfg._replace(wheel=wheel)).B == plan.B
     with pytest.raises(CheckpointError, match="digest"):
         run_striped(cfg._replace(wheel=wheel), checkpoint_path=str(ck))
     # the worker count is not part of the configuration: any count resumes
@@ -310,7 +317,7 @@ def test_checkpoint_with_wheel_budget_digest_refused(tmp_path):
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
     run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
     text = ck.read_text().splitlines()
-    B = search_mod._resolve_plan(cfg).B
+    B = _resolve(cfg).B
     old = f"tsckpt4|{format_pattern(QUAD)}|n={cfg.n}|B={B}|wl=2310|excl="
     text[1] = "digest " + hashlib.sha256(old.encode()).hexdigest()
     ck.write_text("\n".join(text) + "\n")
@@ -342,7 +349,7 @@ def test_checkpoint_corrupt_file(tmp_path):
         with pytest.raises(CheckpointError, match="bad checkpoint header"):
             run_striped(cfg, checkpoint_path=str(ck))
     # a position that is missing, negative, past the end or not an integer
-    last = build_wheel(QUAD, search_mod._resolve_plan(cfg).moduli).residue_count()
+    last = build_wheel(QUAD, _resolve(cfg).moduli).residue_count()
     for bad in ([], ["position -1"], [f"position {last + 1}"], ["position 2.5"]):
         ck.write_text("\n".join(text[:2] + bad + text[3:]) + "\n")
         with pytest.raises(CheckpointError, match="corrupt"):
@@ -427,7 +434,7 @@ def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel, nu
 
 def test_plan_sqrt_for_twins_and_quads_at_1e8():
     for pattern in (TWIN, QUAD):
-        plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=10**8))
+        plan = _resolve(SearchConfig(pattern=pattern, n=10**8))
         # the cost model stops at 11: its rows cost more than its residues save
         assert (plan.B, plan.moduli) == (10**4, (2, 3, 5, 7))
         assert plan.primes == tuple(primes_upto(10**4))
@@ -435,7 +442,7 @@ def test_plan_sqrt_for_twins_and_quads_at_1e8():
 
 
 def _plan(pattern, n, **kw):
-    return search_mod._resolve_plan(SearchConfig(pattern=pattern, n=n, **kw))
+    return _resolve(SearchConfig(pattern=pattern, n=n, **kw))
 
 
 X = make_pattern([(1, 0)])
@@ -455,7 +462,7 @@ def test_plan_sqrt_mode():
     # times shorter than n / W, so fewer primes pay for their rows
     steep = make_pattern([(256, 1)])
     assert _plan(steep, 10**8, sieve_bound=10**4).moduli == (2, 3)
-    assert search_mod._wheel_moduli(steep, 10**8, 1229) == (2, 3, 5, 7)
+    assert plan_mod._wheel_moduli(steep, 10**8, 1229) == (2, 3, 5, 7)
 
 
 def test_plan_errors():
@@ -473,12 +480,12 @@ def _cost_depth(pattern, n, moduli, limit=2**12):
     strong tests it spares the survivors it strikes, per segment of
     x_top // W bytes."""
     bits = n.bit_length()
-    test = search_mod.TEST_BYTES * bits * -(-bits // 30)
+    test = plan_mod.TEST_NS * bits * -(-bits // 30)
     segment = pattern.x_max(n) // math.prod(moduli)
     before = 1.0
     for p, frac in live_fractions(pattern, [p for p in primes_upto(limit) if p not in moduli]):
         rows = sum(a % p != 0 for a, _ in pattern.forms)
-        if search_mod.ROW_BYTES * rows > segment * (before - frac) * test:
+        if plan_mod.ROW_NS * rows > segment * (before - frac) * test:
             return primes_upto(p - 1)[-1]
         before = frac
     raise AssertionError(f"no stop up to {limit}")
@@ -493,24 +500,24 @@ def _floor_depth(pattern, n, moduli=None):
     moduli = moduli or wheel_primes(pattern.x_max(n) // space)
     primes = [p for p in primes_upto(2**12) if p not in moduli]
     return next(p for p, frac in live_fractions(pattern, primes)
-                if frac <= search_mod.LIVE_FLOOR)
+                if frac <= plan_mod.LIVE_FLOOR)
 
 
 def test_plan_chain_window_depth_cut(monkeypatch):
     import tuplesieve.apsieve as apsieve
 
     plans, asked = [], []
-    resolve = search_mod._resolve_plan
+    resolve = plan_mod.resolve_plan
     sieve = apsieve._sieve_block
     # the end of every block of primes sieved
     monkeypatch.setattr(apsieve, "_sieve_block", lambda lo, hi, ds: asked.append(hi) or sieve(lo, hi, ds))
 
     def record(cfg):
         plan = resolve(cfg)
-        plans.append((cfg, plan))
+        plans.append((cfg, make_plan(*plan)))
         return plan
 
-    monkeypatch.setattr(search_mod, "_resolve_plan", record)
+    monkeypatch.setattr(plan_mod, "resolve_plan", record)
     assert smallest_chain("first", 9, 10**9) == 85864769
     cfg, plan = plans[-1]  # the largest window, (2^25, 2^27]
     # searched as y = x - (2^25 + 1), so x_top is the window's width
@@ -540,7 +547,7 @@ def test_plan_length_15_chain_lists_few_primes(monkeypatch):
     monkeypatch.setattr(apsieve, "_sieve_block", lambda lo, hi, ds: asked.append(hi) or sieve(lo, hi, ds))
     chain = chain_pattern("first", 15)
     n = chain.max_value(10**20)
-    plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
+    plan = _resolve(SearchConfig(pattern=chain, n=n))
     assert max(asked) <= 2**12
     assert len(plan.primes) < 200
     assert plan.B == _cost_depth(chain, n, plan.moduli)
@@ -553,7 +560,7 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
     sieve = apsieve._sieve_block
     # the end of every block of primes sieved
     monkeypatch.setattr(apsieve, "_sieve_block", lambda lo, hi, ds: asked.append(hi) or sieve(lo, hi, ds))
-    plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**17))
+    plan = _resolve(SearchConfig(pattern=QUAD, n=10**17))
     # 2^18 with the rule this replaced; sample residues ran 23 % faster here
     assert plan.B == _cost_depth(QUAD, 10**17, plan.moduli, 2**17) == 95707
     assert max(asked) <= 2**24
@@ -562,13 +569,13 @@ def test_plan_quads_1e17_within_table_budget(monkeypatch):
 def test_plan_census_targets_unchanged():
     # the plans of twins(10**8) and quads(10**8): sqrt mode, 1229 primes, W = 210
     for pattern, n, B in ((TWIN, 10**8 + 1, 10**4), (QUAD, 10**8 - 1, 9999)):
-        plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=n))
+        plan = _resolve(SearchConfig(pattern=pattern, n=n))
         assert (plan.B, plan.moduli) == (B, (2, 3, 5, 7))
         assert plan.primes == tuple(primes_upto(10**4))
     # a stop is charged for certifying the true tuples: uncharged, quads at
     # 10^10 would stop at 23879, where quads(10**10) took 62-66 s against
     # 4.4-5.1 s at the sqrt end
-    plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**10))
+    plan = _resolve(SearchConfig(pattern=QUAD, n=10**10))
     assert (plan.B, plan.moduli) == (10**5, (2, 3, 5, 7, 11, 13))
 
 
@@ -582,7 +589,7 @@ def test_plan_derives_no_root_row_past_root_bound(monkeypatch):
         return rows(pattern, (asked.append(p) or p for p in primes), W)
 
     monkeypatch.setattr(apsieve, "root_rows", counted)
-    plan = search_mod._resolve_plan(SearchConfig(pattern=QUAD, n=10**8))
+    plan = _resolve(SearchConfig(pattern=QUAD, n=10**8))
     assert (plan.B, len(plan.primes)) == (10**4, 1229)
     # past max |a*d - b*c| = 8 every prime is counted with k roots, not derived
     assert apsieve.root_bound(QUAD) == 8
@@ -594,8 +601,8 @@ def test_plan_keeps_counts_up_to_a_prime_root_bound():
     # three entries but two distinct roots; a later wheel's walk must
     # read those counts again, not k
     pattern = make_pattern([(6, 227), (1, -166), (3, 236)])
-    assert search_mod.root_bound(pattern) == 1223
-    plan = search_mod._resolve_plan(SearchConfig(pattern=pattern, n=6 * 10**14))
+    assert root_bound(pattern) == 1223
+    plan = _resolve(SearchConfig(pattern=pattern, n=6 * 10**14))
     assert (plan.B, plan.moduli, len(plan.primes)) == (169097, (2, 3, 5, 7, 11, 13, 17, 19, 23), 15421)
 
 
@@ -620,7 +627,7 @@ def test_run_derives_each_residue_mask_once(monkeypatch):
 def test_plan_twins_1e12_sqrt_end():
     # 78498 primes to 10^6 on 17#: the walk derives one root row, that of 2,
     # and plans in about half the time it took while it derived every row
-    plan = search_mod._resolve_plan(SearchConfig(pattern=TWIN, n=10**12))
+    plan = _resolve(SearchConfig(pattern=TWIN, n=10**12))
     assert (plan.B, plan.moduli) == (10**6, (2, 3, 5, 7, 11, 13, 17))
     assert len(plan.primes) == 78498 and plan.primes[-1] == 999983
 
@@ -628,7 +635,7 @@ def test_plan_twins_1e12_sqrt_end():
 def test_plan_at_ladder_top_keeps_floor_depth():
     # from LADDER_TOP on, a value that a deeper sieve strikes could be a
     # base-2 pseudoprime no certifier covers: B stays the floor rule's
-    top = search_mod.LADDER_TOP
+    top = LADDER_TOP
     c15, c17 = chain_pattern("first", 15), chain_pattern("first", 17)
     for chain, n, B in ((c15, top, 461), (c15, c15.max_value(3 * 10**20), 461),
                         (c17, c17.max_value(2759832934171386593519), 311)):
@@ -660,18 +667,8 @@ def test_plan_record_chains_cap_segments(length, x):
     # a wheel budgeted x_top // B_s left 4.5e8- and 1.38e10-byte segments here
     chain = chain_pattern("first", length)
     n = chain.max_value(x)
-    plan = search_mod._resolve_plan(SearchConfig(pattern=chain, n=n))
-    assert chain.x_max(n) // build_wheel(chain, plan.moduli).W <= search_mod.SEGMENT_MAX
-
-
-def test_wheel_moduli_caps_segments():
-    # twins at 2^48 sieve 2 x 1077871 rows a segment: the cost model alone
-    # stops at 17#, whose 5.5e8-byte segments SEGMENT_MAX does not allow
-    x_top = TWIN.x_max(2**48)
-    moduli = search_mod._wheel_moduli(TWIN, x_top, 2 * 1077871)
-    assert moduli == (2, 3, 5, 7, 11, 13, 17, 19, 23)
-    W = math.prod(moduli)
-    assert x_top // W <= search_mod.SEGMENT_MAX < x_top // (W // 23)
+    plan = _resolve(SearchConfig(pattern=chain, n=n))
+    assert chain.x_max(n) // build_wheel(chain, plan.moduli).W <= plan_mod.SEGMENT_MAX
 
 
 def _budget_wheel_plan(make_plan, pattern, n):
@@ -770,7 +767,7 @@ def test_record_semantics(cls, required, defaults):
 
 
 def test_plan_explicit_overrides_win():
-    plan_of = search_mod._resolve_plan
+    plan_of = _resolve
     chain = chain_pattern("first", 9)
     n = chain.max_value(2**20)  # the default plan cuts the sieve short of n^(1/3)
     assert plan_of(SearchConfig(pattern=chain, n=n)).B < 1 << int(math.log2(n) / 3)
@@ -786,7 +783,7 @@ def test_excluded_wheel_prime_same_output():
     # a wheel with 5 left out: 5 is sieved instead, and the output stays
     n = 10**5
     cfg = SearchConfig(pattern=QUAD, n=n, wheel=(2, 3, 7))
-    plan = search_mod._resolve_plan(cfg)
+    plan = _resolve(cfg)
     assert 5 in plan.sieve_primes(plan.moduli)
     base, skipped = run_striped(SearchConfig(pattern=QUAD, n=n)), run_striped(cfg)
     assert base.xs == skipped.xs
@@ -802,7 +799,7 @@ def test_bad_wheel_rejected_before_planning(wheel, monkeypatch):
     def no_plan(cfg):
         raise _Planned
 
-    monkeypatch.setattr(search_mod, "_resolve_plan", no_plan)
+    monkeypatch.setattr(plan_mod, "resolve_plan", no_plan)
     # n = 3 leaves no x in range, n = 1000 a run; neither gets to plan
     for n in (3, 1000):
         with pytest.raises(WheelError):
@@ -824,7 +821,7 @@ def test_explicit_sieve_bound_capped_at_isqrt(name, table_1e5):
     for n in (3, 10, 100, 1000, 5000):
         root = max(2, math.isqrt(n))
         deep = SearchConfig(pattern=pattern, n=n, sieve_bound=10**5)
-        plan = search_mod._resolve_plan(deep)
+        plan = _resolve(deep)
         assert plan.B == root
         assert plan.primes == tuple(primes_upto(root))
         res = run_striped(deep)
@@ -999,47 +996,9 @@ def test_mask_split_census_takes_none(pattern, n):
                 read.append(row[0])
                 yield row
 
-    L = pattern.x_max(n) // ctx.wheel.W + 1
-    masks, rows = search_mod._mask_split(pattern, Counted(ctx.table), L, ctx.wheel.residue_count())
+    masks, rows = plan_mod.mask_split(pattern, Counted(ctx.table), ctx.L, ctx.wheel.residue_count())
     # 476191-byte segments: the first rows would pay as masks, but not for
     # writing the segment out from its int; the scan stops at the first
     # row that does not pay
     assert masks == () and rows == ctx.table
     assert 0 < len(read) < 40 and read == [p for p, *_ in ctx.table[:len(read)]]
-
-
-def test_mask_split_pays_for_building_the_masks():
-    # the length-9 hunt's window (2^17, 2^19] is one segment of 13108
-    # bytes: its 14 rows would save less there than building their masks
-    chain = chain_pattern("first", 9)
-    ctx = search_mod.make_context(SearchConfig(pattern=chain.shifted(2**17 + 1),
-                                               n=chain.max_value(2**19)))
-    assert ctx.wheel.residue_count() == 1 and len(ctx.table) == 14 and ctx.masks == ()
-    # the same rows over ten such segments are masks
-    L = ctx.pattern.x_max(ctx.n) // ctx.wheel.W + 1
-    masks, rows = search_mod._mask_split(ctx.pattern, ctx.table, L, 10)
-    assert len(masks) == 14 and rows == ()
-
-
-def test_mask_split_length_15_target_within_budget(monkeypatch):
-    chain = chain_pattern("first", 15)
-    cfg = SearchConfig(pattern=chain, n=chain.max_value(90616211958465842219))
-
-    def mask_bytes(ctx):
-        L = chain.x_max(cfg.n) // ctx.wheel.W + 1
-        held = sum((M.bit_length() + 7) // 8 for _, _, M in ctx.masks)
-        assert held <= sum(search_mod.mask_bytes(p, L) for p, _, _ in ctx.masks)
-        return held
-
-    ctx = search_mod.make_context(cfg)
-    # 297835-byte segments on 41#: the small primes' rows are masks, the rest strides
-    assert ctx.masks and ctx.table
-    assert len(ctx.masks) + len(ctx.table) == len(ctx.plan.sieve_primes(ctx.wheel.moduli))
-    assert max(p for p, _, _ in ctx.masks) < min(row[0] for row in ctx.table)
-    assert mask_bytes(ctx) <= search_mod.SEGMENT_MAX
-    # a smaller budget binds, and the masks stay within it
-    monkeypatch.setattr(search_mod, "SEGMENT_MAX", 10**6)
-    small = search_mod.make_context(cfg)
-    assert 0 < len(small.masks) < len(ctx.masks)
-    assert mask_bytes(small) <= 10**6
-    assert small.masks == ctx.masks[:len(small.masks)]

@@ -5,8 +5,9 @@ import pytest
 
 from tuplesieve.apsieve import primes_upto
 from tuplesieve.pattern import chain_pattern, make_pattern
+from tuplesieve.plan import wheel_primes
 from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
-from tuplesieve.wheel import MODULUS_MAX, Wheel, WheelError, build_wheel, check_moduli, wheel_primes
+from tuplesieve.wheel import MODULUS_MAX, Wheel, WheelError, build_wheel, check_moduli
 
 from conftest import CORPUS
 
