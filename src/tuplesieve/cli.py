@@ -7,11 +7,12 @@ decimal, sorted by x unless --unsorted, to --out or else stdout
 (censuses list tuples only with --out or --unsorted).  --out streams
 the lines to the file as found and sorts it once the run completes; with
 --checkpoint, a resumed run cuts the file back to the length its
-checkpoint recorded and appends from there.  Then comes a
-`count=` summary; censuses add `sum=`.  Exit status is 0 on success, 2
-on configuration errors (a flag the subcommand cannot honour, or an --out
-or --checkpoint path it cannot write, found before the search), 3 when no
-certifier covers a value (`TableCapacityError`), 141 when stdout closes.
+checkpoint recorded, refusing a shorter file, and appends from there.
+Then comes a `count=` summary; censuses add `sum=`.  Exit status is 0
+on success, 2 on configuration errors (a flag the subcommand cannot
+honour, or an --out or --checkpoint path it cannot write, found before
+the search), 3 when no certifier covers a value (`TableCapacityError`),
+141 when stdout closes.
 """
 
 import argparse

@@ -12,21 +12,15 @@ import math
 from collections import namedtuple
 from itertools import chain, islice, repeat
 
-from .apsieve import (iter_primes, live_fractions, mask_bytes, mask_rows, primes_upto,
-                      root_bound, strikes)
+from .apsieve import iter_primes, mask_bytes, mask_rows, primes_upto, root_bound, strikes
 from .arith import WIDE_MAX
 from .pattern import acceptable_residues
-from .primality import LADDER_TOP
 
-__all__ = ["PlanError", "SievePlan", "make_plan", "mask_split", "resolve_plan", "wheel_primes"]
+__all__ = ["PlanError", "SievePlan", "make_plan", "mask_split", "resolve_plan"]
 
-# budget for the plan's prime tables below LADDER_TOP: the cost walk
-# lists no prime past it, so sieving to sqrt(n) needs isqrt(n) <= it
+# budget for the plan's prime tables: the cost walk lists no prime past
+# it, so sieving to sqrt(n) needs isqrt(n) <= it
 SQRT_BOUND_MAX = 2**24
-# for n >= LADDER_TOP only: the predicted share of live segment bytes at
-# which sieving stops.  A shallower depth there could leave a value that
-# a deeper sieve strikes and no certifier covers, so cost is not asked
-LIVE_FLOOR = 1 / 4096
 # the longest segment the wheel choice allows, in bytes; also the most
 # bytes a run's masks may hold (`mask_split`)
 SEGMENT_MAX = 1 << 22
@@ -80,31 +74,17 @@ def make_plan(B: int, moduli, primes=None) -> SievePlan:
                      primes=tuple(primes_upto(B) if primes is None else primes))
 
 
-def wheel_primes(limit: int) -> list:
-    """Primes 2, 3, 5, ... in order, taken while their product stays <= limit."""
-    primes = []
-    w = 1
-    # a prime above limit never fits the product
-    for p in iter_primes(limit):
-        if w * p > limit:
-            break
-        primes.append(p)
-        w *= p
-    return primes
-
-
 def resolve_plan(cfg) -> tuple:
     """(B, the wheel's primes, the primes up to B) for the run: B is the
     one depth its segments are sieved to.
 
     The config's sieve_bound, capped at max(2, isqrt(n)), or
-    2^floor(log2(n)/space_exp), is taken literally as B.  Else B comes
-    from `_cost_depth` below LADDER_TOP, with the wheel unless the
-    config's wheel fixes it, and from `_floor_depth` at or above it.
-    Otherwise the wheel is the config's or `_wheel_moduli`'s choice for
-    x_top = `pattern.x_max(n)`, the largest x in range.  The primes the
-    planner reads are the plan's, so they are listed once.  Raises
-    PlanError for space_exp <= 2 or B < 2.
+    2^floor(log2(n)/space_exp), is taken literally as B.  Else
+    `_cost_depth` chooses B, at every n, and the wheel unless the
+    config's wheel fixes it.  Otherwise the wheel is the config's or
+    `_wheel_moduli`'s choice for x_top = `pattern.x_max(n)`, the largest
+    x in range.  The primes the planner reads are the plan's, so they
+    are listed once.  Raises PlanError for space_exp <= 2 or B < 2.
     """
     pattern, n = cfg.pattern, cfg.n
     x_top = pattern.x_max(n)
@@ -116,10 +96,8 @@ def resolve_plan(cfg) -> tuple:
         if not cfg.space_exp > 2:
             raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
         B = 1 << int(math.log2(n) / cfg.space_exp)
-    elif n < LADDER_TOP:
-        B, primes, moduli = _cost_depth(cfg, x_top)
     else:
-        B, primes = _floor_depth(cfg, x_top)
+        B, primes, moduli = _cost_depth(cfg, x_top)
     if B < 2:
         raise PlanError(f"sieve bound B={B} below 2")
     if primes is None:
@@ -129,31 +107,12 @@ def resolve_plan(cfg) -> tuple:
     return B, moduli, primes
 
 
-def _floor_depth(cfg, x_top):
-    """B and the primes up to it for n >= LADDER_TOP, where a shallower
-    B could leave a value no certifier covers: the first sieve prime up
-    to 2^floor(log2(n)/3) where the predicted live share reaches
-    LIVE_FLOOR, else that bound, past the config's wheel primes or else
-    those of a reference wheel budgeted x_top // 2^floor(log2(n)/3)."""
-    space = 1 << int(math.log2(cfg.n) / 3)
-    skip = set(cfg.wheel or wheel_primes(max(2, x_top // space)))
-    listed = []
-
-    def sieve_primes():
-        for p in iter_primes(space):
-            listed.append(p)
-            if p not in skip:
-                yield p
-
-    live = live_fractions(cfg.pattern, sieve_primes())
-    B = next((p for p, frac in live if frac <= LIVE_FLOOR), None)
-    return B or space, listed
-
-
 def _cost_depth(cfg, x_top):
-    """(B, the primes up to B, the wheel's primes) by predicted cost, for
-    n < LADDER_TOP, where every depth gives the same verdicts (the
-    README's planner paragraph gives the model).  The walk stops at the
+    """(B, the primes up to B, the wheel's primes) by predicted cost (the
+    README's planner paragraph gives the model).  Below LADDER_TOP every
+    depth gives the same verdicts; at or above it a depth decides only
+    whether a value that passes every base of the ladder's top rung, and
+    so raises in `is_prime`, is struck first.  The walk stops at the
     first sieve prime whose rows, ROW_NS each, cost more than the strong
     tests spared the survivors it strikes, per segment of x_top // W
     bytes; B is the prime before it.  The sqrt end wins if its rows cost

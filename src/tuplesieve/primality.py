@@ -82,9 +82,9 @@ def is_prime(N: int, known_trial_bound: int = 1) -> bool:
     guaranteed (1 when nothing is known); the caller's claim is trusted.
     An odd N below (b+1)^2 with no prime factor <= b is prime.  Any
     other odd N is decided by the first ladder rung whose bound exceeds
-    it.  At or above LADDER_TOP no rung does: a failed base-2 strong
-    test still proves N composite, and a pass raises TableCapacityError
-    rather than a guess.
+    it.  At or above LADDER_TOP no rung does: the top rung's bases still
+    run, any that fails proves N composite, and a pass of all 13 raises
+    TableCapacityError rather than a guess.
     """
     if N < 2:
         return False
@@ -98,8 +98,8 @@ def is_prime(N: int, known_trial_bound: int = 1) -> bool:
     for bound, bases in _MR_LADDER:
         if N < bound:
             return all(_strong_test(N, base, d, s) for base in bases)
-    if not _strong_test(N, 2, d, s):
-        return False  # proves N composite at any size
+    if not all(_strong_test(N, base, d, s) for base in bases):
+        return False  # the top rung's bases: one that fails proves N composite
     raise TableCapacityError(
         f"N={N} >= LADDER_TOP={LADDER_TOP}, past every proven strong-test base set, "
         f"and its trial bound b={b} has (b+1)^2 <= N; sieve to a bound b with (b+1)^2 > N"

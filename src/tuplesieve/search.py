@@ -374,7 +374,8 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     lines to, if any: each checkpoint records its length (`tell()`).
     Before it emits anything, a resumed run truncates the file back to
     that length and a fresh run empties it, so a killed run's output
-    resumes without loss.
+    resumes without loss.  A file shorter than that length is not the
+    run's: CheckpointError.
     """
     if not admissible(cfg.pattern):
         raise ValueError(f"pattern {format_pattern(cfg.pattern)} is not admissible")
@@ -405,6 +406,10 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     if resumed:
         position, count, units, written = _read_checkpoint(checkpoint_path, digest, last)
     if output is not None:
+        size = output.seek(0, os.SEEK_END)
+        if size < written:  # truncate would pad it with NUL bytes
+            raise CheckpointError(f"output file holds {size} bytes, "
+                                  f"fewer than the {written} its checkpoint recorded")
         output.truncate(written)
 
     # tuples containing a prime <= cut are found by the boundary window

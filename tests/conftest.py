@@ -1,6 +1,7 @@
 """Shared brute-force oracles: a plain byte sieve and a scan-everything
 pattern search, kept independent of the package internals on purpose,
-and a boundary-window scan that tests each value with `is_prime`."""
+a boundary-window scan that tests each value with `is_prime`, and the
+prime-prefix wheels the wheel tests build."""
 
 import math
 
@@ -44,6 +45,18 @@ def boundary_scan(pattern, cut, n) -> list:
             out.append(x)
         x += 1
     return out
+
+
+def wheel_primes(limit: int) -> list:
+    """Primes 2, 3, 5, ... in order, taken while their product stays <= limit."""
+    primes, w, p = [], 1, 2
+    while w * p <= limit:
+        primes.append(p)
+        w *= p
+        p += 1
+        while any(p % q == 0 for q in primes):  # every prime below p is listed
+            p += 1
+    return primes
 
 
 # the pattern corpus exercised by oracle-equivalence tests

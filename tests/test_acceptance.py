@@ -16,12 +16,11 @@ from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN, quads, twins
 from tuplesieve.apsieve import sieve_segment, start_table, survivors
 from tuplesieve.cli import main
 from tuplesieve.pattern import chain_pattern, make_pattern
-from tuplesieve.plan import wheel_primes
 from tuplesieve.primality import _MR_LADDER, LADDER_TOP, TableCapacityError, is_prime, sprp_base2
 from tuplesieve.search import SearchConfig, find_pattern_primes, run_striped, smallest_chain
 from tuplesieve.wheel import build_wheel
 
-from conftest import CORPUS, naive_pattern_xs, sieve_table
+from conftest import CORPUS, naive_pattern_xs, sieve_table, wheel_primes
 
 
 def report(num, name, t0, detail=""):

@@ -315,6 +315,18 @@ def test_out_resume_cuts_file_to_checkpoint(tmp_path, capsys):
     assert dest.read_text() == want
 
 
+def test_resume_refuses_a_shorter_out_file(tmp_path, capsys):
+    # truncating a file up to the checkpoint's length would pad it with NUL bytes
+    ck = tmp_path / "run.ckpt"
+    args = ["search", "--pattern", "x,x+2,x+6,x+8", "--n", "1000000", "--checkpoint", str(ck)]
+    assert run_cli(capsys, *args, "--out", str(tmp_path / "a.txt"))[0] == 0
+    size = (tmp_path / "a.txt").stat().st_size
+    rc, out, err = run_cli(capsys, *args, "--out", str(tmp_path / "b.txt"))
+    assert (rc, out) == (2, "")
+    assert err == f"error: output file holds 0 bytes, fewer than the {size} its checkpoint recorded\n"
+    assert b"\0" not in (tmp_path / "b.txt").read_bytes()
+
+
 def test_chains_rejects_bad_space_exp(capsys):
     rc, _, err = run_cli(
         capsys, "chains", "--kind", "second", "--length", "2", "--cap", "100",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import mr
 
 from tuplesieve import primality
 from tuplesieve.primality import (
@@ -195,6 +196,45 @@ def test_is_prime_refuses_the_top_ladder_bound():
     assert sprp_base2(LADDER_TOP) and not sympy.isprime(LADDER_TOP)
     with pytest.raises(TableCapacityError):
         is_prime(LADDER_TOP)
+
+
+TOP_BASES = _MR_LADDER[-1][1]
+
+
+# 2^e - 1 for a prime e is a base-2 strong pseudoprime when composite;
+# past the top a later base of the top rung proves these composite
+@pytest.mark.parametrize("e", [83, 97, 101, 103, 109, 113])
+def test_is_prime_top_rung_proves_mersenne_composites(e):
+    N = 2**e - 1
+    assert sprp_base2(N) and not sympy.isprime(N)
+    assert is_prime(N) is False
+
+
+@pytest.mark.parametrize("N", [2**107 - 1, 2**127 - 1, LADDER_TOP],
+                         ids=["M107", "M127", "LADDER_TOP"])
+def test_is_prime_raises_past_the_top_on_all_13_bases(N):
+    # primes, and the top bound itself, pass every base of the top rung
+    assert mr(N, TOP_BASES)
+    with pytest.raises(TableCapacityError):
+        is_prime(N)
+
+
+def test_is_prime_past_the_top_matches_sympy():
+    # random odd N in [LADDER_TOP, 2^127): never True, and False for every
+    # composite that is not a strong pseudoprime to all 13 top-rung bases
+    rng = random.Random(127)
+    values = [rng.randrange(LADDER_TOP, 2**127) | 1 for _ in range(300)]
+    values += [int(sympy.nextprime(rng.randrange(LADDER_TOP, 2**126))) for _ in range(10)]
+    raised = 0
+    for N in values:
+        try:
+            verdict = is_prime(N)
+        except TableCapacityError:
+            raised += 1
+            assert mr(N, TOP_BASES)
+            continue
+        assert verdict is False and not sympy.isprime(N)
+    assert raised >= 10
 
 
 def test_entries_reject_values_past_the_width():

@@ -3,6 +3,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,8 +24,8 @@ from tuplesieve.pattern import (
     make_pattern,
     parse_pattern,
 )
-from tuplesieve.plan import PlanError, SievePlan, make_plan, wheel_primes
-from tuplesieve.primality import LADDER_TOP
+from tuplesieve.plan import PlanError, SievePlan, make_plan
+from tuplesieve.primality import LADDER_TOP, TableCapacityError
 from tuplesieve.wheel import WheelError, build_wheel
 from tuplesieve.search import (
     CheckpointError,
@@ -36,7 +37,7 @@ from tuplesieve.search import (
     smallest_chain,
 )
 
-from conftest import CORPUS, boundary_scan, naive_pattern_xs, sieve_table
+from conftest import CORPUS, boundary_scan, naive_pattern_xs, sieve_table, wheel_primes
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
@@ -491,18 +492,6 @@ def _cost_depth(pattern, n, moduli, limit=2**12):
     raise AssertionError(f"no stop up to {limit}")
 
 
-def _floor_depth(pattern, n, moduli=None):
-    """The depth above LADDER_TOP: the first prime up to 2^floor(log2(n)/3),
-    the wheel's primes `moduli` or else those of a reference wheel
-    budgeted x_top // 2^floor(log2(n)/3) left out, where the predicted
-    live share is at most LIVE_FLOOR."""
-    space = 1 << int(math.log2(n) / 3)
-    moduli = moduli or wheel_primes(pattern.x_max(n) // space)
-    primes = [p for p in primes_upto(2**12) if p not in moduli]
-    return next(p for p, frac in live_fractions(pattern, primes)
-                if frac <= plan_mod.LIVE_FLOOR)
-
-
 def test_plan_chain_window_depth_cut(monkeypatch):
     import tuplesieve.apsieve as apsieve
 
@@ -632,21 +621,38 @@ def test_plan_twins_1e12_sqrt_end():
     assert len(plan.primes) == 78498 and plan.primes[-1] == 999983
 
 
-def test_plan_at_ladder_top_keeps_floor_depth():
-    # from LADDER_TOP on, a value that a deeper sieve strikes could be a
-    # base-2 pseudoprime no certifier covers: B stays the floor rule's
+def test_plan_past_ladder_top_uses_cost_depth():
+    # from LADDER_TOP on the cost rule still sets B: a value it leaves to
+    # the tests is proven composite by a failing base of the top rung, or
+    # raises if it passes all 13
     top = LADDER_TOP
     c15, c17 = chain_pattern("first", 15), chain_pattern("first", 17)
-    for chain, n, B in ((c15, top, 461), (c15, c15.max_value(3 * 10**20), 461),
-                        (c17, c17.max_value(2759832934171386593519), 311)):
-        assert _plan(chain, n).B == _floor_depth(chain, n) == B
-    # a given wheel's primes are the ones the floor rule leaves out
     paper = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47)
-    for wheel, B in (((2, 3, 5, 7), 29), (paper, 929)):
-        assert _plan(c15, top, wheel=wheel).B == _floor_depth(c15, top, wheel) == B
-    # one below it, the cost rule sieves deeper here
-    below = _plan(c15, top - 1)
-    assert below.B == _cost_depth(c15, top - 1, below.moduli) == 1447
+    for chain, n, depths in ((c15, top, (1447, 467)),
+                             (c15, c15.max_value(3 * 10**20), (1627, 523)),
+                             (c17, top, (659, 263)),
+                             (c17, c17.max_value(2759832934171386593519), (811, 769))):
+        for wheel, B in zip((None, paper), depths):
+            plan = _plan(chain, n, wheel=wheel)
+            assert plan.B == _cost_depth(chain, n, plan.moduli) == B
+    # one below the top, the same rule gives the same depth
+    assert _plan(c15, top - 1).B == 1447
+
+    def window(pattern, n, **kw):
+        return run_striped(SearchConfig(pattern=parse_pattern(pattern), n=n, **kw))
+
+    # 2^83 - 1 is a base-2 strong pseudoprime whose least factor is 167:
+    # left by B = 2 and 100, struck by B = 200, count=0 at each depth
+    m83 = 2**83 - 1
+    for kw in ({}, {"sieve_bound": 100}, {"sieve_bound": 200}):
+        assert window(f"x+{m83}", m83, **kw).count == 0
+    # 101 values just past the top (the floor rule took 15 s and 1.4 GB)
+    start = time.perf_counter()
+    assert window("x+3317044064679887385962000", 3317044064679887385962100).count == 0
+    assert time.perf_counter() - start < 1
+    # at x = 0 the value is the top itself, a pseudoprime to all 13 bases
+    with pytest.raises(TableCapacityError):
+        window(f"x+{top}", top + 219)
 
 
 @settings(max_examples=40, deadline=None,

@@ -5,11 +5,10 @@ import pytest
 
 from tuplesieve.apsieve import primes_upto
 from tuplesieve.pattern import chain_pattern, make_pattern
-from tuplesieve.plan import wheel_primes
 from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
 from tuplesieve.wheel import MODULUS_MAX, Wheel, WheelError, build_wheel, check_moduli
 
-from conftest import CORPUS
+from conftest import CORPUS, wheel_primes
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
@@ -23,18 +22,6 @@ def test_quadruplet_wheel_210():
     assert w.moduli == (2, 3, 5, 7)
     assert w.residue_count() == 3
     assert set(w) == {11, 101, 191}
-
-
-def test_wheel_primes_are_the_built_moduli():
-    assert wheel_primes(209) == [2, 3, 5]
-    assert wheel_primes(210) == [2, 3, 5, 7]
-    assert wheel_primes(1) == []
-    # the primes in order while their product fits the limit
-    for limit in (30, 10**6, 2 * 10**16):
-        moduli = wheel_primes(limit)
-        assert moduli == primes_upto(moduli[-1])
-        assert math.prod(moduli) <= limit < math.prod(primes_upto(2 * moduli[-1])[:len(moduli) + 1])
-        assert build_wheel(QUAD, moduli).moduli == tuple(moduli)
 
 
 def test_check_moduli_sorts_and_rejects():
