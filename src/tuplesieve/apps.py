@@ -4,17 +4,17 @@ the twin and quadruplet censuses, and Cunningham chain listings.
 Each census convention lives here and nowhere else: twin pairs count
 p < X on the smaller element, quadruplets count tuples whose largest
 member is below X.  `search`, `twins`, `quads` and `chain_search` take
-the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel,
-checkpoint_interval) and the run options (checkpoint_path, on_tuple,
-progress, keep_xs, output) as keywords.  wheel, if given, is the
-wheel's primes, e.g. (2, 3, 5, 7).  nu is the number of processes a
-run may use, at most the CPUs the process may run on (its affinity set
-where the OS keeps one, else the CPU count): the parent forks one child
-per range of wheel positions after the first (see
-`search.run_striped`).
+the `SearchConfig` fields (nu, sieve_bound, space_exp, wheel) and the
+run options (checkpoint_path, on_tuple, progress, keep_xs, output) as
+keywords.  wheel, if given, is the wheel's primes, e.g. (2, 3, 5, 7).
+nu is the number of processes a run may use, at most the CPUs the
+process may run on (its affinity set where the OS keeps one, else the
+CPU count): the parent forks one child per range of wheel positions
+after the first (see `search.run_striped`).  checkpoint_path names a
+file written after every round, from which a killed run resumes.
 keep_xs=False keeps no list of x values (the result's `.xs` is None);
 `twins` and `quads` always pass it, since a census reports only the
-count and the reciprocal sum.
+count and the reciprocal sum, and so do the command line's listings.
 `smallest_chain` takes the same, except checkpoint_path: it runs one
 search per window of x, the windows disjoint and each four times wider
 than the last, every one the pattern translated to the window's first

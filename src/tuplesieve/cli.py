@@ -4,15 +4,16 @@ Subcommands: search (generic pattern search), twins, quads, chains.
 Each hands every flag to `apps` through `_config_kw` and writes tuples
 through the one sink in `_run`: one line per tuple, `x f_1 ... f_k` in
 decimal, sorted by x unless --unsorted, to --out or else stdout
-(censuses list tuples only with --out or --unsorted).  --out streams
-the lines to the file as found and sorts it once the run completes; with
---checkpoint, a resumed run cuts the file back to the length its
-checkpoint recorded, refusing a shorter file, and appends from there.
-Then comes a `count=` summary; censuses add `sum=`.  Exit status is 0
-on success, 2 on configuration errors (a flag the subcommand cannot
-honour, or an --out or --checkpoint path it cannot write, found before
-the search), 3 when no certifier covers a value (`TableCapacityError`),
-141 when stdout closes.
+(censuses list tuples only with --out or --unsorted).  No run keeps a
+list of x values: the lines are the listing.  --out streams the lines
+to the file as found and sorts it once the run completes.  --checkpoint
+writes its file after every round; a resumed run cuts the --out file
+back to the length its checkpoint recorded, refusing a shorter file,
+and appends from there.  Then comes a `count=` summary; censuses add
+`sum=`.  Exit status is 0 on success, 2 on configuration errors (a flag
+the subcommand cannot honour, or an --out or --checkpoint path it
+cannot write, found before the search), 3 when no certifier covers a
+value (`TableCapacityError`), 141 when stdout closes.
 """
 
 import argparse
@@ -50,9 +51,8 @@ def _add_search_options(p, with_pattern=True):
                         "2^22 bytes)")
     p.add_argument("--workers", type=int, default=1, metavar="NU",
                    help="sieve the residues in NU processes (at most the CPU count)")
-    p.add_argument("--checkpoint", metavar="FILE", help="write (and resume from) this checkpoint file")
-    p.add_argument("--checkpoint-interval", type=float, metavar="SEC",
-                   help="seconds between checkpoint writes (default 900; needs --checkpoint)")
+    p.add_argument("--checkpoint", metavar="FILE",
+                   help="write this checkpoint file after every round, and resume from it")
     p.add_argument("--unsorted", action="store_true",
                    help="stream tuples in discovery order instead of sorting")
     p.add_argument("--out", metavar="FILE", help="write tuple lines here instead of stdout")
@@ -68,10 +68,6 @@ def _config_kw(args):
     )
     if args.checkpoint is not None:
         kw["checkpoint_path"] = args.checkpoint
-        if args.checkpoint_interval is not None:
-            kw["checkpoint_interval"] = args.checkpoint_interval
-    elif args.checkpoint_interval is not None:
-        raise ValueError("--checkpoint-interval needs --checkpoint")
     return kw
 
 
@@ -117,7 +113,7 @@ def _run(args, fn, *a, listing=True, **kw):
 
 
 def _cmd_search(args):
-    res = _run(args, search, parse_pattern(args.pattern), args.n)
+    res = _run(args, search, parse_pattern(args.pattern), args.n, keep_xs=False)
     print(f"count={res.count}")
     return 0
 
@@ -135,7 +131,8 @@ def _cmd_chains(args):
         def progress(done):
             print(f"progress: {done} residues", file=sys.stderr)
     if not args.smallest:
-        res = _run(args, chain_search, args.kind, args.length, args.cap, progress=progress)
+        res = _run(args, chain_search, args.kind, args.length, args.cap, progress=progress,
+                   keep_xs=False)
         print(f"count={res.count}")
         return 0
     if args.checkpoint is not None:

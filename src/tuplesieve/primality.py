@@ -101,8 +101,8 @@ def is_prime(N: int, known_trial_bound: int = 1) -> bool:
     if not all(_strong_test(N, base, d, s) for base in bases):
         return False  # the top rung's bases: one that fails proves N composite
     raise TableCapacityError(
-        f"N={N} >= LADDER_TOP={LADDER_TOP}, past every proven strong-test base set, "
-        f"and its trial bound b={b} has (b+1)^2 <= N; sieve to a bound b with (b+1)^2 > N"
+        f"N={N} passed all {len(bases)} bases of the top rung ({bases[0]}..{bases[-1]}), "
+        f"and no proven certifier here covers N >= LADDER_TOP={LADDER_TOP}"
     )
 
 

@@ -31,19 +31,19 @@ rounds of contiguous ranges, one per process, at most nu and at most
 the CPUs the process may run on (`_cpu_limit`).  The parent forks a
 child per range after the first (`os.fork`, one pipe each, partials
 sent by `marshal`), runs the first range itself, reads the children's
-partials in position order and reaps every child; only then does it
-fire on_tuple, report progress and write a checkpoint.  Rounds are cut
-from the config and the start position alone, so every count is
+partials in position order and reaps every child.  The end of a round
+is the run's one commit point: the parent merges the partials, fires
+on_tuple, writes the checkpoint and then reports progress.  Rounds are
+cut from the config and the start position alone, so every count is
 repeatable.  A checkpoint stores the next position, the sieve path's
 count and sum units, and how many bytes of tuple lines the caller had
-written.
+written; a run killed at any point resumes from its last round's end.
 """
 
 import marshal
 import math
 import os
 import sys
-import time
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import compress
@@ -79,8 +79,8 @@ class CheckpointError(RuntimeError):
 
 SearchConfig = namedtuple(
     "SearchConfig",
-    "pattern n nu sieve_bound space_exp wheel checkpoint_interval",
-    defaults=(1, None, None, None, 900.0),
+    "pattern n nu sieve_bound space_exp wheel",
+    defaults=(1, None, None, None),
 )
 
 # xs: x values found this run, sorted; None unless kept
@@ -88,7 +88,7 @@ SearchConfig = namedtuple(
 # recip_sum: sum of 1/f_i over all counted tuples, correctly rounded
 SearchResult = namedtuple(
     "SearchResult",
-    "xs count recip_sum boundary_count completed resumed",
+    "xs count recip_sum boundary_count resumed",
     defaults=(False,),
 )
 
@@ -96,7 +96,8 @@ SearchResult = namedtuple(
 # residues between two progress reports; rounds end at its multiples
 PROGRESS_EVERY = 10000
 # segment bytes one process sieves in a round: rounds that long make a
-# fork cost little, and bound the x values a round holds before merging
+# fork and a checkpoint write cost little, and bound the x values a
+# round holds before merging and the work a kill loses
 ROUND_BYTES = 1 << 24
 # segment bytes read out and accounted at a time, which bounds the
 # survivor and term lists
@@ -356,17 +357,15 @@ def _run_round(ctx, lo, hi, procs, keep) -> list:
 
 
 def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
-                stop_after_residues=None, progress=None, keep_xs=True,
-                output=None) -> SearchResult:
+                progress=None, keep_xs=True, output=None) -> SearchResult:
     """Run the full search, optionally resuming from a checkpoint file.
 
     on_tuple(x, values) fires in emission order: boundary tuples first,
     then sieve-path tuples by residue position, ascending within one.  A
     resumed run fires only for the positions past the checkpoint: the
-    run that wrote it fired the boundary tuples.  progress(done) fires
-    every PROGRESS_EVERY residues.  stop_after_residues ends the run
-    once the walk has passed that many residues, after writing a
-    checkpoint (deterministic stand-in for being killed mid-flight).
+    run that wrote it fired the boundary tuples.  Every round ends with
+    its tuples' on_tuple calls, then a checkpoint write, then
+    progress(done) when done is a multiple of PROGRESS_EVERY.
     With keep_xs=False the run keeps no list of x values and the
     result's xs is None: a census needs only the count and the sum.
 
@@ -390,7 +389,7 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     if pattern.x_max(n) < pattern.min_x():
         # no x has every value in [2, n], so nothing can be prime
         return SearchResult(xs=[] if keep_xs else None, count=0, recip_sum=0.0,
-                            boundary_count=0, completed=True)
+                            boundary_count=0)
 
     ctx = make_context(cfg)
     last = ctx.wheel.residue_count()
@@ -424,13 +423,9 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     procs = min(cfg.nu, _cpu_limit())
     per_proc = max(1, ROUND_BYTES // ctx.L)
     keep = keep_xs or on_tuple is not None
-    last_checkpoint = time.monotonic()
-    completed = True
     while position < last:
         end = min(last, position + procs * per_proc,
                   (position // PROGRESS_EVERY + 1) * PROGRESS_EVERY)
-        if stop_after_residues is not None:
-            end = min(end, max(stop_after_residues, position + 1))
         for part_count, part_units, xs in _run_round(ctx, position, end, procs, keep):
             count += part_count
             units += part_units
@@ -440,19 +435,10 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
                 for x in xs:
                     on_tuple(x, pattern.evaluate(x))
         position = end
+        if checkpoint_path is not None:
+            _write_checkpoint(checkpoint_path, digest, position, count, units, output)
         if progress and position % PROGRESS_EVERY == 0:
             progress(position)
-        if stop_after_residues is not None and stop_after_residues <= position < last:
-            completed = False
-            break
-        if checkpoint_path is not None:
-            now = time.monotonic()
-            if now - last_checkpoint >= cfg.checkpoint_interval:
-                _write_checkpoint(checkpoint_path, digest, position, count, units, output)
-                last_checkpoint = now
-
-    if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, digest, position, count, units, output)
 
     KahanBuckets(units).fold_into(total)
     return SearchResult(
@@ -460,7 +446,6 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
         count=len(boundary) + count,
         recip_sum=total.value(),
         boundary_count=len(boundary),
-        completed=completed,
         resumed=resumed,
     )
 

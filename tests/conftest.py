@@ -1,12 +1,14 @@
 """Shared brute-force oracles: a plain byte sieve and a scan-everything
 pattern search, kept independent of the package internals on purpose,
 a boundary-window scan that tests each value with `is_prime`, and the
-prime-prefix wheels the wheel tests build."""
+prime-prefix wheels the wheel tests build.  Also `run_interrupted`,
+which stops a checkpointed run the way ^C does, after a given round."""
 
 import math
 
 import pytest
 
+import tuplesieve.search as search_mod
 from tuplesieve.primality import is_prime
 
 
@@ -57,6 +59,45 @@ def wheel_primes(limit: int) -> list:
         while any(p % q == 0 for q in primes):  # every prime below p is listed
             p += 1
     return primes
+
+
+def run_interrupted(cfg, rounds, checkpoint_path, *, on_tuple=None, mid_round=False, **kw):
+    """Run `run_striped(cfg, checkpoint_path, ...)` in rounds of one
+    residue per process, and end it with KeyboardInterrupt as round
+    rounds + 1 starts, before it sieves anything.  With mid_round, the
+    interrupt comes instead from the first on_tuple call after round
+    `rounds`, once on_tuple has run: lines written past the last
+    checkpoint, as a kill in mid-round leaves them.  Returns the x
+    values the run emitted, in order."""
+    emitted, started = [], 0
+    real_round = search_mod._run_round
+
+    def run_round(*args):
+        nonlocal started
+        started += 1
+        if started > rounds and not mid_round:
+            raise KeyboardInterrupt
+        return real_round(*args)
+
+    def emit(x, vals):
+        emitted.append(x)
+        if on_tuple is not None:
+            on_tuple(x, vals)
+        if started > rounds:
+            raise KeyboardInterrupt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "ROUND_BYTES", 1)
+        mp.setattr(search_mod, "_run_round", run_round)
+        with pytest.raises(KeyboardInterrupt):
+            search_mod.run_striped(cfg, checkpoint_path=str(checkpoint_path), on_tuple=emit, **kw)
+    return emitted
+
+
+def checkpoint_position(path) -> int:
+    """The next wheel position a checkpoint file records."""
+    fields = dict(line.split(" ", 1) for line in open(path).read().splitlines()[1:])
+    return int(fields["position"])
 
 
 # the pattern corpus exercised by oracle-equivalence tests

@@ -12,6 +12,7 @@ import time
 import pytest
 import sympy
 
+import tuplesieve.search as search_mod
 from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN, quads, twins
 from tuplesieve.apsieve import sieve_segment, start_table, survivors
 from tuplesieve.cli import main
@@ -20,7 +21,14 @@ from tuplesieve.primality import _MR_LADDER, LADDER_TOP, TableCapacityError, is_
 from tuplesieve.search import SearchConfig, find_pattern_primes, run_striped, smallest_chain
 from tuplesieve.wheel import build_wheel
 
-from conftest import CORPUS, naive_pattern_xs, sieve_table, wheel_primes
+from conftest import (
+    CORPUS,
+    checkpoint_position,
+    naive_pattern_xs,
+    run_interrupted,
+    sieve_table,
+    wheel_primes,
+)
 
 
 def report(num, name, t0, detail=""):
@@ -124,21 +132,23 @@ def test_criterion_5_configuration_invariance():
            f"{baseline.count} quadruplets at n=10^8 across B=sqrt(n)/c=3, nu=1/4")
 
 
-def test_criterion_6_checkpoint_determinism(tmp_path):
+def test_criterion_6_checkpoint_determinism(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     n = 10**8
-    # W = 30030 leaves 189 residues, so stopping after 90 interrupts the run
+    # W = 30030 leaves 189 residues: 22 rounds of one residue in each of four
+    # processes interrupt the run at position 88
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 4)
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=4, space_exp=3.0, wheel=(2, 3, 5, 7, 11, 13))
     uninterrupted = run_striped(cfg)
 
     ck = tmp_path / "quad.ckpt"
-    killed = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=90)
-    assert not killed.completed
+    killed = run_interrupted(cfg, 22, ck)
+    assert checkpoint_position(ck) == 88
     restored = run_striped(cfg, checkpoint_path=str(ck))
-    assert restored.resumed and restored.completed
+    assert restored.resumed
     assert restored.count == uninterrupted.count
     assert restored.recip_sum.hex() == uninterrupted.recip_sum.hex()
-    assert sorted(set(killed.xs) | set(restored.xs)) == uninterrupted.xs
+    assert sorted(killed + restored.xs[restored.boundary_count:]) == uninterrupted.xs
     report(6, "checkpoint determinism", t0,
            f"count={restored.count}, sum bit-identical after kill/restore")
 

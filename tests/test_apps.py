@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuplesieve.kahan as kahan_mod
+import tuplesieve.search as search_mod
 from tuplesieve.apps import QUAD_PATTERN, chain_search, quads, twins
 from tuplesieve.arith import WIDE_MAX
 from tuplesieve.kahan import UNIT_EXP, KahanBuckets
 from tuplesieve.search import SearchConfig, run_striped
 
-from conftest import sieve_table
+from conftest import run_interrupted, sieve_table
 
 # terms where float(v) rounds (2**53 + 1), 1/v sits at the width cap, or
 # 1/v has a full significand down to the smallest unit (3 * 2**125)
@@ -197,19 +198,23 @@ def test_fold_into_equals_one_sum():
     assert total.value().hex() == whole.value().hex()
 
 
-def test_checkpoint_sum_round_trips(tmp_path):
+def test_checkpoint_sum_round_trips(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
     ck = tmp_path / "run.ckpt"
-    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**6, nu=3)
-    part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
+    # W = 2310 leaves 21 residues; the default plan's W = 30 would leave one
+    cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**6, nu=3, wheel=(2, 3, 5, 7, 11))
+    full = run_striped(cfg)
+    killed = run_interrupted(cfg, 3, ck)
     fields = dict(line.split(" ", 1) for line in ck.read_text().splitlines()[1:])
-    # sieve-path tuples sort after the boundary ones
-    sieve_xs = part.xs[part.boundary_count :]
+    assert fields["position"] == "9"
+    # the boundary tuples are emitted first
+    sieve_xs = killed[full.boundary_count :]
     assert sieve_xs
     want = math.fsum(1.0 / (x + d) for x in sieve_xs for d in (0, 2, 6, 8))
     assert KahanBuckets(int(fields["sum"])).value().hex() == want.hex()
-    assert fields["count"] == str(part.count - part.boundary_count) == str(len(sieve_xs))
+    assert fields["count"] == str(len(sieve_xs))
     resumed = run_striped(cfg, checkpoint_path=str(ck))
-    assert resumed.recip_sum.hex() == run_striped(cfg).recip_sum.hex()
+    assert resumed.recip_sum.hex() == full.recip_sum.hex()
 
 
 def test_twins_sum_is_fsum_for_every_worker_count(table_1e6):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import tuplesieve.apps as apps_mod
 from tuplesieve.cli import _config_kw, build_parser, main
 
 
@@ -358,12 +359,34 @@ def test_chains_smallest_honours_out_and_workers(tmp_path, capsys):
     assert rc == 2 and "worker count" in err
 
 
-def test_checkpoint_interval_needs_checkpoint(capsys):
-    rc, out, err = run_cli(
-        capsys, "search", "--pattern", "x,x+2", "--n", "100", "--checkpoint-interval", "5"
-    )
-    assert rc == 2 and out == ""
-    assert "--checkpoint-interval needs --checkpoint" in err
+@pytest.mark.parametrize("argv, count", [
+    (["search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000"], 38),
+    (["search", "--pattern", "x,x+2,x+6,x+8", "--n", "100000", "--unsorted", "--workers", "2"], 38),
+    (["chains", "--kind", "second", "--length", "2", "--cap", "1000"], 35),
+], ids=["search", "search-unsorted", "chains"])
+@pytest.mark.parametrize("out_file", [False, True], ids=["stdout", "out"])
+def test_listings_keep_no_x_list(tmp_path, capsys, monkeypatch, argv, count, out_file):
+    # the CLI reads only the count: the lines are written as found, so a run
+    # that keeps every x for its result lists the same lines
+    seen, real = [], apps_mod.run_striped
+
+    def recording(cfg, keep_xs=True, **kw):
+        seen.append(keep_xs)
+        return real(cfg, keep_xs=keep_xs or force, **kw)
+
+    monkeypatch.setattr(apps_mod, "run_striped", recording)
+    dest = tmp_path / "lines.txt"
+    if out_file:
+        argv = argv + ["--out", str(dest)]
+    runs = []
+    for force in (False, True):
+        rc, out, err = run_cli(capsys, *argv)
+        runs.append((rc, out, err, dest.read_text() if out_file else None))
+    assert seen == [False, False]
+    assert runs[0] == runs[1]
+    rc, out, _, lines = runs[0]
+    assert rc == 0 and out.splitlines()[-1] == f"count={count}"
+    assert len((lines or out).splitlines()) == count + (not out_file)
 
 
 def test_census_out_file_sorted(tmp_path, capsys):

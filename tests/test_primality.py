@@ -126,14 +126,15 @@ def test_is_prime_uses_trial_bound_fast_path():
 
 
 def test_is_prime_capacity_error_beyond_all_paths():
-    # ~2^84 is past LADDER_TOP: only a trial bound b with (b+1)^2 > N proves it
+    # ~2^84 is past LADDER_TOP: only a trial bound b with (b+1)^2 > N proves it, and
+    # the error names the bases it passed, not a trial bound no table can reach
     n = int(sympy.nextprime(1 << 84))
     for b in (1, 1 << 23, math.isqrt(n) - 1):
         with pytest.raises(TableCapacityError) as exc:
             is_prime(n, b)
-        msg = str(exc.value)
-        assert "LADDER_TOP=3317044064679887385961981" in msg and "(b+1)^2 > N" in msg, msg
-        assert "pseudosquare" not in msg
+        assert str(exc.value) == (
+            f"N={n} passed all 13 bases of the top rung (2..41), and no proven "
+            "certifier here covers N >= LADDER_TOP=3317044064679887385961981")
     assert is_prime(n, math.isqrt(n))
     # a failed base-2 test still proves a composite there
     assert not is_prime(3 * n)

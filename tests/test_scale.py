@@ -16,6 +16,8 @@ import pytest
 from tuplesieve.apps import QUAD_PATTERN, quads, twins
 from tuplesieve.search import SearchConfig, run_striped, smallest_chain
 
+from conftest import checkpoint_position, run_interrupted
+
 pytestmark = pytest.mark.skipif(os.environ.get("TUPLESIEVE_SCALE") != "1",
                                 reason="scale points run with TUPLESIEVE_SCALE=1")
 
@@ -27,14 +29,14 @@ def test_quads_1e10(nu):
 
 
 def test_quads_1e10_resumed_under_two_workers(tmp_path):
-    # stopped at residue 90 of 189 in one process, then finished from its
-    # checkpoint in two
+    # interrupted after residue 90 of 189 in one process, then finished from
+    # its checkpoint in two
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**10 - 1, nu=1)
-    ck = str(tmp_path / "quads.ckpt")
-    part = run_striped(cfg, checkpoint_path=ck, stop_after_residues=90, keep_xs=False)
-    assert not part.completed
-    res = run_striped(cfg._replace(nu=2), checkpoint_path=ck, keep_xs=False)
-    assert res.resumed and res.completed
+    ck = tmp_path / "quads.ckpt"
+    run_interrupted(cfg, 90, ck, keep_xs=False)
+    assert checkpoint_position(ck) == 90
+    res = run_striped(cfg._replace(nu=2), checkpoint_path=str(ck), keep_xs=False)
+    assert res.resumed
     assert (res.count, res.recip_sum.hex()) == (180529, "0x1.bd8252096d465p-1")
 
 

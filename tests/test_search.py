@@ -37,7 +37,15 @@ from tuplesieve.search import (
     smallest_chain,
 )
 
-from conftest import CORPUS, boundary_scan, naive_pattern_xs, sieve_table, wheel_primes
+from conftest import (
+    CORPUS,
+    boundary_scan,
+    checkpoint_position,
+    naive_pattern_xs,
+    run_interrupted,
+    sieve_table,
+    wheel_primes,
+)
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
@@ -114,20 +122,22 @@ def test_bound_at_most_3_is_planned(text, want, table_1e5):
     assert res.count == len(want)
 
 
-def test_progress_every_10000_residues():
-    # wheel 2*3*...*17 leaves 22275 twin residues
+def test_progress_every_10000_residues(tmp_path):
+    # wheel 2*3*...*17 leaves 22275 twin residues; each report follows its round's
+    # checkpoint write
     for nu in (1, 2):
-        seen = []
-        res = search(TWIN, 10**5, wheel=(2, 3, 5, 7, 11, 13, 17), sieve_bound=20,
-                     progress=seen.append, nu=nu)
-        assert seen == [10000, 20000]
+        seen, ck = [], tmp_path / f"run{nu}.ckpt"
+        res = search(TWIN, 10**5, wheel=(2, 3, 5, 7, 11, 13, 17), sieve_bound=20, nu=nu,
+                     checkpoint_path=str(ck),
+                     progress=lambda done: seen.append((done, checkpoint_position(ck))))
+        assert seen == [(10000, 10000), (20000, 20000)]
         assert res.count == 1224
 
 
 def test_bound_below_pattern_start_is_empty():
     res = run_striped(SearchConfig(pattern=QUAD, n=5, nu=2))
     assert (res.xs, res.count, res.recip_sum, res.boundary_count) == ([], 0, 0.0, 0)
-    assert res.completed and not res.resumed
+    assert not res.resumed
     assert run_striped(SearchConfig(pattern=QUAD, n=5), keep_xs=False).xs is None
 
 
@@ -142,7 +152,7 @@ def test_small_and_negative_bounds_match_scan(name, table_1e5):
     for n in range(-10, 60):
         res = run_striped(SearchConfig(pattern=pattern, n=n))
         assert res.xs == naive_pattern_xs(forms, n, table_1e5), n
-        assert res.count == len(res.xs) and res.completed
+        assert res.count == len(res.xs)
 
 
 class _Planned(Exception):
@@ -217,19 +227,20 @@ def test_emission_order_boundary_first():
     assert sorted(seen) == find_pattern_primes(cfg)
 
 
-def test_checkpoint_interrupt_resume_bitwise(tmp_path):
-    # c=3 and W = 2310 give QUAD at 10^6 21 residues, so 9 of them interrupt the run
+def test_checkpoint_interrupt_resume_bitwise(tmp_path, monkeypatch):
+    # c=3 and W = 2310 give QUAD at 10^6 21 residues; three rounds of three
+    # processes interrupt the run at position 9
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
     cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
-    part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
-    assert not part.completed
-    assert ck.exists()
+    killed = run_interrupted(cfg, 3, ck)
+    assert checkpoint_position(ck) == 9
     resumed = run_striped(cfg, checkpoint_path=str(ck))
-    assert resumed.resumed and resumed.completed
+    assert resumed.resumed
     assert resumed.count == full.count
     assert resumed.recip_sum.hex() == full.recip_sum.hex()
-    assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+    assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
 
 
 def test_checkpoint_interrupt_resume_default_plan(tmp_path):
@@ -238,40 +249,77 @@ def test_checkpoint_interrupt_resume_default_plan(tmp_path):
     assert build_wheel(QUAD, _resolve(cfg).moduli).residue_count() == 3
     full = run_striped(cfg)
     ck = tmp_path / "run.ckpt"
-    part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=1)
-    assert not part.completed
+    killed = run_interrupted(cfg, 1, ck)
+    assert checkpoint_position(ck) == 1
     resumed = run_striped(cfg, checkpoint_path=str(ck))
-    assert resumed.resumed and resumed.completed
+    assert resumed.resumed
     assert resumed.count == full.count
     assert resumed.recip_sum.hex() == full.recip_sum.hex()
-    assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+    assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
+
+
+# c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues
+KILL_CFG = SearchConfig(pattern=QUAD, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_kill_resume_at_every_position(tmp_path, nu, monkeypatch):
-    # c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues; stop after each but the
-    # last, and resume under another worker count
-    monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 3)
-    cfg = SearchConfig(pattern=QUAD, n=10**5, nu=nu, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
+    # rounds of one residue a process end at every multiple of nu: interrupt the
+    # run after each round but the last, and resume under another worker count
+    monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
+    cfg = KILL_CFG._replace(nu=nu)
     other = cfg._replace(nu=nu % 3 + 1)
     full = run_striped(cfg)
     last = build_wheel(QUAD, _resolve(cfg).moduli).residue_count()
     assert last == 21
     # a run that keeps no x list must checkpoint and resume the same way
     for keep_xs in (True, False):
-        for stop in range(1, last):
-            ck = tmp_path / f"run{keep_xs}{stop}.ckpt"
-            part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=stop,
-                               keep_xs=keep_xs)
-            assert not part.completed
+        for rounds in range(1, -(-last // nu)):
+            ck = tmp_path / f"run{keep_xs}{rounds}.ckpt"
+            killed = run_interrupted(cfg, rounds, ck, keep_xs=keep_xs)
+            assert checkpoint_position(ck) == rounds * nu
             resumed = run_striped(other, checkpoint_path=str(ck), keep_xs=keep_xs)
-            assert resumed.resumed and resumed.completed
+            assert resumed.resumed
             assert resumed.count == full.count
             assert resumed.recip_sum.hex() == full.recip_sum.hex()
             if keep_xs:
-                assert sorted(set(part.xs) | set(resumed.xs)) == full.xs
+                assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
             else:
-                assert part.xs is None and resumed.xs is None
+                assert resumed.xs is None
+
+
+def _listing(cfg, path, **kw):
+    """Run cfg with its tuple lines appended to path, the way --out
+    writes them with --checkpoint; returns the result."""
+    with open(path, "a") as out:
+        return run_striped(cfg, output=out, on_tuple=lambda x, vals: out.write(f"{x} {vals}\n"),
+                           **kw)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(nu=st.sampled_from([1, 2, 3]), other=st.sampled_from([1, 2, 3]), data=st.data())
+def test_interrupt_at_any_round_resumes_bitwise(tmp_path_factory, nu, other, data):
+    # a run interrupted after round m has committed exactly m rounds of nu
+    # residues; resumed under any worker count it ends as if never stopped
+    d = tmp_path_factory.mktemp("kill")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_cpu_limit", lambda: 3)
+        cfg = KILL_CFG._replace(nu=nu)
+        full = _listing(cfg, d / "full.txt")
+        rounds = data.draw(st.integers(0, -(-21 // nu) - 1), label="rounds")
+        ck, dest = d / "run.ckpt", d / "out.txt"
+        with open(dest, "a") as out:
+            killed = run_interrupted(cfg, rounds, ck, output=out,
+                                     on_tuple=lambda x, vals: out.write(f"{x} {vals}\n"))
+        if rounds:
+            assert checkpoint_position(ck) == rounds * nu
+        else:  # interrupted before the first commit point: nothing to resume
+            assert not ck.exists()
+        resumed = _listing(cfg._replace(nu=other), dest, checkpoint_path=str(ck))
+    assert resumed.resumed == bool(rounds)
+    assert (resumed.count, resumed.recip_sum.hex()) == (full.count, full.recip_sum.hex())
+    assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
+    assert dest.read_text() == (d / "full.txt").read_text()
 
 
 @pytest.mark.parametrize("mode", ["sqrt", "c3"])
@@ -294,7 +342,7 @@ def test_keep_xs_false_matches_default_run(name, mode):
 def test_checkpoint_digest_mismatch(tmp_path):
     ck = tmp_path / "run.ckpt"
     cfg = SearchConfig(pattern=QUAD, n=10**6, nu=2)
-    run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=5)
+    run_striped(cfg, checkpoint_path=str(ck))  # W = 30 leaves one residue: one round
     other = SearchConfig(pattern=QUAD, n=10**6 + 2, nu=2)
     with pytest.raises(CheckpointError, match="digest"):
         run_striped(other, checkpoint_path=str(ck))
@@ -306,7 +354,7 @@ def test_checkpoint_digest_mismatch(tmp_path):
         run_striped(cfg._replace(wheel=wheel), checkpoint_path=str(ck))
     # the worker count is not part of the configuration: any count resumes
     resumed = run_striped(SearchConfig(pattern=QUAD, n=10**6, nu=1), checkpoint_path=str(ck))
-    assert resumed.resumed and resumed.completed
+    assert resumed.resumed
     full = run_striped(SearchConfig(pattern=QUAD, n=10**6, nu=2))
     assert (resumed.count, resumed.recip_sum.hex()) == (full.count, full.recip_sum.hex())
 
@@ -316,7 +364,7 @@ def test_checkpoint_with_wheel_budget_digest_refused(tmp_path):
     # file written that way for this very plan is refused as a mismatch
     ck = tmp_path / "run.ckpt"
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
-    run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
+    run_interrupted(cfg, 2, ck)
     text = ck.read_text().splitlines()
     B = _resolve(cfg).B
     old = f"tsckpt4|{format_pattern(QUAD)}|n={cfg.n}|B={B}|wl=2310|excl="
@@ -329,7 +377,7 @@ def test_checkpoint_with_wheel_budget_digest_refused(tmp_path):
 def test_checkpoint_corrupt_file(tmp_path):
     ck = tmp_path / "run.ckpt"
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=1, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
-    run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=2)
+    run_interrupted(cfg, 2, ck)
     text = ck.read_text().splitlines()
     assert text[0] == "TSCKPT v4" and text[2] == "position 2"
     ck.write_text("\n".join(text) + "\nstripe: garbage\n")
@@ -366,10 +414,14 @@ def test_completed_checkpoint_resume_is_noop(tmp_path):
     ck = tmp_path / "run.ckpt"
     cfg = SearchConfig(pattern=QUAD, n=10**5, nu=2)
     full = run_striped(cfg, checkpoint_path=str(ck))
+    written = ck.read_text()
+    last = build_wheel(QUAD, _resolve(cfg).moduli).residue_count()
+    assert checkpoint_position(ck) == last  # the last round's commit
     again = run_striped(cfg, checkpoint_path=str(ck))
-    assert again.resumed and again.completed
+    assert again.resumed
     assert again.count == full.count
     assert again.recip_sum.hex() == full.recip_sum.hex()
+    assert ck.read_text() == written  # already current: nothing left to commit
 
 
 def test_tiny_n_boundary_only():
@@ -609,7 +661,7 @@ def test_run_derives_each_residue_mask_once(monkeypatch):
     # a pattern no other test asks about: admissible, the wheel choice
     # (tried on two or three wheels) and the wheel each read one mask per prime
     chain = chain_pattern("first", 7).shifted(987654321)
-    assert run_striped(SearchConfig(pattern=chain, n=chain.max_value(10**6))).completed
+    run_striped(SearchConfig(pattern=chain, n=chain.max_value(10**6)))
     assert asked and len(asked) == len(set(asked))
 
 
@@ -746,8 +798,8 @@ RECORDS = [
     (SieveSegment, dict(r=11, W=210, bits=bytearray(b"\x01\x00"), applied=4),
      dict(aborted=False)),
     (SearchConfig, dict(pattern=QUAD, n=10**4),
-     dict(nu=1, sieve_bound=None, space_exp=None, wheel=None, checkpoint_interval=900.0)),
-    (SearchResult, dict(xs=None, count=2, recip_sum=0.5, boundary_count=0, completed=True),
+     dict(nu=1, sieve_bound=None, space_exp=None, wheel=None)),
+    (SearchResult, dict(xs=None, count=2, recip_sum=0.5, boundary_count=0),
      dict(resumed=False)),
     (TupleCensus, dict(bound=10, count=2, recip_sum=0.5), {}),
 ]

@@ -20,6 +20,8 @@ from tuplesieve.pattern import chain_pattern
 from tuplesieve.primality import TableCapacityError
 from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
 
+from conftest import checkpoint_position, run_interrupted
+
 SRC = str(Path(search_mod.__file__).parents[1])
 
 
@@ -236,31 +238,33 @@ def test_interrupt_while_waiting_reaps_children(two_cpus, monkeypatch):
     assert_no_children()
 
 
-def test_stop_after_residues_reaps_children(two_cpus, tmp_path):
+def test_interrupt_between_rounds_reaps_children(two_cpus, tmp_path):
+    # four rounds of two processes, each forking a child, then ^C as the fifth starts
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11), nu=2)
     ck = tmp_path / "run.ckpt"
-    part = run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=9)
-    assert not part.completed
-    assert "position 9" in ck.read_text().splitlines()
+    run_interrupted(cfg, 4, ck)
+    assert checkpoint_position(ck) == 8
     assert_no_children()
     resumed = run_striped(cfg, checkpoint_path=str(ck))
-    assert resumed.completed
+    assert resumed.resumed
     assert resumed.recip_sum.hex() == run_striped(cfg._replace(nu=1)).recip_sum.hex()
     assert_no_children()
 
 
 def test_output_file_resumes_without_loss(two_cpus, tmp_path):
-    # a run stopped mid-way, with lines written past its checkpoint, then resumed
+    # a run interrupted in mid-round, with lines written past its checkpoint, then resumed
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11), nu=2)
     full = run_striped(cfg)
     ck, dest = tmp_path / "run.ckpt", tmp_path / "out.txt"
-    for stop in (1, 9, 20):
+    for rounds in (1, 4, 9):
         ck.unlink(missing_ok=True)
         dest.write_text("stale line from an earlier run\n")
         with open(dest, "a") as out:
-            run_striped(cfg, checkpoint_path=str(ck), stop_after_residues=stop, output=out,
-                        on_tuple=lambda x, vals: out.write(f"{x}\n"))
-            out.write("written after the checkpoint\n")  # lost when killed
+            run_interrupted(cfg, rounds, ck, mid_round=True, output=out,
+                            on_tuple=lambda x, vals: out.write(f"{x}\n"))
+        assert checkpoint_position(ck) >= 2 * rounds
+        recorded = int(ck.read_text().split("output ")[1])
+        assert dest.stat().st_size > recorded  # lost when killed
         with open(dest, "a") as out:
             res = run_striped(cfg._replace(nu=1), checkpoint_path=str(ck), output=out,
                               on_tuple=lambda x, vals: out.write(f"{x}\n"))
