@@ -25,11 +25,10 @@ the other rows after.
 """
 
 import math
-import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
-from itertools import chain, combinations, compress
+from itertools import accumulate, chain, combinations, compress
 
 from .arith import modinv
 
@@ -303,18 +302,26 @@ def sieve_segment(pattern, r: int, W: int, n: int, table, masks=()) -> SieveSegm
     return SieveSegment(r, W, bits, applied=applied)
 
 
-_LIVE = re.compile(b"\x01")
-
-
 def survivors(seg: SieveSegment, lo: int = 0, hi: int | None = None) -> list:
     """Candidate x values still alive among the segment's bytes lo..hi-1
-    (all of them by default), in increasing order.
+    (all of them by default; hi may lie past the end), in increasing
+    order.
 
     Each live byte j picks x(j) = r + j*W out of the segment's
-    progression.  A compiled `finditer` finds the live bytes in C, where
-    struck ones cost a fraction of a nanosecond each; only live bytes
-    reach Python.
+    progression.  The bytes are read by their gaps: one `bytes` copy of
+    the slice is split on the live byte, so a piece holds the struck
+    bytes before a live one and the piece after the last live byte is
+    dropped.  A piece of g bytes moves x on by W*(g + 1), and
+    `accumulate` adds those steps from x(lo - 1).  Struck bytes cost a
+    fraction of a nanosecond each in C; only live bytes reach Python.
+    A `bytes` copy is split, not a `bytearray` slice: a bytearray
+    splits into bytearray pieces, each with a buffer of its own, about
+    20 % slower.
     """
     r, W = seg.r, seg.W
-    hi = len(seg.bits) if hi is None else hi
-    return [r + j * W for j in map(re.Match.start, _LIVE.finditer(seg.bits, lo, hi))]
+    pieces = bytes(memoryview(seg.bits)[lo:hi]).split(b"\x01")
+    steps = [W * (len(piece) + 1) for piece in pieces]
+    del pieces  # before the x values are made
+    steps[0] += r + (lo - 1) * W
+    steps.pop()  # the piece after the last live byte
+    return list(accumulate(steps))

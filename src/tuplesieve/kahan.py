@@ -10,15 +10,15 @@ math.fsum of the terms whatever the split into ranges, merge order
 or resume point.
 
 add_group converts a whole group to units: it builds the float terms
-with one list comprehension per linear form a*x + b, then repeats
-r = math.fsum(terms), adds r's units and appends -r, until the
-remaining sum is zero.  Each r is a whole number of units, and each
-pass shrinks the remaining sum by a factor of at least 2^53, so a group
-of total U units takes at most ceil(bits(U) / 53) + 1 fsum passes.
-When every value is at most top, a pass whose |r| is below
-2^(53 - bits(top)) leaves a remainder that the next pass returns
-exactly, so the loop stops there: a census's chunk, whose sum is far
-below that bound, takes two passes (see add_group for both proofs).
+with one list comprehension per linear form a*x + b, takes
+r = sum(terms) as its first pass, then repeats: add r's units, append
+-r and take r = math.fsum(terms), until the remaining sum is zero.
+Each r is a whole number of units, and each fsum pass shrinks the
+remaining sum by a factor of at least 2^53.  When every value is at
+most top, an fsum pass whose |r| is below 2^-bits(top) has returned
+the remainder exactly, so the loop stops there: a census chunk, whose
+plain sum errs by far less than that, takes one fsum pass (see
+add_group for the proofs).
 
 The module and class keep their compensated-summation names because
 callers and the benchmark's tracer look the methods up by them.
@@ -48,34 +48,48 @@ class KahanBuckets:
         than one read off min(terms): that extra pass costs about what the
         early stop saves.
 
-        Let S be the exact sum of the terms still in the list, a whole
-        multiple of u = 2^-UNIT_EXP = 2^-180 (every term and every -r
-        appended is one).  r = fsum(terms) is S correctly rounded.
+        Let t = bits(top), g = 2^(-t-52) and S the exact sum of the
+        terms still in the list.  Every value v <= top < 2^t gives
+        float(v) <= 2^t, so every term is at least 2^-t, its exponent at
+        least -t and its last bit worth at least g: every term is a
+        multiple of g, and g of u = 2^-UNIT_EXP = 2^-180, as t <= 127.
+        A rounded sum or difference of two multiples of g is one too:
+        below 2^53 g in size it is a double already, and from there on
+        its last bit is worth at least g.
 
-        r is a whole number of units.  If |r| >= 2^-128, r's exponent is
-        at least -128, so ulp(r) >= 2^-180 and r is a multiple of u.
-        Otherwise |S| < 2^-128 (rounding is monotone and 2^-128 is a
-        double), so S = k*u with |k| < 2^52: S fits in 53 bits and r = S
-        exactly.  Either way ldexp(r, UNIT_EXP) is an exact integer.
+        The first pass, r = sum(terms), is built of such rounded
+        additions and subtractions alone: Python 3.10 and 3.11 add the
+        terms one by one, and 3.12 also adds up Neumaier's compensation
+        and adds it at the end.  Each later pass, r = fsum(terms), is S
+        correctly rounded.  Either way r is a multiple of g, so
+        ldexp(r, UNIT_EXP) is an exact integer and S stays a multiple
+        of g when -r is appended.  Nothing below depends on how close
+        the first pass comes to S.
 
         The loop ends.  Appending -r leaves S - r, and correct rounding
-        gives |S - r| <= ulp(S)/2 <= 2^-53 |S|; a merely faithful
-        rounding would still give |S - r| < ulp(S) <= 2^-52 |S|.  The
-        remaining sum is a whole number of units, so once it drops
-        below one unit it is zero and fsum returns 0.0.  A group of
-        total U units therefore ends after at most
-        ceil(bits(U) / 53) + 1 fsum passes.
+        gives |S - r| <= ulp(S)/2 <= 2^-53 |S|.  The remaining sum is a
+        whole number of units, so once it drops below one unit it is
+        zero and fsum returns 0.0.  If the first pass leaves U units, at
+        most ceil(bits(U) / 53) + 1 fsum passes follow, and U is at most
+        the group's total whenever 0 <= sum(terms) <= 2 S.
 
-        The early stop.  Let t = bits(top) and g = 2^(-t-52).  Every
-        value v <= top < 2^t gives float(v) <= 2^t, so every term is at
-        least 2^-t, its exponent at least -t and its last bit worth at
-        least g: every term is a multiple of g, hence so are S and, by
-        the argument above with g for u, every r and every -r appended.
-        If a pass returns |r| < 2^(53-t), then
-        |S - r| <= 2^-53 |r| < 2^-t = 2^52 g, so S - r = k*g with
-        |k| < 2^52 is a double, and the next pass returns it exactly
-        and leaves zero: the loop stops after that pass without the
-        pass that would only confirm the zero.
+        The early stop.  If an fsum pass returns |r| < 2^-t = 2^52 g,
+        then |S| < 2^-t, since rounding is monotone and 2^-t is a
+        double.  So S = k*g with |k| < 2^52 is a double and r = S: adding
+        r leaves zero, and the loop stops without the pass that would
+        only confirm it.  After a correctly rounded pass with
+        |r| < 2^(53-t) the next pass stops so; after the first pass the
+        first fsum pass stops at once when |S - sum(terms)| < 2^-t.  A
+        plain sum of n positive terms errs by at most
+        (n - 1) 2^-53 sum(terms): each addition by at most 2^-53 of its
+        result, which is at most the final sum.  3.12's compensated sum
+        errs by at most 2^-53 |r| plus the rounding of its compensation,
+        a sum of n - 1 such errors, about n^2 2^-106 sum(terms): no more
+        while n^2 < 2^53.  A group with n*sum(terms) < 2^(53-t), whose
+        sum is at least about n 2^-t, has n^2 below about 2^53 and
+        takes one fsum pass under either sum.  A census chunk holds a
+        few thousand terms whose sum is below 1, far inside that bound
+        (at n = 10^8, t = 27).
         """
         terms = []
         for a, b in forms:  # a == 1 skips the multiply, b == 0 the add
@@ -85,15 +99,15 @@ class KahanBuckets:
                 terms += [1.0 / (x + b) for x in xs]
             else:
                 terms += [1.0 / x for x in xs]
-        exact = math.ldexp(1.0, 53 - top.bit_length())
-        units = self.units
-        last = False
-        while r := math.fsum(terms):
+        exact = math.ldexp(1.0, -top.bit_length())
+        units, r, last = self.units, sum(terms), False
+        while r:
             units += int(math.ldexp(r, UNIT_EXP))
             if last:
                 break
-            last = -exact < r < exact
             terms.append(-r)
+            r = math.fsum(terms)
+            last = -exact < r < exact
         self.units = units
 
     def fold_into(self, acc: "KahanBuckets"):

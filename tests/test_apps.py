@@ -57,6 +57,9 @@ ORACLE_CASES = {
     "small_and_near_2^53": [*range(1, 10), *NEAR_2_53] * 50,
     "small_and_near_wide_max": [*NEAR_WIDE_MAX, *range(1, 10)] * 50,
     "all_mixed": [*range(1, 10), *NEAR_2_53, *NEAR_WIDE_MAX, 3 * 2**125] * 200,
+    # 2^-60 is lost next to 1.0 in any sum(), so the first pass leaves
+    # 50 * 2^-60, past 2^-bits(2^60): the one-fsum stop is refused
+    "refused": [1, 2**60] * 50,
 }
 
 
@@ -157,31 +160,36 @@ def test_add_group_stops_after_the_exact_pass(name, at_max, monkeypatch):
     acc = KahanBuckets()
     acc.add_group(vals, top=top)
     assert acc.units == oracle_units(vals)
-    # the early stop proved in add_group's docstring
+    # the early stops proved in add_group's docstring: an fsum pass below
+    # 2^-bits(top) is the remainder itself, and one below 2^(53 - bits(top))
+    # leaves a remainder the next pass returns so
+    assert (len(results) == 1) == (abs(results[0]) < 2.0 ** -top.bit_length())
     if abs(results[0]) < 2.0 ** (53 - top.bit_length()):
         assert len(results) <= 2
     else:
         assert len(results) <= -(-acc.units.bit_length() // 53) + 1
+    if name == "refused":
+        assert len(results) > 1
 
 
-def test_census_chunks_take_two_passes(monkeypatch):
-    # every value is at most n = 10^6 and a chunk's sum is far below
-    # 2^(53 - 20), so each group stops after its second pass
+def test_census_chunks_take_one_fsum_pass(monkeypatch):
+    # every value is at most n = 10^6 and the plain sum of a chunk's terms
+    # errs by far less than 2^-20, so the first fsum pass is the exact remainder
     results = _count_passes(monkeypatch)
     groups = []
     add_group = KahanBuckets.add_group
 
-    def counted(self, *args):
-        groups.append(len(results))
-        add_group(self, *args)
+    def counted(self, xs, *args):
+        before = len(results)
+        add_group(self, xs, *args)
+        groups.append((len(xs), len(results) - before))
 
     monkeypatch.setattr(KahanBuckets, "add_group", counted)
     census = twins(10**6, nu=1)  # one process, so the patches see every chunk
     assert census.count == 8169
     assert census.recip_sum.hex() == "0x1.b5f57a188e2dbp+0"  # the README's sum
-    groups.append(len(results))
-    assert len(groups) > 2
-    assert all(b - a <= 2 for a, b in zip(groups, groups[1:]))
+    assert sum(size > 0 for size, _ in groups) > 2
+    assert all(passes == (size > 0) for size, passes in groups)
 
 
 def test_fold_into_equals_one_sum():

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tuplesieve.apsieve import (
+    SieveSegment,
     iter_primes,
     live_fractions,
     mask_bytes,
@@ -122,15 +123,35 @@ def test_worked_example_segment():
     assert not seg.aborted
 
 
+@st.composite
+def raw_segments(draw):
+    """A segment of 0 and 1 bytes at a drawn live share from none to
+    all, its first and last bytes drawn apart, at any r and W."""
+    share = draw(st.integers(0, 256))
+    bits = bytearray(b < share for b in draw(st.binary(max_size=600)))
+    if bits:
+        bits[0], bits[-1] = draw(st.booleans()), draw(st.booleans())
+    return SieveSegment(draw(st.integers(0, 10**9)), draw(st.integers(1, 10**9)), bits, 0)
+
+
 @settings(max_examples=100, deadline=None)
-@given(r=st.sampled_from([11, 101, 191]), n=st.integers(0, 10**5), step=st.integers(1, 700))
-def test_survivors_by_chunks_concatenate(r, n, step):
+@given(r=st.sampled_from([11, 101, 191]), n=st.integers(0, 10**5), step=st.integers(1, 700),
+       raw=raw_segments(), data=st.data())
+def test_survivors_by_chunks_concatenate(r, n, step, raw, data):
     # 11, 101 and 191 are QUAD's residues mod 210
     seg = sieve_segment(QUAD, r, 210, n, start_table(QUAD, 210, primes_upto(100)[4:]))
-    whole = survivors(seg)
-    assert whole == [r + 210 * j for j, live in enumerate(seg.bits) if live]
-    parts = [survivors(seg, lo, lo + step) for lo in range(0, len(seg.bits), step)]
-    assert [x for part in parts for x in part] == whole
+    for seg in (seg, raw):
+        want = [seg.r + seg.W * j for j, live in enumerate(seg.bits) if live]
+        assert survivors(seg) == want
+        # the last chunk's end may pass the segment's
+        parts = [survivors(seg, lo, lo + step) for lo in range(0, len(seg.bits), step)]
+        assert [x for part in parts for x in part] == want
+    # one slice, empty or reaching past the end
+    lo = data.draw(st.integers(0, len(raw.bits) + 2))
+    hi = data.draw(st.integers(lo, len(raw.bits) + 2))
+    assert survivors(raw, lo, hi) == [raw.r + raw.W * j for j in range(lo, hi)
+                                      if j < len(raw.bits) and raw.bits[j]]
+    assert survivors(raw, lo, lo) == []
 
 
 def test_worked_example_first_prime_only():
