@@ -2,18 +2,18 @@
 
 Subcommands: search (generic pattern search), twins, quads, chains.
 Each hands every flag to `apps` through `_config_kw` and writes tuples
-through the one sink in `_run`: one line per tuple, `x f_1 ... f_k` in
-decimal, sorted by x unless --unsorted, to --out or else stdout
-(censuses list tuples only with --out or --unsorted).  No run keeps a
-list of x values: the lines are the listing.  --out streams the lines
-to the file as found and sorts it once the run completes.  --checkpoint
-writes its file after every round; a resumed run cuts the --out file
-back to the length its checkpoint recorded, refusing a shorter file,
-and appends from there.  Then comes a `count=` summary; censuses add
-`sum=`.  Exit status is 0 on success, 2 on configuration errors (a flag
-the subcommand cannot honour, or an --out or --checkpoint path it
-cannot write, found before the search), 3 when no certifier covers a
-value (`TableCapacityError`), 141 when stdout closes.
+through the one sink in `_run`, the run's on_tuple: one line per tuple,
+`x f_1 ... f_k` in decimal, sorted by x unless --unsorted, to --out or
+else stdout (censuses list tuples only with --out or --unsorted).  The
+lines are the listing.  --out streams them to the file as found and
+sorts it once the run completes.  --checkpoint writes its file after
+every round; a resumed run cuts the --out file back to the length its
+checkpoint recorded, refusing a shorter file, and appends from there.
+Then comes a `count=` summary; censuses add `sum=`.  Exit status is 0
+on success, 2 on configuration errors (a flag the subcommand cannot
+honour, or an --out or --checkpoint path it cannot write, found before
+the search at any bound), 3 when no certifier covers a value
+(`TableCapacityError`), 141 when stdout closes.
 """
 
 import argparse
@@ -113,7 +113,7 @@ def _run(args, fn, *a, listing=True, **kw):
 
 
 def _cmd_search(args):
-    res = _run(args, search, parse_pattern(args.pattern), args.n, keep_xs=False)
+    res = _run(args, search, parse_pattern(args.pattern), args.n)
     print(f"count={res.count}")
     return 0
 
@@ -131,8 +131,7 @@ def _cmd_chains(args):
         def progress(done):
             print(f"progress: {done} residues", file=sys.stderr)
     if not args.smallest:
-        res = _run(args, chain_search, args.kind, args.length, args.cap, progress=progress,
-                   keep_xs=False)
+        res = _run(args, chain_search, args.kind, args.length, args.cap, progress=progress)
         print(f"count={res.count}")
         return 0
     if args.checkpoint is not None:

@@ -16,7 +16,7 @@ from .apsieve import iter_primes, mask_bytes, mask_rows, primes_upto, root_bound
 from .arith import WIDE_MAX
 from .pattern import acceptable_residues
 
-__all__ = ["PlanError", "SievePlan", "make_plan", "mask_split", "resolve_plan"]
+__all__ = ["PlanError", "SievePlan", "check_flags", "make_plan", "mask_split", "resolve_plan"]
 
 # budget for the plan's prime tables: the cost walk lists no prime past
 # it, so sieving to sqrt(n) needs isqrt(n) <= it
@@ -74,6 +74,14 @@ def make_plan(B: int, moduli, primes=None) -> SievePlan:
                      primes=tuple(primes_upto(B) if primes is None else primes))
 
 
+def check_flags(cfg):
+    """Raise PlanError for a sieve_bound below 2 or a space_exp of 2 or less."""
+    if cfg.sieve_bound is not None and cfg.sieve_bound < 2:
+        raise PlanError(f"sieve bound B={cfg.sieve_bound} below 2")
+    if cfg.space_exp is not None and not cfg.space_exp > 2:
+        raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
+
+
 def resolve_plan(cfg) -> tuple:
     """(B, the wheel's primes, the primes up to B) for the run: B is the
     one depth its segments are sieved to.
@@ -84,8 +92,9 @@ def resolve_plan(cfg) -> tuple:
     config's wheel fixes it.  Otherwise the wheel is the config's or
     `_wheel_moduli`'s choice for x_top = `pattern.x_max(n)`, the largest
     x in range.  The primes the planner reads are the plan's, so they
-    are listed once.  Raises PlanError for space_exp <= 2 or B < 2.
+    are listed once.  Raises PlanError as `check_flags` does, or for B < 2.
     """
+    check_flags(cfg)
     pattern, n = cfg.pattern, cfg.n
     x_top = pattern.x_max(n)
     moduli, primes = cfg.wheel, None
@@ -93,8 +102,6 @@ def resolve_plan(cfg) -> tuple:
         # a prime past isqrt(n) strikes only values the boundary window owns
         B = min(int(cfg.sieve_bound), max(2, math.isqrt(n)))
     elif cfg.space_exp is not None:
-        if not cfg.space_exp > 2:
-            raise PlanError(f"space exponent c={cfg.space_exp} must exceed 2")
         B = 1 << int(math.log2(n) / cfg.space_exp)
     else:
         B, primes, moduli = _cost_depth(cfg, x_top)

@@ -22,22 +22,23 @@ form's terms with a list comprehension.  The boundary window is
 accounted the same way.
 
 `run_range` does that for the wheel residues at positions [lo, hi) and
-returns a partial: count, sum units (see kahan.py) and, when kept, the
-x values in position order.  Partials of adjacent ranges merge by
-addition and concatenation, so the reported sum is the correctly
-rounded total however the positions are split.  `run_striped` drives a
-run: it scans the boundary window, then cuts the positions left into
-rounds of contiguous ranges, one per process, at most nu and at most
-the CPUs the process may run on (`_cpu_limit`).  The parent forks a
-child per range after the first (`os.fork`, one pipe each, partials
-sent by `marshal`), runs the first range itself, reads the children's
-partials in position order and reaps every child.  The end of a round
-is the run's one commit point: the parent merges the partials, fires
-on_tuple, writes the checkpoint and then reports progress.  Rounds are
-cut from the config and the start position alone, so every count is
-repeatable.  A checkpoint stores the next position, the sieve path's
-count and sum units, and how many bytes of tuple lines the caller had
-written; a run killed at any point resumes from its last round's end.
+returns a partial: count, sum units (see kahan.py) and, when the run
+streams its tuples, their x values in position order.  Partials of
+adjacent ranges merge by addition and concatenation, so the reported
+sum is the correctly rounded total however the positions are split.
+`run_striped` drives a run: it scans the boundary window, then cuts
+the positions left into rounds of contiguous ranges, one per process,
+at most nu and at most the CPUs the process may run on (`_cpu_limit`).
+The parent forks a child per range after the first (`os.fork`, one
+pipe each, partials sent by `marshal`), runs the first range itself,
+reads the children's partials in position order and reaps every child.
+The end of a round is the run's one commit point: the parent merges
+the partials, fires on_tuple, the one way tuples leave a run, writes
+the checkpoint and then reports progress.  Rounds are cut from the
+config and the start position alone, so every count is repeatable.  A
+checkpoint stores the next position, the sieve path's count and sum
+units, and how many bytes of tuple lines the caller had written; a run
+killed at any point resumes from its last round's end.
 """
 
 import marshal
@@ -83,21 +84,17 @@ SearchConfig = namedtuple(
     defaults=(1, None, None, None),
 )
 
-# xs: x values found this run, sorted; None unless kept
 # count: total tuples, including any restored progress
 # recip_sum: sum of 1/f_i over all counted tuples, correctly rounded
-SearchResult = namedtuple(
-    "SearchResult",
-    "xs count recip_sum boundary_count resumed",
-    defaults=(False,),
-)
+SearchResult = namedtuple("SearchResult", "count recip_sum boundary_count resumed",
+                          defaults=(False,))
 
 
 # residues between two progress reports; rounds end at its multiples
 PROGRESS_EVERY = 10000
 # segment bytes one process sieves in a round: rounds that long make a
 # fork and a checkpoint write cost little, and bound the x values a
-# round holds before merging and the work a kill loses
+# streamed round holds before merging and the work a kill loses
 ROUND_BYTES = 1 << 24
 # segment bytes read out and accounted at a time, which bounds the
 # survivor and term lists and the readout's gap pieces.  On twins to
@@ -360,17 +357,16 @@ def _run_round(ctx, lo, hi, procs, keep) -> list:
 
 
 def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
-                progress=None, keep_xs=True, output=None) -> SearchResult:
+                progress=None, output=None) -> SearchResult:
     """Run the full search, optionally resuming from a checkpoint file.
 
-    on_tuple(x, values) fires in emission order: boundary tuples first,
-    then sieve-path tuples by residue position, ascending within one.  A
-    resumed run fires only for the positions past the checkpoint: the
-    run that wrote it fired the boundary tuples.  Every round ends with
-    its tuples' on_tuple calls, then a checkpoint write, then
-    progress(done) when done is a multiple of PROGRESS_EVERY.
-    With keep_xs=False the run keeps no list of x values and the
-    result's xs is None: a census needs only the count and the sum.
+    on_tuple(x, values), the one way tuples leave the run, fires in
+    emission order: boundary tuples first, then sieve-path tuples by
+    residue position, ascending within one.  A resumed run fires only
+    for the positions past the checkpoint: the run that wrote it fired
+    the boundary tuples.  Every round ends with its tuples' on_tuple
+    calls, then a checkpoint write, then progress(done) when done is a
+    multiple of PROGRESS_EVERY.
 
     output is the file, opened for appending, that on_tuple writes
     lines to, if any: each checkpoint records its length (`tell()`).
@@ -388,11 +384,19 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
         raise OverflowError(f"bound n={cfg.n} outside [0, 2^127)")
     if cfg.wheel is not None:
         cfg = cfg._replace(wheel=check_moduli(cfg.wheel))
+    planner.check_flags(cfg)
+    if checkpoint_path is not None:
+        try:  # fail now, not at the first write after the search
+            open(tmp := f"{checkpoint_path}.tmp", "w").close()
+            os.remove(tmp)
+        except OSError as e:
+            raise CheckpointError(f"cannot write checkpoint: {e}") from None
     pattern, n = cfg.pattern, cfg.n
     if pattern.x_max(n) < pattern.min_x():
         # no x has every value in [2, n], so nothing can be prime
-        return SearchResult(xs=[] if keep_xs else None, count=0, recip_sum=0.0,
-                            boundary_count=0)
+        if output is not None:
+            output.truncate(0)  # a fresh run: no checkpoint covers an empty range
+        return SearchResult(count=0, recip_sum=0.0, boundary_count=0)
 
     ctx = make_context(cfg)
     last = ctx.wheel.residue_count()
@@ -400,11 +404,6 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     resumed = checkpoint_path is not None and os.path.exists(checkpoint_path)
     if checkpoint_path is not None:
         digest = _config_digest(cfg, ctx.plan)
-        try:  # fail now, not at the first write after the search
-            open(tmp := f"{checkpoint_path}.tmp", "w").close()
-            os.remove(tmp)
-        except OSError as e:
-            raise CheckpointError(f"cannot write checkpoint: {e}") from None
     if resumed:
         position, count, units, written = _read_checkpoint(checkpoint_path, digest, last)
     if output is not None:
@@ -418,22 +417,18 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
     boundary = boundary_tuples(pattern, ctx.cut, n)
     total = KahanBuckets()
     total.add_group(boundary, pattern.forms, n)
-    found = list(boundary) if keep_xs else None
     if on_tuple and not resumed:
         for x in boundary:
             on_tuple(x, pattern.evaluate(x))
 
     procs = min(cfg.nu, _cpu_limit())
     per_proc = max(1, ROUND_BYTES // ctx.L)
-    keep = keep_xs or on_tuple is not None
     while position < last:
         end = min(last, position + procs * per_proc,
                   (position // PROGRESS_EVERY + 1) * PROGRESS_EVERY)
-        for part_count, part_units, xs in _run_round(ctx, position, end, procs, keep):
+        for part_count, part_units, xs in _run_round(ctx, position, end, procs, bool(on_tuple)):
             count += part_count
             units += part_units
-            if keep_xs:
-                found.extend(xs)
             if on_tuple:
                 for x in xs:
                     on_tuple(x, pattern.evaluate(x))
@@ -444,18 +439,15 @@ def run_striped(cfg: SearchConfig, checkpoint_path=None, on_tuple=None,
             progress(position)
 
     KahanBuckets(units).fold_into(total)
-    return SearchResult(
-        xs=sorted(found) if keep_xs else None,
-        count=len(boundary) + count,
-        recip_sum=total.value(),
-        boundary_count=len(boundary),
-        resumed=resumed,
-    )
+    return SearchResult(count=len(boundary) + count, recip_sum=total.value(),
+                        boundary_count=len(boundary), resumed=resumed)
 
 
 def find_pattern_primes(cfg: SearchConfig) -> list:
     """All x with every form value prime and max_i f_i(x) <= n, sorted."""
-    return run_striped(cfg).xs
+    xs = []
+    run_striped(cfg, on_tuple=lambda x, values: xs.append(x))
+    return sorted(xs)
 
 
 def _chain_complete(kind, length, x) -> bool:
@@ -471,6 +463,15 @@ def _chain_complete(kind, length, x) -> bool:
         if y >= 2 and is_prime(y):
             return False
     return True
+
+
+def chain_windows(cap: int):
+    """The windows (s, x_hi) of x `smallest_chain` searches up to cap, in order."""
+    s, x_hi = 0, 1 << 11
+    while s <= cap:
+        x_hi = min(x_hi, cap)
+        yield s, x_hi
+        s, x_hi = x_hi + 1, x_hi * CHAIN_GROWTH
 
 
 def smallest_chain(kind: str, length: int, cap: int, *, on_tuple=None, progress=None,
@@ -489,16 +490,13 @@ def smallest_chain(kind: str, length: int, cap: int, *, on_tuple=None, progress=
     window's residues; on_tuple(x, values) fires once, for the answer.
     """
     pattern = chain_pattern(kind, length)
-    s, x_hi = 0, 1 << 11
-    while s <= cap:
-        x_hi = min(x_hi, cap)
+    for s, x_hi in chain_windows(cap):
         window = SearchConfig(pattern=pattern.shifted(s), n=pattern.max_value(x_hi), **cfg)
-        res = run_striped(window, progress=progress)
-        x = next((y + s for y in res.xs if _chain_complete(kind, length, y + s)), None)
+        ys = []
+        run_striped(window, on_tuple=lambda y, values: ys.append(y), progress=progress)
+        x = next((y + s for y in sorted(ys) if _chain_complete(kind, length, y + s)), None)
         if x is not None:
             if on_tuple:
                 on_tuple(x, pattern.evaluate(x))
             return x
-        s = x_hi + 1
-        x_hi *= CHAIN_GROWTH
     return None

@@ -1,8 +1,10 @@
 """Shared brute-force oracles: a plain byte sieve and a scan-everything
 pattern search, kept independent of the package internals on purpose,
 a boundary-window scan that tests each value with `is_prime`, and the
-prime-prefix wheels the wheel tests build.  Also `run_interrupted`,
-which stops a checkpointed run the way ^C does, after a given round."""
+prime-prefix wheels the wheel tests build.  Also `collect_xs`, which
+reads a run's x values the one way they leave it, by on_tuple, and
+`run_interrupted`, which stops a checkpointed run the way ^C does,
+after a given round."""
 
 import math
 
@@ -59,6 +61,15 @@ def wheel_primes(limit: int) -> list:
         while any(p % q == 0 for q in primes):  # every prime below p is listed
             p += 1
     return primes
+
+
+def collect_xs(run, *args, **kw):
+    """Call the search entry point run(*args, **kw) with an on_tuple that
+    collects the x of every tuple it emits; return (its result, those x
+    values sorted)."""
+    xs = []
+    res = run(*args, on_tuple=lambda x, values: xs.append(x), **kw)
+    return res, sorted(xs)
 
 
 def run_interrupted(cfg, rounds, checkpoint_path, *, on_tuple=None, mid_round=False, **kw):

@@ -24,6 +24,7 @@ from tuplesieve.wheel import build_wheel
 from conftest import (
     CORPUS,
     checkpoint_position,
+    collect_xs,
     naive_pattern_xs,
     run_interrupted,
     sieve_table,
@@ -122,10 +123,10 @@ def test_criterion_5_configuration_invariance():
     }.items():
         for nu in (1, 4):
             cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=nu, **kw)
-            runs[(mode, nu)] = run_striped(cfg)
-    baseline = runs[("sqrt", 1)]
-    for key, res in runs.items():
-        assert res.xs == baseline.xs, key
+            runs[(mode, nu)] = collect_xs(run_striped, cfg)
+    baseline, baseline_xs = runs[("sqrt", 1)]
+    for key, (res, xs) in runs.items():
+        assert xs == baseline_xs, key
         assert res.count == baseline.count, key
         assert res.recip_sum.hex() == baseline.recip_sum.hex(), key
     report(5, "configuration invariance", t0,
@@ -139,16 +140,16 @@ def test_criterion_6_checkpoint_determinism(tmp_path, monkeypatch):
     # processes interrupt the run at position 88
     monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 4)
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=n, nu=4, space_exp=3.0, wheel=(2, 3, 5, 7, 11, 13))
-    uninterrupted = run_striped(cfg)
+    uninterrupted, uninterrupted_xs = collect_xs(run_striped, cfg)
 
     ck = tmp_path / "quad.ckpt"
     killed = run_interrupted(cfg, 22, ck)
     assert checkpoint_position(ck) == 88
-    restored = run_striped(cfg, checkpoint_path=str(ck))
+    restored, rest = collect_xs(run_striped, cfg, checkpoint_path=str(ck))
     assert restored.resumed
     assert restored.count == uninterrupted.count
     assert restored.recip_sum.hex() == uninterrupted.recip_sum.hex()
-    assert sorted(killed + restored.xs[restored.boundary_count:]) == uninterrupted.xs
+    assert sorted(killed + rest) == uninterrupted_xs
     report(6, "checkpoint determinism", t0,
            f"count={restored.count}, sum bit-identical after kill/restore")
 

@@ -12,7 +12,7 @@ from tuplesieve.arith import WIDE_MAX
 from tuplesieve.kahan import UNIT_EXP, KahanBuckets
 from tuplesieve.search import SearchConfig, run_striped
 
-from conftest import run_interrupted, sieve_table
+from conftest import collect_xs, run_interrupted, sieve_table
 
 # terms where float(v) rounds (2**53 + 1), 1/v sits at the width cap, or
 # 1/v has a full significand down to the smallest unit (3 * 2**125)
@@ -274,7 +274,7 @@ def test_census_monotone():
 
 
 def test_chain_search_first_kind():
-    starts = chain_search("first", 6, 10**5).xs
+    _, starts = collect_xs(chain_search, "first", 6, 10**5)
     assert starts[0] == 89
     # runs of >= 6 chained primes; every reported start checks out
     t = sieve_table(64 * 10**5 + 64)
@@ -286,10 +286,10 @@ def test_chain_search_first_kind():
 
 
 def test_chain_search_second_kind_length2():
-    assert chain_search("second", 2, 100).xs == [2, 3, 7, 19, 31, 37, 79, 97]
+    assert collect_xs(chain_search, "second", 2, 100)[1] == [2, 3, 7, 19, 31, 37, 79, 97]
 
 
 def test_chain_search_includes_longer_runs():
     # 2 begins a run of five first-kind primes, so it starts every shorter run
     for length in (1, 2, 3, 4, 5):
-        assert 2 in chain_search("first", length, 10).xs
+        assert 2 in collect_xs(chain_search, "first", length, 10)[1]

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import tuplesieve.apps as apps_mod
+from tuplesieve.apsieve import primes_upto
 from tuplesieve.cli import _config_kw, build_parser, main
 
 
@@ -316,6 +317,18 @@ def test_out_resume_cuts_file_to_checkpoint(tmp_path, capsys):
     assert dest.read_text() == want
 
 
+@pytest.mark.parametrize("n, count", [(100, 25), (1, 0)], ids=["primes", "empty-range"])
+def test_fresh_checkpointed_run_empties_out_file(tmp_path, capsys, n, count):
+    # --checkpoint opens --out to append; a fresh run drops the stale line,
+    # also at a bound that leaves no x in range
+    dest = tmp_path / "primes.txt"
+    dest.write_text("4 4\n")
+    rc, out, _ = run_cli(capsys, "search", "--pattern", "x", "--n", str(n),
+                         "--checkpoint", str(tmp_path / "ck"), "--out", str(dest))
+    assert (rc, out) == (0, f"count={count}\n")
+    assert [int(ln.split()[0]) for ln in dest.read_text().splitlines()] == primes_upto(n)
+
+
 def test_resume_refuses_a_shorter_out_file(tmp_path, capsys):
     # truncating a file up to the checkpoint's length would pad it with NUL bytes
     ck = tmp_path / "run.ckpt"
@@ -335,6 +348,25 @@ def test_chains_rejects_bad_space_exp(capsys):
     )
     assert rc == 2
     assert "space exponent" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["quads", "--x", "10", "--workers", "0"], "worker count must be >= 1"),
+    (["quads", "--x", "10", "--wheel", "2,2"], "wheel (2,2) is not distinct primes"),
+    (["quads", "--x", "10", "--space-exp", "1"], "space exponent c=1.0 must exceed 2"),
+    (["quads", "--x", "10", "--checkpoint", "MISSING"], "cannot write checkpoint"),
+    (["search", "--pattern", "x-5", "--n", "-4", "--checkpoint", "MISSING"],
+     "cannot write checkpoint"),
+    (["search", "--pattern", "x", "--n", "1", "--sieve-bound", "0"], "sieve bound B=0 below 2"),
+], ids=["quads-workers", "quads-wheel", "quads-space-exp", "quads-checkpoint",
+        "search-checkpoint", "search-sieve-bound"])
+def test_config_errors_exit_2_at_every_bound(tmp_path, capsys, argv, error):
+    # no quadruplet fits below 10, and no x puts x-5 or x in [2, n]: the flags
+    # are checked all the same, as at bounds that leave work
+    missing = str(tmp_path / "missing" / "ck")
+    rc, out, err = run_cli(capsys, *[missing if a == "MISSING" else a for a in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
 
 def test_chains_smallest_rejects_checkpoint(tmp_path, capsys):
@@ -366,27 +398,22 @@ def test_chains_smallest_honours_out_and_workers(tmp_path, capsys):
 ], ids=["search", "search-unsorted", "chains"])
 @pytest.mark.parametrize("out_file", [False, True], ids=["stdout", "out"])
 def test_listings_keep_no_x_list(tmp_path, capsys, monkeypatch, argv, count, out_file):
-    # the CLI reads only the count: the lines are written as found, so a run
-    # that keeps every x for its result lists the same lines
+    # the CLI reads only the count: every line goes out through on_tuple as found
     seen, real = [], apps_mod.run_striped
 
-    def recording(cfg, keep_xs=True, **kw):
-        seen.append(keep_xs)
-        return real(cfg, keep_xs=keep_xs or force, **kw)
+    def recording(cfg, **kw):
+        seen.append(kw["on_tuple"] is not None)
+        return real(cfg, **kw)
 
     monkeypatch.setattr(apps_mod, "run_striped", recording)
     dest = tmp_path / "lines.txt"
     if out_file:
         argv = argv + ["--out", str(dest)]
-    runs = []
-    for force in (False, True):
-        rc, out, err = run_cli(capsys, *argv)
-        runs.append((rc, out, err, dest.read_text() if out_file else None))
-    assert seen == [False, False]
-    assert runs[0] == runs[1]
-    rc, out, _, lines = runs[0]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert seen == [True]
     assert rc == 0 and out.splitlines()[-1] == f"count={count}"
-    assert len((lines or out).splitlines()) == count + (not out_file)
+    lines = dest.read_text() if out_file else out
+    assert len(lines.splitlines()) == count + (not out_file)
 
 
 def test_census_out_file_sorted(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Answers at 10^10-10^13, where the censuses take seconds to a minute.
+"""Answers at 10^9-10^13, where the censuses take seconds to a minute.
 
 Skipped unless TUPLESIEVE_SCALE=1, so the default suite keeps its time:
 
@@ -33,9 +33,9 @@ def test_quads_1e10_resumed_under_two_workers(tmp_path):
     # its checkpoint in two
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**10 - 1, nu=1)
     ck = tmp_path / "quads.ckpt"
-    run_interrupted(cfg, 90, ck, keep_xs=False)
+    run_interrupted(cfg, 90, ck)
     assert checkpoint_position(ck) == 90
-    res = run_striped(cfg._replace(nu=2), checkpoint_path=str(ck), keep_xs=False)
+    res = run_striped(cfg._replace(nu=2), checkpoint_path=str(ck))
     assert res.resumed
     assert (res.count, res.recip_sum.hex()) == (180529, "0x1.bd8252096d465p-1")
 
@@ -43,6 +43,13 @@ def test_quads_1e10_resumed_under_two_workers(tmp_path):
 def test_quads_1e11():
     res = quads(10**11, nu=2)
     assert (res.count, res.recip_sum.hex()) == (1209318, "0x1.bd911b1f92cb9p-1")
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_twins_1e9(nu):
+    # pi_2(10^9) in one process and in two, as the CI console step prints it
+    res = twins(10**9, nu=nu)
+    assert (res.count, res.recip_sum.hex()) == (3424506, "0x1.c655188117befp+0")
 
 
 def test_twins_1e10():

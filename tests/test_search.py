@@ -41,6 +41,7 @@ from conftest import (
     CORPUS,
     boundary_scan,
     checkpoint_position,
+    collect_xs,
     naive_pattern_xs,
     run_interrupted,
     sieve_table,
@@ -116,9 +117,9 @@ def test_bound_at_most_3_is_planned(text, want, table_1e5):
     # every value is 2 or 3, so the boundary window holds the whole answer
     pattern = parse_pattern(text)
     for n in range(pattern.max_value(1), 4):
-        res = run_striped(SearchConfig(pattern=pattern, n=n))
-        assert res.xs == naive_pattern_xs(pattern.forms, n, table_1e5)
-    assert res.xs == want
+        res, xs = collect_xs(run_striped, SearchConfig(pattern=pattern, n=n))
+        assert xs == naive_pattern_xs(pattern.forms, n, table_1e5)
+    assert xs == want
     assert res.count == len(want)
 
 
@@ -135,10 +136,9 @@ def test_progress_every_10000_residues(tmp_path):
 
 
 def test_bound_below_pattern_start_is_empty():
-    res = run_striped(SearchConfig(pattern=QUAD, n=5, nu=2))
-    assert (res.xs, res.count, res.recip_sum, res.boundary_count) == ([], 0, 0.0, 0)
+    res, xs = collect_xs(run_striped, SearchConfig(pattern=QUAD, n=5, nu=2))
+    assert (xs, res.count, res.recip_sum, res.boundary_count) == ([], 0, 0.0, 0)
     assert not res.resumed
-    assert run_striped(SearchConfig(pattern=QUAD, n=5), keep_xs=False).xs is None
 
 
 _SHORT_RANGE = {**CORPUS, "x+3": [(1, 3)], "x-5": [(1, -5)]}
@@ -150,9 +150,9 @@ def test_small_and_negative_bounds_match_scan(name, table_1e5):
     forms = _SHORT_RANGE[name]
     pattern = make_pattern(forms)
     for n in range(-10, 60):
-        res = run_striped(SearchConfig(pattern=pattern, n=n))
-        assert res.xs == naive_pattern_xs(forms, n, table_1e5), n
-        assert res.count == len(res.xs)
+        res, xs = collect_xs(run_striped, SearchConfig(pattern=pattern, n=n))
+        assert xs == naive_pattern_xs(forms, n, table_1e5), n
+        assert res.count == len(xs)
 
 
 class _Planned(Exception):
@@ -210,9 +210,9 @@ def test_stripes_partition_and_agree(nu, monkeypatch):
     # nu processes (as many CPUs as asked for) split the positions into ranges
     monkeypatch.setattr(search_mod.os, "cpu_count", lambda: nu)
     n = 2 * 10**5
-    base = run_striped(SearchConfig(pattern=QUAD, n=n, nu=1))
-    split = run_striped(SearchConfig(pattern=QUAD, n=n, nu=nu))
-    assert split.xs == base.xs
+    base, base_xs = collect_xs(run_striped, SearchConfig(pattern=QUAD, n=n, nu=1))
+    split, split_xs = collect_xs(run_striped, SearchConfig(pattern=QUAD, n=n, nu=nu))
+    assert split_xs == base_xs
     assert split.count == base.count
     assert split.recip_sum.hex() == base.recip_sum.hex()
     assert split.boundary_count == base.boundary_count
@@ -232,30 +232,30 @@ def test_checkpoint_interrupt_resume_bitwise(tmp_path, monkeypatch):
     # processes interrupt the run at position 9
     monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
     cfg = SearchConfig(pattern=QUAD, n=10**6, nu=3, space_exp=3.0, wheel=(2, 3, 5, 7, 11))
-    full = run_striped(cfg)
+    full, full_xs = collect_xs(run_striped, cfg)
     ck = tmp_path / "run.ckpt"
     killed = run_interrupted(cfg, 3, ck)
     assert checkpoint_position(ck) == 9
-    resumed = run_striped(cfg, checkpoint_path=str(ck))
+    resumed, rest = collect_xs(run_striped, cfg, checkpoint_path=str(ck))
     assert resumed.resumed
     assert resumed.count == full.count
     assert resumed.recip_sum.hex() == full.recip_sum.hex()
-    assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
+    assert sorted(killed + rest) == full_xs
 
 
 def test_checkpoint_interrupt_resume_default_plan(tmp_path):
     # the default plan sieves QUAD at 10^8 to sqrt(n) over the 3 residues of W = 210
     cfg = SearchConfig(pattern=QUAD, n=10**8, nu=1)
     assert build_wheel(QUAD, _resolve(cfg).moduli).residue_count() == 3
-    full = run_striped(cfg)
+    full, full_xs = collect_xs(run_striped, cfg)
     ck = tmp_path / "run.ckpt"
     killed = run_interrupted(cfg, 1, ck)
     assert checkpoint_position(ck) == 1
-    resumed = run_striped(cfg, checkpoint_path=str(ck))
+    resumed, rest = collect_xs(run_striped, cfg, checkpoint_path=str(ck))
     assert resumed.resumed
     assert resumed.count == full.count
     assert resumed.recip_sum.hex() == full.recip_sum.hex()
-    assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
+    assert sorted(killed + rest) == full_xs
 
 
 # c=3 and W = 2310 give QUAD at 10^5 a wheel of 21 residues
@@ -269,31 +269,37 @@ def test_kill_resume_at_every_position(tmp_path, nu, monkeypatch):
     monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
     cfg = KILL_CFG._replace(nu=nu)
     other = cfg._replace(nu=nu % 3 + 1)
-    full = run_striped(cfg)
+    full, full_xs = collect_xs(run_striped, cfg)
     last = build_wheel(QUAD, _resolve(cfg).moduli).residue_count()
     assert last == 21
-    # a run that keeps no x list must checkpoint and resume the same way
-    for keep_xs in (True, False):
+    # a resume that streams no tuple must checkpoint and end the same way
+    for stream in (True, False):
         for rounds in range(1, -(-last // nu)):
-            ck = tmp_path / f"run{keep_xs}{rounds}.ckpt"
-            killed = run_interrupted(cfg, rounds, ck, keep_xs=keep_xs)
+            ck = tmp_path / f"run{stream}{rounds}.ckpt"
+            killed = run_interrupted(cfg, rounds, ck)
             assert checkpoint_position(ck) == rounds * nu
-            resumed = run_striped(other, checkpoint_path=str(ck), keep_xs=keep_xs)
+            if stream:
+                resumed, rest = collect_xs(run_striped, other, checkpoint_path=str(ck))
+                assert sorted(killed + rest) == full_xs
+            else:
+                resumed = run_striped(other, checkpoint_path=str(ck))
             assert resumed.resumed
             assert resumed.count == full.count
             assert resumed.recip_sum.hex() == full.recip_sum.hex()
-            if keep_xs:
-                assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
-            else:
-                assert resumed.xs is None
 
 
 def _listing(cfg, path, **kw):
     """Run cfg with its tuple lines appended to path, the way --out
-    writes them with --checkpoint; returns the result."""
+    writes them with --checkpoint; returns the result and the x values
+    it emitted, sorted."""
+    xs = []
+
+    def write(x, vals):
+        xs.append(x)
+        out.write(f"{x} {vals}\n")
+
     with open(path, "a") as out:
-        return run_striped(cfg, output=out, on_tuple=lambda x, vals: out.write(f"{x} {vals}\n"),
-                           **kw)
+        return run_striped(cfg, output=out, on_tuple=write, **kw), sorted(xs)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -305,7 +311,7 @@ def test_interrupt_at_any_round_resumes_bitwise(tmp_path_factory, nu, other, dat
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_mod, "_cpu_limit", lambda: 3)
         cfg = KILL_CFG._replace(nu=nu)
-        full = _listing(cfg, d / "full.txt")
+        full, full_xs = _listing(cfg, d / "full.txt")
         rounds = data.draw(st.integers(0, -(-21 // nu) - 1), label="rounds")
         ck, dest = d / "run.ckpt", d / "out.txt"
         with open(dest, "a") as out:
@@ -315,28 +321,28 @@ def test_interrupt_at_any_round_resumes_bitwise(tmp_path_factory, nu, other, dat
             assert checkpoint_position(ck) == rounds * nu
         else:  # interrupted before the first commit point: nothing to resume
             assert not ck.exists()
-        resumed = _listing(cfg._replace(nu=other), dest, checkpoint_path=str(ck))
+        resumed, rest = _listing(cfg._replace(nu=other), dest, checkpoint_path=str(ck))
     assert resumed.resumed == bool(rounds)
     assert (resumed.count, resumed.recip_sum.hex()) == (full.count, full.recip_sum.hex())
-    assert sorted(killed + resumed.xs[resumed.boundary_count:]) == full.xs
+    # with no checkpoint to resume, the second run starts afresh and emits every tuple
+    assert sorted((killed if rounds else []) + rest) == full_xs
     assert dest.read_text() == (d / "full.txt").read_text()
 
 
 @pytest.mark.parametrize("mode", ["sqrt", "c3"])
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_keep_xs_false_matches_default_run(name, mode):
+def test_run_without_on_tuple_matches_streamed_run(name, mode):
+    # a run without on_tuple keeps no x past its chunk; its count and sum
+    # are those of a run that streams every tuple
     n = 10**5
     plan = {"sqrt": dict(sieve_bound=math.isqrt(n)), "c3": dict(space_exp=3.0)}[mode]
     cfg = SearchConfig(pattern=make_pattern(CORPUS[name]), n=n, nu=2, **plan)
-    seen = {True: [], False: []}
-    full = run_striped(cfg, on_tuple=lambda x, vals: seen[True].append((x, vals)))
-    lean = run_striped(cfg, on_tuple=lambda x, vals: seen[False].append((x, vals)),
-                       keep_xs=False)
-    assert full.xs and lean.xs is None
-    assert lean.count == full.count == len(full.xs)
+    seen = []
+    full = run_striped(cfg, on_tuple=lambda x, vals: seen.append((x, vals)))
+    lean = run_striped(cfg)
+    assert seen and lean.count == full.count == len(seen)
     assert lean.recip_sum.hex() == full.recip_sum.hex()
     assert lean.boundary_count == full.boundary_count
-    assert seen[False] == seen[True]
 
 
 def test_checkpoint_digest_mismatch(tmp_path):
@@ -427,13 +433,13 @@ def test_completed_checkpoint_resume_is_noop(tmp_path):
 def test_tiny_n_boundary_only():
     # n=14 leaves no residue in range: everything comes from the scan
     cfg = SearchConfig(pattern=QUAD, n=14, wheel=(2, 3, 5, 7))
-    res = run_striped(cfg)
-    assert res.xs == [5]
+    res, xs = collect_xs(run_striped, cfg)
+    assert xs == [5]
     assert res.boundary_count == 1
     assert res.count == res.boundary_count
     # at n=30 the first residue fits, so x=11 arrives via the sieve path
-    res = run_striped(SearchConfig(pattern=QUAD, n=30, wheel=(2, 3, 5, 7)))
-    assert res.xs == [5, 11]
+    res, xs = collect_xs(run_striped, SearchConfig(pattern=QUAD, n=30, wheel=(2, 3, 5, 7)))
+    assert xs == [5, 11]
     assert (res.boundary_count, res.count) == (1, 2)
 
 
@@ -445,16 +451,17 @@ def test_boundary_cut_inside_a_segment(table_1e5):
     want = naive_pattern_xs(pattern.forms, 1000, table_1e5)
     assert len(want) == 21
     for plan in ({}, {"sieve_bound": 31, "wheel": (2, 3)}):
-        res = run_striped(SearchConfig(pattern=pattern, n=1000, **plan))
-        assert res.xs == want
+        res, xs = collect_xs(run_striped, SearchConfig(pattern=pattern, n=1000, **plan))
+        assert xs == want
         assert res.count == len(want)
     # with 5 kept out of the wheel and B = 3, nothing strikes x = 5 of
     # x,6x+1 (values 5 and 31), whose largest value is past (B+1)^2:
     # the boundary window owns it all the same
     pattern = parse_pattern("x,6x+1")
-    res = run_striped(SearchConfig(pattern=pattern, n=1000, sieve_bound=3, wheel=(2, 3, 7)))
-    assert res.xs == naive_pattern_xs(pattern.forms, 1000, table_1e5)
-    assert res.count == len(res.xs) and 5 in res.xs
+    res, xs = collect_xs(run_striped,
+                         SearchConfig(pattern=pattern, n=1000, sieve_bound=3, wheel=(2, 3, 7)))
+    assert xs == naive_pattern_xs(pattern.forms, 1000, table_1e5)
+    assert res.count == len(xs) and 5 in xs
 
 
 _PATTERN = st.lists(_FORM, min_size=1, max_size=4, unique=True).map(make_pattern).filter(admissible)
@@ -479,7 +486,6 @@ def test_differential_against_naive_scan(table_1e5, pattern, n, sieve, wheel, nu
     seen = []
     res = run_striped(cfg, on_tuple=lambda x, vals: seen.append((x, vals)))
     want = naive_pattern_xs(pattern.forms, n, table_1e5)
-    assert res.xs == want
     assert res.count == len(want)
     assert sorted(seen) == [(x, pattern.evaluate(x)) for x in want]
     assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
@@ -712,9 +718,10 @@ def test_plan_past_ladder_top_uses_cost_depth():
 @given(pattern=_PATTERN, n=st.integers(100, 10**6))
 def test_planned_depth_matches_sqrt_depth(pattern, n):
     # below LADDER_TOP every depth gives the same verdicts
-    chosen = run_striped(SearchConfig(pattern=pattern, n=n))
-    sqrt = run_striped(SearchConfig(pattern=pattern, n=n, sieve_bound=math.isqrt(n)))
-    assert chosen.xs == sqrt.xs
+    chosen, chosen_xs = collect_xs(run_striped, SearchConfig(pattern=pattern, n=n))
+    sqrt, sqrt_xs = collect_xs(run_striped,
+                               SearchConfig(pattern=pattern, n=n, sieve_bound=math.isqrt(n)))
+    assert chosen_xs == sqrt_xs
     assert chosen.count == sqrt.count
     assert chosen.recip_sum.hex() == sqrt.recip_sum.hex()
 
@@ -752,7 +759,8 @@ def test_default_wheel_matches_budget_wheel(pattern, n, nu, chunk):
     cfg = SearchConfig(pattern=pattern, n=n, nu=nu)
 
     def run(make_plan, chunk=search_mod.CHUNK):
-        # the run's result and the plans it made: none for an empty x range
+        # the run's result, its x values and the plans it made: none for
+        # an empty x range
         plans = []
 
         def plan(*args):
@@ -762,20 +770,20 @@ def test_default_wheel_matches_budget_wheel(pattern, n, nu, chunk):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_mod, "CHUNK", chunk)
             mp.setattr(search_mod, "make_plan", plan)
-            return run_striped(cfg), plans
+            return *collect_xs(run_striped, cfg), plans
 
     # short chunks split segments, which are shorter than CHUNK at this n
-    new, new_plans = run(search_mod.make_plan, chunk)
-    old, old_plans = run(_budget_wheel_plan(search_mod.make_plan, pattern, n))
-    assert new.xs == old.xs
+    new, new_xs, new_plans = run(search_mod.make_plan, chunk)
+    old, old_xs, old_plans = run(_budget_wheel_plan(search_mod.make_plan, pattern, n))
+    assert new_xs == old_xs
     assert new.count == old.count
     assert new.recip_sum.hex() == old.recip_sum.hex()
     # each run's boundary window owns the tuples whose least value is at
     # most its own cut, max(B, largest wheel prime)
-    for res, plans in ((new, new_plans), (old, old_plans)):
+    for res, xs, plans in ((new, new_xs, new_plans), (old, old_xs, old_plans)):
         assert len(plans) <= 1
         cut = max(plans[0].B, plans[0].moduli[-1]) if plans else 0
-        assert res.boundary_count == sum(pattern.min_value(x) <= cut for x in res.xs)
+        assert res.boundary_count == sum(pattern.min_value(x) <= cut for x in xs)
 
 
 def test_import_leaves_hashlib_unloaded():
@@ -799,7 +807,7 @@ RECORDS = [
      dict(aborted=False)),
     (SearchConfig, dict(pattern=QUAD, n=10**4),
      dict(nu=1, sieve_bound=None, space_exp=None, wheel=None)),
-    (SearchResult, dict(xs=None, count=2, recip_sum=0.5, boundary_count=0),
+    (SearchResult, dict(count=2, recip_sum=0.5, boundary_count=0),
      dict(resumed=False)),
     (TupleCensus, dict(bound=10, count=2, recip_sum=0.5), {}),
 ]
@@ -843,8 +851,9 @@ def test_excluded_wheel_prime_same_output():
     cfg = SearchConfig(pattern=QUAD, n=n, wheel=(2, 3, 7))
     plan = _resolve(cfg)
     assert 5 in plan.sieve_primes(plan.moduli)
-    base, skipped = run_striped(SearchConfig(pattern=QUAD, n=n)), run_striped(cfg)
-    assert base.xs == skipped.xs
+    base, base_xs = collect_xs(run_striped, SearchConfig(pattern=QUAD, n=n))
+    skipped, skipped_xs = collect_xs(run_striped, cfg)
+    assert base_xs == skipped_xs
     assert (base.count, base.recip_sum.hex()) == (skipped.count, skipped.recip_sum.hex())
 
 
@@ -865,8 +874,8 @@ def test_bad_wheel_rejected_before_planning(wheel, monkeypatch):
 
 
 def test_wheel_override_is_sorted():
-    res = run_striped(SearchConfig(pattern=QUAD, n=10**4, wheel=[7, 2, 5, 3]))
-    assert res.xs == find_pattern_primes(SearchConfig(pattern=QUAD, n=10**4))
+    xs = find_pattern_primes(SearchConfig(pattern=QUAD, n=10**4, wheel=[7, 2, 5, 3]))
+    assert xs == find_pattern_primes(SearchConfig(pattern=QUAD, n=10**4))
     ctx = search_mod.make_context(SearchConfig(pattern=QUAD, n=10**4, wheel=(2, 3, 5, 7)))
     assert ctx.plan.moduli == ctx.wheel.moduli == (2, 3, 5, 7)
 
@@ -882,12 +891,13 @@ def test_explicit_sieve_bound_capped_at_isqrt(name, table_1e5):
         plan = _resolve(deep)
         assert plan.B == root
         assert plan.primes == tuple(primes_upto(root))
-        res = run_striped(deep)
+        res, xs = collect_xs(run_striped, deep)
         want = naive_pattern_xs(pattern.forms, n, table_1e5)
-        assert res.xs == want and res.count == len(want)
+        assert xs == want and res.count == len(want)
         assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
-        shallow = run_striped(SearchConfig(pattern=pattern, n=n, sieve_bound=root))
-        assert (shallow.xs, shallow.recip_sum.hex()) == (res.xs, res.recip_sum.hex())
+        shallow, shallow_xs = collect_xs(run_striped,
+                                         SearchConfig(pattern=pattern, n=n, sieve_bound=root))
+        assert (shallow_xs, shallow.recip_sum.hex()) == (xs, res.recip_sum.hex())
     # 13 s and 934 MB before the cap: a table of the primes up to 10^8
     assert _plan(X, 100, sieve_bound=10**8).primes == (2, 3, 5, 7)
 
@@ -908,7 +918,7 @@ def test_gate_tests_each_form_once_per_untested_survivor(monkeypatch):
     monkeypatch.setattr(search_mod, "survivors", listing)
     monkeypatch.setattr(search_mod, "sprp_base2", lambda v: gated.append(v) or sprp(v))
     monkeypatch.setattr(Pattern, "evaluate", lambda self, x: evaluated.append(x) or evaluate(self, x))
-    xs = find_pattern_primes(cfg)
+    res = run_striped(cfg)  # streams nothing, so evaluate runs only in the search
     # the values the per-x short circuit gated, and the x passing every form
     want, passed = [], []
     for x in (x for x in listed if x > x_proved):
@@ -921,7 +931,8 @@ def test_gate_tests_each_form_once_per_untested_survivor(monkeypatch):
     assert len(gated) == len(want) > 1000 and sorted(gated) == sorted(want)
     assert evaluated == passed and len(passed) < len(listed) // 10
     monkeypatch.undo()
-    assert xs == find_pattern_primes(SearchConfig(pattern=pattern, n=cfg.n))
+    deep = run_striped(SearchConfig(pattern=pattern, n=cfg.n))
+    assert (res.count, res.recip_sum.hex()) == (deep.count, deep.recip_sum.hex())
 
 
 def test_smallest_chain_first_kind():
@@ -961,9 +972,9 @@ def test_smallest_chain_not_found():
 @example(pattern=QUAD, s=300, n=10**5)
 def test_translated_search_matches_search_from_s(pattern, s, n):
     # the search of the translated pattern is the search of x >= s
-    want = [x for x in run_striped(SearchConfig(pattern=pattern, n=n)).xs if x >= s]
-    res = run_striped(SearchConfig(pattern=pattern.shifted(s), n=n))
-    assert [y + s for y in res.xs] == want
+    want = [x for x in find_pattern_primes(SearchConfig(pattern=pattern, n=n)) if x >= s]
+    res, ys = collect_xs(run_striped, SearchConfig(pattern=pattern.shifted(s), n=n))
+    assert [y + s for y in ys] == want
     assert res.count == len(want)
     assert res.recip_sum == math.fsum(1.0 / v for x in want for v in pattern.evaluate(x))
 

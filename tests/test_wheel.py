@@ -8,7 +8,7 @@ from tuplesieve.pattern import chain_pattern, make_pattern
 from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
 from tuplesieve.wheel import MODULUS_MAX, Wheel, WheelError, build_wheel, check_moduli
 
-from conftest import CORPUS, wheel_primes
+from conftest import CORPUS, collect_xs, wheel_primes
 
 QUAD = make_pattern(CORPUS["quad"])
 TWIN = make_pattern(CORPUS["twin"])
@@ -146,11 +146,11 @@ def test_medium_wheel_yields_distinct():
 def test_stripe_identity():
     # one range over every position holds the whole sieve path
     cfg = SearchConfig(pattern=QUAD, n=10**5, wheel=(2, 3, 5, 7))
-    res = run_striped(cfg)
+    res, want = collect_xs(run_striped, cfg)
     # 38 quadruplets, 4 of them (x = 5, 11, 101, 191) with a value <= B = 316
     assert (res.count, res.boundary_count) == (38, 4)
     count, _, xs = run_range(make_context(cfg), 0, 3)
-    assert count == 34 and sorted(xs) == res.xs[4:]
+    assert count == 34 and sorted(xs) == want[4:]
 
 
 def test_stripe_each_gets_one():
@@ -158,8 +158,8 @@ def test_stripe_each_gets_one():
     # counts exactly the tuples of residue(idx)
     w = build_wheel(QUAD, (2, 3, 5, 7))
     cfg = SearchConfig(pattern=QUAD, n=10**5, wheel=(2, 3, 5, 7), nu=3)
-    res = run_striped(cfg)
-    sieve_xs = res.xs[res.boundary_count:]
+    res, xs = collect_xs(run_striped, cfg)
+    sieve_xs = xs[res.boundary_count:]
     want = [sum(x % 210 == w.residue(idx) for x in sieve_xs) for idx in range(3)]
     ctx = make_context(cfg)
     assert [run_range(ctx, idx, idx + 1)[0] for idx in range(3)] == want

@@ -18,9 +18,15 @@ from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN
 from tuplesieve.kahan import KahanBuckets
 from tuplesieve.pattern import chain_pattern
 from tuplesieve.primality import TableCapacityError
-from tuplesieve.search import SearchConfig, make_context, run_range, run_striped
+from tuplesieve.search import (
+    SearchConfig,
+    find_pattern_primes,
+    make_context,
+    run_range,
+    run_striped,
+)
 
-from conftest import checkpoint_position, run_interrupted
+from conftest import checkpoint_position, collect_xs, run_interrupted
 
 SRC = str(Path(search_mod.__file__).parents[1])
 
@@ -54,9 +60,9 @@ def test_any_split_merges_to_one_run(case, data):
     parts = [run_range(ctx, a, b) for a, b in zip(bounds, bounds[1:])]
     assert merged(parts) == merged([run_range(ctx, 0, last)])
     # and run_striped's sieve path is that one run
-    res = run_striped(CASES[case])
+    res, want = collect_xs(run_striped, CASES[case])
     count, _, xs = merged(parts)
-    assert (count, sorted(xs)) == (res.count - res.boundary_count, res.xs[res.boundary_count:])
+    assert (count, sorted(xs)) == (res.count - res.boundary_count, want[res.boundary_count:])
     assert run_range(ctx, 0, last, keep=False)[2] is None
 
 
@@ -67,7 +73,7 @@ def test_output_identical_for_1_2_4_workers(cfg, monkeypatch):
     for nu in (1, 2, 4):
         seen = []
         res = run_striped(cfg._replace(nu=nu), on_tuple=lambda x, vals: seen.append((x, vals)))
-        runs[nu] = (res.xs, res.count, res.recip_sum.hex(), seen)
+        runs[nu] = (res.count, res.recip_sum.hex(), seen)
     assert runs[1] == runs[2] == runs[4]
     assert_no_children()
 
@@ -83,14 +89,14 @@ def test_process_count_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(search_mod.os, "fork", counting_fork)
     # QUAD at 10^5 over W = 30030: 189 positions of 4 bytes, one round
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11, 13), nu=10**6)
-    want = run_striped(cfg._replace(nu=1))
+    want, want_xs = collect_xs(run_striped, cfg._replace(nu=1))
     assert forks == []
-    res = run_striped(cfg)
+    res, xs = collect_xs(run_striped, cfg)
     assert len(forks) + 1 <= (os.cpu_count() or 1)
-    assert (res.xs, res.recip_sum.hex()) == (want.xs, want.recip_sum.hex())
+    assert (xs, res.recip_sum.hex()) == (want_xs, want.recip_sum.hex())
     forks.clear()
     monkeypatch.setattr(search_mod, "_cpu_limit", lambda: 3)
-    assert run_striped(cfg).xs == want.xs
+    assert find_pattern_primes(cfg) == want_xs
     assert len(forks) == 2  # the parent plus two children
     assert_no_children()
 
@@ -103,9 +109,9 @@ def test_process_count_capped_at_cpu_affinity(monkeypatch):
     monkeypatch.setattr(search_mod.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert search_mod._cpu_limit() == 1
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, wheel=(2, 3, 5, 7, 11, 13), nu=2)
-    res = run_striped(cfg)
+    xs = find_pattern_primes(cfg)
     assert forks == []
-    assert res.xs == run_striped(cfg._replace(nu=1)).xs
+    assert xs == find_pattern_primes(cfg._replace(nu=1))
     # where the OS keeps no affinity set, the CPU count caps the processes
     monkeypatch.delattr(search_mod.os, "sched_getaffinity")
     assert search_mod._cpu_limit() == 4
@@ -254,7 +260,7 @@ def test_interrupt_between_rounds_reaps_children(two_cpus, tmp_path):
 def test_output_file_resumes_without_loss(two_cpus, tmp_path):
     # a run interrupted in mid-round, with lines written past its checkpoint, then resumed
     cfg = SearchConfig(pattern=QUAD_PATTERN, n=10**5, space_exp=3.0, wheel=(2, 3, 5, 7, 11), nu=2)
-    full = run_striped(cfg)
+    full = find_pattern_primes(cfg)
     ck, dest = tmp_path / "run.ckpt", tmp_path / "out.txt"
     for rounds in (1, 4, 9):
         ck.unlink(missing_ok=True)
@@ -269,7 +275,7 @@ def test_output_file_resumes_without_loss(two_cpus, tmp_path):
             res = run_striped(cfg._replace(nu=1), checkpoint_path=str(ck), output=out,
                               on_tuple=lambda x, vals: out.write(f"{x}\n"))
         assert res.resumed
-        assert sorted(map(int, dest.read_text().split())) == full.xs
+        assert sorted(map(int, dest.read_text().split())) == full
 
 
 def test_run_leaves_no_worker_modules_loaded():

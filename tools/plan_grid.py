@@ -26,7 +26,7 @@ from tuplesieve import plan as planner
 from tuplesieve.apps import QUAD_PATTERN, TWIN_PATTERN
 from tuplesieve.apsieve import root_rows
 from tuplesieve.pattern import chain_pattern
-from tuplesieve.search import CHAIN_GROWTH, SearchConfig
+from tuplesieve.search import SearchConfig, chain_windows
 from tuplesieve.wheel import build_wheel
 
 
@@ -43,13 +43,10 @@ def grid():
                 yield f"{kind}-{length} x<=1e{e}", SearchConfig(pattern=chain,
                                                                  n=chain.max_value(10**e))
     # the windows as `smallest_chain` cuts them, each the pattern shifted to its first x
-    chain, cap = chain_pattern("first", 9), 10**9
-    s, x_hi = 0, 1 << 11
-    while s <= cap:
-        x_hi = min(x_hi, cap)
+    chain = chain_pattern("first", 9)
+    for s, x_hi in chain_windows(10**9):
         yield (f"first-9 window {s}..{x_hi}",
                SearchConfig(pattern=chain.shifted(s), n=chain.max_value(x_hi)))
-        s, x_hi = x_hi + 1, x_hi * CHAIN_GROWTH
     chain = chain_pattern("first", 15)
     yield "first-15 x<=90616211958465842219", SearchConfig(
         pattern=chain, n=chain.max_value(90616211958465842219))
